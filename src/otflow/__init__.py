@@ -31,6 +31,7 @@ from .functionals import (
 )
 from .gaussian import (
     LabelDistribution,
+    Moments,
     bures_w2_sq,
     bures_w2_sq_grad,
     project_psd,
@@ -69,6 +70,7 @@ __all__ = [
     "GeneratorSpec",
     "InteractionTerm",
     "LabelDistribution",
+    "Moments",
     "OptimizerState",
     "Particle",
     "PotentialTerm",

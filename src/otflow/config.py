@@ -69,21 +69,35 @@ def dataset_from_entry(entry, what: str) -> DatasetState:
     raise ConfigError(f"{what} needs either a 'generator' or a 'path'")
 
 
+# Config keys read into each library constructor, with the cast applied to
+# the JSON value. Absent or null keys are not passed, so the library
+# defaults apply on both the config and the library path.
+TARGET_TERM_KEYS = {"reg": float, "debias": bool, "squared": bool, "max_iter": int, "tol": float}
+OPTIMIZER_KEYS = {
+    "rule": str, "step_size": float, "momentum": float, "beta1": float, "beta2": float,
+    "adam_eps": float, "adagrad_eps": float,
+    "block_step_sizes": lambda v: {k: float(x) for k, x in v.items()},
+}
+FLOW_KEYS = {
+    "mode": str, "steps": int, "noise_scale": float, "noise_schedule": str,
+    "noise_target": str, "relabel_every": int, "relabel_method": str,
+    "cluster_eps": float, "cluster_min_pts": int, "cluster_k": int, "seed": int,
+    "record_every": int,
+}
+
+
+def _given(entry: dict, keys: dict) -> dict:
+    """The keys of ``entry`` listed in ``keys`` that are set, cast."""
+    return {k: cast(entry[k]) for k, cast in keys.items() if entry.get(k) is not None}
+
+
 def term_from_entry(entry: dict, target: DatasetState | None):
     kind = entry.get("kind")
     weight = float(entry.get("weight", 1.0))
     if kind == "target_distance":
         if target is None:
             raise ConfigError("functional has a target_distance term but no target dataset")
-        return TargetDistanceTerm(
-            target,
-            weight=weight,
-            reg=entry.get("reg"),
-            debias=bool(entry.get("debias", True)),
-            squared=bool(entry.get("squared", True)),
-            max_iter=int(entry.get("max_iter", 2000)),
-            tol=float(entry.get("tol", 1e-6)),
-        )
+        return TargetDistanceTerm(target, weight=weight, **_given(entry, TARGET_TERM_KEYS))
     if kind == "potential":
         return PotentialTerm(entry["form"], entry.get("params", {}), weight=weight)
     if kind == "interaction":
@@ -94,20 +108,8 @@ def term_from_entry(entry: dict, target: DatasetState | None):
 
 
 def optimizer_from_entry(entry: dict) -> OptimizerState:
-    entry = dict(entry or {})
     try:
-        return OptimizerState(
-            rule=entry.get("rule", "sgd"),
-            step_size=float(entry.get("step_size", 0.1)),
-            momentum=float(entry.get("momentum", 0.9)),
-            beta1=float(entry.get("beta1", 0.9)),
-            beta2=float(entry.get("beta2", 0.999)),
-            adam_eps=float(entry.get("adam_eps", 1e-8)),
-            adagrad_eps=float(entry.get("adagrad_eps", 1e-10)),
-            block_step_sizes={
-                k: float(v) for k, v in entry.get("block_step_sizes", {}).items()
-            },
-        )
+        return OptimizerState(**_given(entry or {}, OPTIMIZER_KEYS))
     except ValueError as exc:
         raise ConfigError(f"optimizer: {exc}") from exc
 
@@ -134,23 +136,12 @@ def build_run(cfg: dict) -> RunConfig:
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"functional: {exc}") from exc
 
-    flow = FlowConfig(
-        functional=functional,
-        optimizer=optimizer_from_entry(cfg.get("optimizer", {})),
-        mode=cfg.get("mode", "fd"),
-        steps=int(cfg.get("steps", 100)),
-        noise_scale=float(cfg.get("noise_scale", 0.0)),
-        noise_schedule=cfg.get("noise_schedule", "sqrt-decay"),
-        noise_target=cfg.get("noise_target", "eval-point"),
-        relabel_every=int(cfg.get("relabel_every", 10)),
-        relabel_method=cfg.get("relabel_method", "dbscan"),
-        cluster_eps=float(cfg.get("cluster_eps", 5.0)),
-        cluster_min_pts=int(cfg.get("cluster_min_pts", 4)),
-        cluster_k=cfg.get("cluster_k"),
-        seed=int(cfg.get("seed", 0)),
-        record_every=int(cfg.get("record_every", 10)),
-    )
     try:
+        flow = FlowConfig(
+            functional=functional,
+            optimizer=optimizer_from_entry(cfg.get("optimizer", {})),
+            **_given(cfg, FLOW_KEYS),
+        )
         flow.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

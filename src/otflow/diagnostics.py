@@ -14,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 from .dynamics import FlowConfig, run_flow
 from .errors import DimensionMismatchError, SizeLimitError
 from .functionals import FunctionalSpec, eval_terms
-from .otdd import DatasetState, label_stats
+from .otdd import DatasetState
 from .transport import EXACT_SIZE_LIMIT, exact_ot, squared_euclidean_cost
 
 CONVEXITY_GRID = [round(0.1 * i, 1) for i in range(11)]
@@ -155,8 +155,9 @@ def oracle_accuracy_proxy(flowed: DatasetState, source_train: DatasetState) -> f
     if flowed.dim != source_train.dim:
         raise DimensionMismatchError("feature dimensions differ")
     classes = source_train.class_ids()
-    stats = label_stats(source_train)
-    centroids = np.stack([stats[c].mean for c in classes])
+    centroids = np.stack(
+        [source_train.features[source_train.labels == c].mean(axis=0) for c in classes]
+    )
     d2 = squared_euclidean_cost(flowed.features, centroids)
     pred = np.array(classes)[np.argmin(d2, axis=1)]
 

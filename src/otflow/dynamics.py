@@ -1,13 +1,13 @@
 """The flow engine: explicit Euler / Euler-Maruyama advancement of a
 dataset state under a functional, in one of three dynamics modes.
 
-fd     gradient steps on features only; class moments refreshed from the
-       particles after every step.
-jd-fl  gradient steps on features and on the per-class (mean, cov) blocks,
+fd     gradient steps on features only; the per-class moment rows are
+       refreshed from the particles after every step.
+jd-fl  gradient steps on features and on the per-class (mean, cov) rows,
        with label assignments fixed for the whole flow.
-jd-vl  per-particle (mean, cov) blocks evolve independently; labels are
-       re-imputed by clustering the moment pairs at a configurable cadence
-       and once at the end.
+jd-vl  the state is decoupled to one (mean, cov) row per particle, and the
+       rows evolve independently; labels are re-imputed by clustering the
+       rows at a configurable cadence and once at the end.
 """
 
 import time
@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import DEFAULT_EPS, DEFAULT_MIN_PTS, dbscan_bures, kmeans_embedded
-from .errors import DimensionMismatchError, FlowDivergenceError, NumericError
+from .errors import FlowDivergenceError, NumericError
 from .functionals import FunctionalSpec, eval_terms, grad_functional
 from .optim import OptimizerState, apply_step
-from .otdd import MODE_FD, MODE_JD_FL, MODE_JD_VL, MODES, DatasetState, label_stats
+from .otdd import MODE_FD, MODE_JD_VL, MODES, DatasetState, label_stats, require_layout
 
 
 @dataclass
@@ -58,6 +58,11 @@ class FlowConfig:
             raise ValueError(f"unknown relabel_method {self.relabel_method!r}")
         if self.relabel_method == "kmeans" and self.cluster_k is None:
             raise ValueError("kmeans relabeling needs cluster_k")
+        if self.functional.entropy_weight() > 0.0 and self.optimizer.rule != "sgd":
+            raise ValueError(
+                f"an entropy term needs the sgd rule, not {self.optimizer.rule!r}: "
+                "its Brownian noise is Euler-Maruyama only under sgd"
+            )
 
     def beta(self, step: int) -> float:
         if self.noise_scale == 0.0:
@@ -96,22 +101,6 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def _check_mode_shape(state: DatasetState, mode: str):
-    if mode == MODE_JD_VL and not state.per_particle:
-        raise DimensionMismatchError("jd-vl flow needs per-particle label_dists")
-    if mode in (MODE_FD, MODE_JD_FL) and state.per_particle:
-        raise DimensionMismatchError(f"{mode} flow needs per-class label_dists")
-
-
-def _state_is_finite(state: DatasetState) -> bool:
-    if not np.all(np.isfinite(state.features)):
-        return False
-    dists = state.label_dists if state.per_particle else state.label_dists.values()
-    return all(
-        np.all(np.isfinite(d.mean)) and np.all(np.isfinite(d.cov)) for d in dists
-    )
-
-
 def relabel(state: DatasetState, config: FlowConfig, rng) -> int:
     """Re-impute labels by clustering the per-particle moment pairs.
 
@@ -141,9 +130,9 @@ def flow_step(state: DatasetState, config: FlowConfig, opt: OptimizerState, rng,
     selects whether the perturbation only shifts the evaluation point or is
     written into the state itself. An entropy term in the functional adds
     scaled Brownian noise through the gradient, exact Euler-Maruyama under
-    the sgd rule.
+    the sgd rule (the only rule ``FlowConfig.validate`` accepts with it).
     """
-    _check_mode_shape(state, config.mode)
+    require_layout(state, config.mode)
     beta = config.beta(step)
 
     eval_state = state
@@ -173,34 +162,31 @@ def flow_step(state: DatasetState, config: FlowConfig, opt: OptimizerState, rng,
     except NumericError as exc:
         raise FlowDivergenceError(step, str(exc)) from exc
 
-    if not np.all(np.isfinite(new_state.features)):
+    rows = new_state.label_dists
+    if not all(np.isfinite(a).all() for a in (new_state.features, rows.means, rows.covs)):
         raise FlowDivergenceError(step, "non-finite state")
 
     if config.mode == MODE_FD:
-        new_state.label_dists = label_stats(new_state, classes=sorted(new_state.label_dists))
+        new_state.label_dists = label_stats(new_state)
 
     diagnostics = {"objective": value, "beta": beta, "step": step}
 
     if config.mode == MODE_JD_VL and config.relabel_every > 0 and (step + 1) % config.relabel_every == 0:
         diagnostics["clusters"] = relabel(new_state, config, rng)
-
-    if not _state_is_finite(new_state):
-        raise FlowDivergenceError(step, "non-finite state")
     return new_state, diagnostics
 
 
 def run_flow(initial: DatasetState, config: FlowConfig) -> Trajectory:
     """Run the configured number of steps from an initial state.
 
-    Deterministic for a fixed config and seed. Snapshots deep-copy the
-    state, so recorded trajectories are immutable afterwards. On divergence
-    the partial trajectory is attached to the raised error.
+    Deterministic for a fixed config and seed: the functional's solver
+    state is reset first, so no earlier run leaks into this one. Snapshots
+    deep-copy the state, so recorded trajectories are immutable afterwards.
+    On divergence the partial trajectory is attached to the raised error.
     """
     config.validate()
-    state = initial.copy()
-    if config.mode == MODE_JD_VL and not state.per_particle:
-        state = state.decoupled()
-    _check_mode_shape(state, config.mode)
+    config.functional.reset()
+    state = initial.decoupled() if config.mode == MODE_JD_VL else initial.copy()
     state.validate()
 
     opt = config.optimizer.clone()

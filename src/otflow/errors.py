@@ -29,14 +29,6 @@ class SizeLimitError(OtflowError):
     """Instance exceeds the size supported by an exact solver."""
 
 
-class DegenerateClassError(OtflowError):
-    """A class id has no particles backing its statistics."""
-
-    def __init__(self, label: int):
-        self.label = label
-        super().__init__(f"class {label} has no particles")
-
-
 class FlowDivergenceError(OtflowError):
     """Flow produced a non-finite state or gradient.
 

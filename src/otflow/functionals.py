@@ -221,8 +221,9 @@ class TargetDistanceTerm:
     to flow the distance itself. The regularization, when not given, is
     frozen at the default fraction of the first evaluated mean ground cost
     so the objective stays a fixed functional along a flow. Dual potentials
-    are warm-started between evaluations.
-
+    are warm-started between evaluations. ``reset()`` drops this solver
+    state (frozen regularization, warm duals, target self-value); every
+    ``run_flow`` starts with it, so a run never depends on earlier ones.
     """
 
     kind = "target_distance"
@@ -244,18 +245,22 @@ class TargetDistanceTerm:
         self.squared = squared
         self.max_iter = max_iter
         self.tol = tol
+        self.reset()
+
+    def reset(self):
+        self._reg = self.reg
         self._bb_soft = None
         self._warm_ab = None
         self._warm_aa = None
 
     def _solve(self, state: DatasetState):
         cost_ab = ground_cost_matrix(state, self.target)
-        if self.reg is None:
-            self.reg = default_reg(cost_ab)
+        if self._reg is None:
+            self._reg = default_reg(cost_ab)
         if self._warm_ab is not None and self._warm_ab[0].shape[0] != state.n:
             self._warm_ab = self._warm_aa = None
         plan_ab = sinkhorn(
-            cost_ab, state.weights, self.target.weights, self.reg,
+            cost_ab, state.weights, self.target.weights, self._reg,
             self.max_iter, self.tol, init=self._warm_ab,
         )
         self._warm_ab = (plan_ab.dual_left, plan_ab.dual_right)
@@ -263,14 +268,14 @@ class TargetDistanceTerm:
         if self.debias:
             cost_aa = ground_cost_matrix(state, state)
             plan_aa = sinkhorn_symmetric(
-                cost_aa, state.weights, self.reg,
+                cost_aa, state.weights, self._reg,
                 self.max_iter, self.tol, init=self._warm_aa,
             )
             self._warm_aa = plan_aa.dual_left
             if self._bb_soft is None:
                 cost_bb = ground_cost_matrix(self.target, self.target)
                 self._bb_soft = sinkhorn_symmetric(
-                    cost_bb, self.target.weights, self.reg, self.max_iter, self.tol
+                    cost_bb, self.target.weights, self._reg, self.max_iter, self.tol
                 ).soft_cost
             value_sq = plan_ab.soft_cost - 0.5 * (plan_aa.soft_cost + self._bb_soft)
         else:
@@ -315,6 +320,12 @@ class FunctionalSpec:
 
     def term_kinds(self):
         return [t.kind for t in self.terms]
+
+    def reset(self):
+        """Drop solver state that terms keep between evaluations."""
+        for t in self.terms:
+            if t.kind == "target_distance":
+                t.reset()
 
 
 def grad_functional(state: DatasetState, spec: FunctionalSpec, mode: str):

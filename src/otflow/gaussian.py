@@ -6,6 +6,7 @@ are kept inside the PSD cone by clipping eigenvalues at a floor that scales
 with the matrix trace.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,41 @@ class LabelDistribution:
         return LabelDistribution(self.mean.copy(), self.cov.copy())
 
 
+class Moments(Sequence):
+    """Stacked Gaussian moments: row k is N(means[k], covs[k]).
+
+    A read-only sequence of LabelDistribution (no item assignment). Each
+    row it yields holds views into ``means``/``covs``, so in-place edits
+    such as ``row.mean[0] += h`` write through to the store, while
+    rebinding ``row.cov = ...`` does not; write into ``covs[k]`` instead.
+    """
+
+    def __init__(self, means, covs):
+        self.means = np.asarray(means, dtype=float)
+        self.covs = np.asarray(covs, dtype=float)
+        if self.means.ndim != 2 or self.covs.shape != self.means.shape + self.means.shape[1:]:
+            raise DimensionMismatchError(
+                f"means of shape {self.means.shape} incompatible with covs {self.covs.shape}"
+            )
+
+    @classmethod
+    def of(cls, dists) -> "Moments":
+        """The moments of a sequence of LabelDistribution; a Moments is
+        returned as it is."""
+        if isinstance(dists, Moments):
+            return dists
+        return cls(np.stack([d.mean for d in dists]), np.stack([d.cov for d in dists]))
+
+    def __len__(self) -> int:
+        return self.means.shape[0]
+
+    def __getitem__(self, k) -> LabelDistribution:
+        return LabelDistribution(self.means[k], self.covs[k])
+
+    def copy(self) -> "Moments":
+        return Moments(self.means.copy(), self.covs.copy())
+
+
 def _check_finite(m: np.ndarray, name: str = "matrix"):
     if not np.all(np.isfinite(m)):
         raise NumericError(f"{name} contains non-finite entries")
@@ -54,11 +90,11 @@ def _check_symmetric(m: np.ndarray, name: str = "matrix"):
         raise NumericError(f"{name} is not symmetric")
 
 
-def psd_floor_value(m: np.ndarray) -> float:
-    """Default eigenvalue floor for a covariance update: 1e-6 * trace/dim."""
-    d = m.shape[0]
-    rel = PSD_FLOOR_SCALE * float(np.trace(m)) / d
-    return rel if rel > 0.0 else PSD_FLOOR_ABS
+def psd_floor_value(m: np.ndarray) -> np.ndarray:
+    """Default eigenvalue floor for a covariance update: 1e-6 * trace/dim,
+    per matrix of a (..., d, d) stack."""
+    rel = PSD_FLOOR_SCALE * m.trace(0, -2, -1) / m.shape[-1]
+    return np.where(rel > 0.0, rel, PSD_FLOOR_ABS)
 
 
 def spd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -75,17 +111,25 @@ def spd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
-def project_psd(m: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Nearest PSD matrix by eigenvalue clipping (eigenvalues >= floor)."""
+def project_psd(m: np.ndarray, floor=0.0) -> np.ndarray:
+    """Nearest PSD matrix by eigenvalue clipping (eigenvalues >= floor).
+
+    ``m`` is one matrix or a (..., d, d) stack; ``floor`` is a scalar or
+    one floor per matrix. Matrices already above their floor come back
+    symmetrized only.
+    """
     m = np.asarray(m, dtype=float)
     _check_finite(m)
-    m = 0.5 * (m + m.T)
+    m = 0.5 * (m + m.swapaxes(-1, -2))
     w, v = np.linalg.eigh(m)
-    if w.min() >= floor:
+    floor = np.asarray(floor, dtype=float)[..., None]
+    if (w >= floor).all():
         return m
+    clipped = (w < floor).any(axis=-1)
     w = np.maximum(w, floor)
-    out = (v * w) @ v.T
-    return 0.5 * (out + out.T)
+    out = (v * w[..., None, :]) @ v.swapaxes(-1, -2)
+    out = 0.5 * (out + out.swapaxes(-1, -2))
+    return np.where(clipped[..., None, None], out, m)
 
 
 def bures_w2_sq(a: LabelDistribution, b: LabelDistribution) -> float:
@@ -185,27 +229,25 @@ def _batched_sqrt(covs: np.ndarray) -> np.ndarray:
 def pairwise_bures_sq(dists_a, dists_b) -> np.ndarray:
     """All-pairs squared Bures-Wasserstein distances.
 
-    ``dists_a`` and ``dists_b`` are sequences of LabelDistribution; returns a
-    (len(a), len(b)) matrix. Batched over eigendecompositions, which keeps
-    per-step flow costs flat even for per-particle label distributions.
+    ``dists_a`` and ``dists_b`` are Moments or sequences of
+    LabelDistribution; returns a (len(a), len(b)) matrix. Batched over
+    eigendecompositions, which keeps per-step flow costs flat even for
+    per-particle label distributions.
     """
-    means_a = np.stack([d.mean for d in dists_a])
-    means_b = np.stack([d.mean for d in dists_b])
-    covs_a = np.stack([d.cov for d in dists_a])
-    covs_b = np.stack([d.cov for d in dists_b])
-    p, q = means_a.shape[0], means_b.shape[0]
+    a, b = Moments.of(dists_a), Moments.of(dists_b)
+    p, q = len(a), len(b)
 
     mean_term = (
-        np.sum(means_a**2, axis=1)[:, None]
-        + np.sum(means_b**2, axis=1)[None, :]
-        - 2.0 * means_a @ means_b.T
+        np.sum(a.means**2, axis=1)[:, None]
+        + np.sum(b.means**2, axis=1)[None, :]
+        - 2.0 * a.means @ b.means.T
     )
-    tr_a = np.trace(covs_a, axis1=1, axis2=2)
-    tr_b = np.trace(covs_b, axis1=1, axis2=2)
+    tr_a = np.trace(a.covs, axis1=1, axis2=2)
+    tr_b = np.trace(b.covs, axis1=1, axis2=2)
 
-    sa = _batched_sqrt(covs_a)
-    # inner[i, j] = sa[i] @ covs_b[j] @ sa[i]
-    inner = np.einsum("iab,jbc,icd->ijad", sa, covs_b, sa)
+    sa = _batched_sqrt(a.covs)
+    # inner[i, j] = sa[i] @ b.covs[j] @ sa[i]
+    inner = np.einsum("iab,jbc,icd->ijad", sa, b.covs, sa)
     inner = 0.5 * (inner + np.swapaxes(inner, 2, 3))
     w = np.linalg.eigvalsh(inner.reshape(p * q, *inner.shape[2:]))
     cross = 2.0 * np.sum(np.sqrt(np.maximum(w, 0.0)), axis=1).reshape(p, q)
@@ -218,25 +260,23 @@ def pairwise_bures_grads(dists_a, dists_b):
     """All-pairs analytic Bures gradients w.r.t. the first argument.
 
     Returns (grad_means, grad_covs) of shapes (p, q, d) and (p, q, d, d).
-    Same math as ``bures_w2_sq_grad``, batched; first-argument covariances
-    must be strictly positive definite.
+    Same math as ``bures_w2_sq_grad``, batched, on the same inputs as
+    ``pairwise_bures_sq``; first-argument covariances must be strictly
+    positive definite.
     """
-    means_a = np.stack([d.mean for d in dists_a])
-    means_b = np.stack([d.mean for d in dists_b])
-    covs_a = np.stack([d.cov for d in dists_a])
-    covs_b = np.stack([d.cov for d in dists_b])
-    p, q, d = means_a.shape[0], means_b.shape[0], means_a.shape[1]
+    a, b = Moments.of(dists_a), Moments.of(dists_b)
+    p, q, d = len(a), len(b), a.means.shape[1]
 
-    grad_means = 2.0 * (means_a[:, None, :] - means_b[None, :, :])
+    grad_means = 2.0 * (a.means[:, None, :] - b.means[None, :, :])
 
-    wa, va = np.linalg.eigh(covs_a)
+    wa, va = np.linalg.eigh(a.covs)
     if wa.min() <= 0.0:
         raise NumericError("first-argument covariance numerically singular")
     sq = np.sqrt(wa)
     sa = np.einsum("kij,kj,klj->kil", va, sq, va)
     isa = np.einsum("kij,kj,klj->kil", va, 1.0 / sq, va)
 
-    inner = np.einsum("iab,jbc,icd->ijad", sa, covs_b, sa)
+    inner = np.einsum("iab,jbc,icd->ijad", sa, b.covs, sa)
     inner = 0.5 * (inner + np.swapaxes(inner, 2, 3))
     wm, vm = np.linalg.eigh(inner.reshape(p * q, d, d))
     inner_sqrt = np.einsum("kij,kj,klj->kil", vm, np.sqrt(np.maximum(wm, 0.0)), vm)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .otdd import DatasetState, label_stats
+from .otdd import DatasetState
 
 
 def load_dataset(
@@ -128,26 +128,21 @@ def _load_idx(images_path, labels_path, downscale: int, per_class_cap):
     return DatasetState.from_features(feats, labels)
 
 
-def _class_stats_record(state: DatasetState) -> dict:
-    """Per-class moment summaries for a trajectory record."""
-    if state.per_particle:
-        stats = label_stats(state)
-    else:
-        stats = state.label_dists
-    return {
-        str(int(c)): {"mean": stats[c].mean.tolist(), "cov": stats[c].cov.tolist()}
-        for c in sorted(stats)
-    }
-
-
 def snapshot_record(snap) -> dict:
+    """One trajectory line. ``class_stats`` holds the empirical Gaussian
+    summary of each class, keyed by class id, in every dynamics mode."""
+    state = snap.state
+    classes = DatasetState.from_features(state.features, state.labels)
     return {
         "step": int(snap.step),
         "objective": float(snap.objective),
         "term_values": [float(v) for v in snap.term_values],
-        "features": snap.state.features.tolist(),
-        "labels": snap.state.labels.tolist(),
-        "class_stats": _class_stats_record(snap.state),
+        "features": state.features.tolist(),
+        "labels": state.labels.tolist(),
+        "class_stats": {
+            str(c): {"mean": dist.mean.tolist(), "cov": dist.cov.tolist()}
+            for c, dist in zip(classes.class_ids(), classes.label_dists)
+        },
         "wall_time": float(snap.wall_time),
     }
 

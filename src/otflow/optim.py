@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FlowDivergenceError
-from .gaussian import LabelDistribution, project_psd, psd_floor_value
+from .gaussian import Moments, project_psd, psd_floor_value
 from .otdd import DatasetState, FlowGradients
 
 RULES = ("sgd", "momentum", "adam", "adagrad")
@@ -94,8 +94,9 @@ class OptimizerState:
 def apply_step(state: DatasetState, grads: FlowGradients, opt: OptimizerState):
     """One explicit Euler step of every block present in the gradients.
 
-    Features always move; mean/covariance blocks move when the gradients
-    carry them, and updated covariances are re-projected onto the PSD cone.
+    Features always move; the moment rows move when the gradients carry
+    them, and the updated covariances are re-projected onto the PSD cone in
+    one batched call.
     Returns (new_state, opt); the optimizer is advanced in place.
 
     Raises FlowDivergenceError (with the step index) on non-finite gradients.
@@ -106,29 +107,9 @@ def apply_step(state: DatasetState, grads: FlowGradients, opt: OptimizerState):
 
     new = state.copy()
     new.features = state.features - opt.delta("features", grads.d_features)
-
     if grads.d_means is not None:
-        if isinstance(grads.d_means, dict):
-            keys = sorted(grads.d_means)
-            g_mean = np.stack([grads.d_means[c] for c in keys])
-            g_cov = np.stack([grads.d_covs[c] for c in keys])
-            means = np.stack([state.label_dists[c].mean for c in keys])
-            covs = np.stack([state.label_dists[c].cov for c in keys])
-        else:
-            keys = None
-            g_mean = grads.d_means
-            g_cov = grads.d_covs
-            means = np.stack([d.mean for d in state.label_dists])
-            covs = np.stack([d.cov for d in state.label_dists])
-
-        means = means - opt.delta("means", g_mean)
-        covs = covs - opt.delta("covs", g_cov)
-        updated = [
-            LabelDistribution(means[k], project_psd(covs[k], psd_floor_value(covs[k])))
-            for k in range(means.shape[0])
-        ]
-        if keys is None:
-            new.label_dists = updated
-        else:
-            new.label_dists = dict(zip(keys, updated))
+        rows = state.label_dists
+        means = rows.means - opt.delta("means", grads.d_means)
+        covs = rows.covs - opt.delta("covs", grads.d_covs)
+        new.label_dists = Moments(means, project_psd(covs, psd_floor_value(covs)))
     return new, opt

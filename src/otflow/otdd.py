@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateClassError, DimensionMismatchError, NumericError
+from .errors import DimensionMismatchError, NumericError
 from .gaussian import (
-    PSD_FLOOR_ABS,
     LabelDistribution,
+    Moments,
     pairwise_bures_grads,
     pairwise_bures_sq,
     project_psd,
@@ -54,30 +54,37 @@ class Particle:
 
 @dataclass
 class DatasetState:
-    """Weighted particle system with label distributions.
+    """Weighted particle system with Gaussian label moments.
 
-    ``label_dists`` is a dict keyed by class id (fd / jd-fl dynamics) or a
-    per-particle list aligned with ``features`` rows (jd-vl dynamics).
+    ``label_dists`` holds p moment rows and ``block[i]`` is the row that
+    particle i uses. In fd and jd-fl dynamics the rows are the classes in
+    ascending id order, so every particle of a class shares one row; in
+    jd-vl each particle owns a row (``block = arange(n)``) and ``labels``
+    only names the cluster it was last assigned to.
     """
 
     features: np.ndarray  # (n, d)
     labels: np.ndarray    # (n,) int
     weights: np.ndarray   # (n,) simplex
-    label_dists: "dict[int, LabelDistribution] | list[LabelDistribution]"
+    label_dists: Moments  # p rows: means (p, d), covs (p, d, d)
+    block: np.ndarray     # (n,) int, row of label_dists per particle
 
     def __post_init__(self):
         self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
         self.labels = np.asarray(self.labels, dtype=int)
         self.weights = np.asarray(self.weights, dtype=float)
+        self.block = np.asarray(self.block, dtype=int)
 
     @classmethod
     def from_features(cls, features, labels, weights=None) -> "DatasetState":
+        """A state whose moment rows are the empirical class summaries."""
         features = np.atleast_2d(np.asarray(features, dtype=float))
         labels = np.asarray(labels, dtype=int)
         n = features.shape[0]
         if weights is None:
             weights = np.full(n, 1.0 / n)
-        state = cls(features, labels, np.asarray(weights, dtype=float), {})
+        _, block = np.unique(labels, return_inverse=True)
+        state = cls(features, labels, weights, None, block)
         state.label_dists = label_stats(state)
         return state
 
@@ -97,7 +104,8 @@ class DatasetState:
 
     @property
     def per_particle(self) -> bool:
-        return isinstance(self.label_dists, list)
+        """Whether every particle owns its moment row (jd-vl layout)."""
+        return np.array_equal(self.block, np.arange(self.n))
 
     @property
     def particles(self):
@@ -107,37 +115,30 @@ class DatasetState:
         return sorted(int(c) for c in np.unique(self.labels))
 
     def dist_for(self, i: int) -> LabelDistribution:
-        if self.per_particle:
-            return self.label_dists[i]
-        return self.label_dists[int(self.labels[i])]
+        return self.label_dists[self.block[i]]
 
     def validate(self):
         if not np.all(np.isfinite(self.features)):
             raise NumericError("features contain non-finite entries")
         validate_weights(self.weights)
-        if self.labels.shape != (self.n,):
-            raise DimensionMismatchError("labels misaligned with features")
-        if self.per_particle:
-            if len(self.label_dists) != self.n:
-                raise DimensionMismatchError("per-particle label_dists misaligned")
-        else:
-            missing = set(self.class_ids()) - set(self.label_dists)
-            if missing:
-                raise DegenerateClassError(sorted(missing)[0])
+        if self.labels.shape != (self.n,) or self.block.shape != (self.n,):
+            raise DimensionMismatchError("labels or block misaligned with features")
+        if self.block.min() < 0 or self.block.max() >= len(self.label_dists):
+            raise DimensionMismatchError("block indexes a missing moment row")
 
     def copy(self) -> "DatasetState":
-        if self.per_particle:
-            dists = [d.copy() for d in self.label_dists]
-        else:
-            dists = {c: d.copy() for c, d in self.label_dists.items()}
-        return DatasetState(self.features.copy(), self.labels.copy(), self.weights.copy(), dists)
+        return DatasetState(
+            self.features.copy(), self.labels.copy(), self.weights.copy(),
+            self.label_dists.copy(), self.block.copy(),
+        )
 
     def decoupled(self) -> "DatasetState":
-        """Per-particle view: each particle gets a copy of its class distribution."""
-        if self.per_particle:
-            return self.copy()
-        dists = [self.label_dists[int(c)].copy() for c in self.labels]
-        return DatasetState(self.features.copy(), self.labels.copy(), self.weights.copy(), dists)
+        """Per-particle layout: each particle gets a copy of its row."""
+        rows = self.label_dists
+        return DatasetState(
+            self.features.copy(), self.labels.copy(), self.weights.copy(),
+            Moments(rows.means[self.block], rows.covs[self.block]), np.arange(self.n),
+        )
 
 
 @dataclass
@@ -145,104 +146,73 @@ class FlowGradients:
     """Per-unit-mass gradients of a functional at each particle.
 
     Entries are first-variation gradients: the raw partial derivative of the
-    objective w.r.t. a particle position (or moment block) divided by the
-    mass it carries, so magnitudes are comparable across particle counts.
-    ``d_means`` / ``d_covs`` are dicts keyed by class id (jd-fl), stacked
-    per-particle arrays (jd-vl), or None (fd).
+    objective w.r.t. a particle position, or a moment row, divided by the
+    mass it carries (the particle's weight, or the summed weight of the
+    particles sharing the row), so magnitudes are comparable across particle
+    counts. ``d_means`` (p, d) and ``d_covs`` (p, d, d) are aligned with
+    the rows of ``label_dists``; both are None in fd, where moments do not
+    move by gradient steps.
     """
 
     d_features: np.ndarray
-    d_means: "dict[int, np.ndarray] | np.ndarray | None" = None
-    d_covs: "dict[int, np.ndarray] | np.ndarray | None" = None
+    d_means: np.ndarray | None = None
+    d_covs: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, state: DatasetState, mode: str) -> "FlowGradients":
-        d = state.dim
-        feats = np.zeros((state.n, d))
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        feats = np.zeros_like(state.features)
         if mode == MODE_FD:
             return cls(feats)
-        if mode == MODE_JD_FL:
-            means = {c: np.zeros(d) for c in state.class_ids()}
-            covs = {c: np.zeros((d, d)) for c in state.class_ids()}
-            return cls(feats, means, covs)
-        if mode == MODE_JD_VL:
-            return cls(feats, np.zeros((state.n, d)), np.zeros((state.n, d, d)))
-        raise ValueError(f"unknown mode {mode!r}")
+        rows = state.label_dists
+        return cls(feats, np.zeros_like(rows.means), np.zeros_like(rows.covs))
 
     def axpy(self, w: float, other: "FlowGradients"):
         """In-place self += w * other for all blocks present in ``other``."""
         self.d_features += w * other.d_features
-        if other.d_means is None:
-            return
-        if isinstance(other.d_means, dict):
-            for c, gm in other.d_means.items():
-                self.d_means[c] = self.d_means[c] + w * gm
-                self.d_covs[c] = self.d_covs[c] + w * other.d_covs[c]
-        else:
-            self.d_means = self.d_means + w * other.d_means
-            self.d_covs = self.d_covs + w * other.d_covs
+        if other.d_means is not None:
+            self.d_means += w * other.d_means
+            self.d_covs += w * other.d_covs
 
     def scale(self, w: float):
         """In-place multiplication of every block by ``w``."""
         self.d_features *= w
-        if self.d_means is None:
-            return
-        if isinstance(self.d_means, dict):
-            for c in self.d_means:
-                self.d_means[c] = self.d_means[c] * w
-                self.d_covs[c] = self.d_covs[c] * w
-        else:
-            self.d_means = self.d_means * w
-            self.d_covs = self.d_covs * w
+        if self.d_means is not None:
+            self.d_means *= w
+            self.d_covs *= w
 
     def is_finite(self) -> bool:
-        if not np.all(np.isfinite(self.d_features)):
-            return False
-        blocks = []
-        if isinstance(self.d_means, dict):
-            blocks += list(self.d_means.values()) + list(self.d_covs.values())
-        elif self.d_means is not None:
-            blocks += [self.d_means, self.d_covs]
-        return all(np.all(np.isfinite(b)) for b in blocks)
+        blocks = (self.d_features, self.d_means, self.d_covs)
+        return all(np.all(np.isfinite(b)) for b in blocks if b is not None)
 
 
-def label_stats(state: DatasetState, classes=None) -> dict:
-    """Empirical per-class Gaussian summaries.
+def require_layout(state: DatasetState, mode: str):
+    """jd-vl moves and relabels one moment row per particle; a state whose
+    particles share rows must be ``decoupled()`` first."""
+    if mode == MODE_JD_VL and not state.per_particle:
+        raise DimensionMismatchError("jd-vl needs one moment row per particle (decoupled())")
 
-    Means and covariances use 1/N normalization over the class's particles;
-    covariances are floored onto the PSD cone, and single-particle (or
-    zero-variance) classes get an isotropic floor covariance.
+
+def label_stats(state: DatasetState) -> Moments:
+    """Empirical Gaussian summaries of the particles sharing each moment
+    row: row k from the particles with ``block == k``.
+
+    In the fd / jd-fl layout these are the per-class summaries, rows in
+    ascending class id. Means and covariances use 1/N normalization;
+    covariances are floored onto the PSD cone in one batched projection,
+    so single-particle (or zero-variance) rows get an isotropic floor
+    covariance.
     """
-    if classes is None:
-        classes = state.class_ids()
-    d = state.dim
-    out = {}
-    for c in classes:
-        pts = state.features[state.labels == c]
-        if pts.shape[0] == 0:
-            raise DegenerateClassError(int(c))
-        mu = pts.mean(axis=0)
-        if pts.shape[0] == 1:
-            cov = PSD_FLOOR_ABS * np.eye(d)
-        else:
-            diff = pts - mu
-            cov = diff.T @ diff / pts.shape[0]
-            cov = project_psd(cov, psd_floor_value(cov))
-        out[int(c)] = LabelDistribution(mu, cov)
-    return out
-
-
-def _dist_blocks(state: DatasetState):
-    """Unique label distributions plus the per-particle index into them."""
-    if state.per_particle:
-        return list(state.label_dists), np.arange(state.n), None
-    keys = sorted(state.label_dists)
-    pos = {c: k for k, c in enumerate(keys)}
-    try:
-        idx = np.array([pos[int(c)] for c in state.labels], dtype=int)
-    except KeyError as exc:
-        raise DegenerateClassError(int(exc.args[0])) from None
-    return [state.label_dists[c] for c in keys], idx, keys
+    block = state.block
+    p, d = int(block.max()) + 1, state.dim
+    means, covs = np.empty((p, d)), np.empty((p, d, d))
+    for k in range(p):
+        pts = state.features[block == k]
+        means[k] = pts.mean(axis=0)
+        diff = pts - means[k]
+        covs[k] = diff.T @ diff / pts.shape[0]
+    return Moments(means, project_psd(covs, psd_floor_value(covs)))
 
 
 def ground_cost_matrix(src: DatasetState, dst: DatasetState) -> np.ndarray:
@@ -256,10 +226,8 @@ def ground_cost_matrix(src: DatasetState, dst: DatasetState) -> np.ndarray:
             f"feature dimension mismatch: {src.dim} vs {dst.dim}"
         )
     cost = squared_euclidean_cost(src.features, dst.features)
-    dists_a, ia, _ = _dist_blocks(src)
-    dists_b, ib, _ = _dist_blocks(dst)
-    label_block = pairwise_bures_sq(dists_a, dists_b)
-    cost += label_block[ia][:, ib]
+    label_block = pairwise_bures_sq(src.label_dists, dst.label_dists)
+    cost += label_block[src.block][:, dst.block]
     return cost
 
 
@@ -289,8 +257,8 @@ def otdd(
     return float(np.sqrt(max(plan.cost, 0.0))), plan
 
 
-def _class_masses(plan: np.ndarray, row_idx: np.ndarray, col_idx: np.ndarray, p: int, q: int):
-    """Aggregate coupling mass onto distribution-pair blocks: (p, q) matrix."""
+def _row_masses(plan: np.ndarray, row_idx: np.ndarray, col_idx: np.ndarray, p: int, q: int):
+    """Aggregate coupling mass onto moment-row pairs: (p, q) matrix."""
     out = np.zeros((p, q))
     np.add.at(out, (row_idx[:, None], col_idx[None, :]), plan)
     return out
@@ -311,43 +279,30 @@ def _assemble_grads(src, dst, plan_ab, plan_aa, mode) -> FlowGradients:
 
     ``plan_aa`` is the source self-coupling of the debiased divergence, or
     None for the raw entropic value. All outputs use the per-unit-mass
-    convention of FlowGradients.
+    convention of FlowGradients: each moment row is divided by the mass of
+    the particles that share it.
     """
     d_feat = _feature_grad(plan_ab, src, dst, plan_aa) / src.weights[:, None]
     if mode == MODE_FD:
         return FlowGradients(d_feat)
 
-    dists_a, ia, keys_a = _dist_blocks(src)
-    dists_b, ib, _ = _dist_blocks(dst)
-    p, q = len(dists_a), len(dists_b)
+    rows_a, rows_b = src.label_dists, dst.label_dists
+    p, q = len(rows_a), len(rows_b)
 
-    mass_ab = _class_masses(plan_ab.plan, ia, ib, p, q)
-    g_mean_ab, g_cov_ab = pairwise_bures_grads(dists_a, dists_b)
+    mass_ab = _row_masses(plan_ab.plan, src.block, dst.block, p, q)
+    g_mean_ab, g_cov_ab = pairwise_bures_grads(rows_a, rows_b)
     d_mean = np.einsum("pq,pqd->pd", mass_ab, g_mean_ab)
     d_cov = np.einsum("pq,pqde->pde", mass_ab, g_cov_ab)
 
     if plan_aa is not None:
-        mass_aa = _class_masses(plan_aa.plan, ia, ia, p, p)
+        mass_aa = _row_masses(plan_aa.plan, src.block, src.block, p, p)
         mass_aa = 0.5 * (mass_aa + mass_aa.T)
-        g_mean_aa, g_cov_aa = pairwise_bures_grads(dists_a, dists_a)
+        g_mean_aa, g_cov_aa = pairwise_bures_grads(rows_a, rows_a)
         d_mean -= np.einsum("pq,pqd->pd", mass_aa, g_mean_aa)
         d_cov -= np.einsum("pq,pqde->pde", mass_aa, g_cov_aa)
 
-    if mode == MODE_JD_VL:
-        scale = src.weights
-        return FlowGradients(d_feat, d_mean / scale[:, None], d_cov / scale[:, None, None])
-
-    # jd-fl: one block per class, scaled by the class's total mass.
-    class_mass = np.array(
-        [src.weights[src.labels == c].sum() for c in keys_a]
-    )
-    d_mean /= class_mass[:, None]
-    d_cov /= class_mass[:, None, None]
-    return FlowGradients(
-        d_feat,
-        {c: d_mean[k] for k, c in enumerate(keys_a)},
-        {c: d_cov[k] for k, c in enumerate(keys_a)},
-    )
+    row_mass = np.bincount(src.block, weights=src.weights, minlength=p)
+    return FlowGradients(d_feat, d_mean / row_mass[:, None], d_cov / row_mass[:, None, None])
 
 
 def otdd_grads(
@@ -362,17 +317,15 @@ def otdd_grads(
     """Gradients of the (debiased) entropic OT value between two states.
 
     ``plan`` must be the coupling returned by ``otdd`` for the same pair.
-    Feature gradients are produced in every mode; moment gradients appear
-    per class in jd-fl and per particle in jd-vl, assembled by chaining the
-    coupling mass through the analytic Bures gradients. With ``debias`` the
-    self-coupling correction term is re-solved internally.
+    Feature gradients are produced in every mode; in jd-fl and jd-vl
+    moment gradients appear per row of ``src.label_dists``, assembled by
+    chaining the coupling mass through the analytic Bures gradients. jd-vl
+    needs the per-particle layout. With ``debias`` the self-coupling
+    correction term is re-solved internally.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == MODE_JD_VL and not src.per_particle:
-        raise DimensionMismatchError("jd-vl gradients need per-particle label_dists")
-    if mode in (MODE_FD, MODE_JD_FL) and src.per_particle:
-        raise DimensionMismatchError(f"{mode} gradients need per-class label_dists")
+    require_layout(src, mode)
     plan_aa = None
     if debias:
         cost_aa = ground_cost_matrix(src, src)

@@ -67,9 +67,7 @@ def rand_gaussian_pair(rng, d):
 def inflate_covariances(state, ridge=0.25):
     """Keep label covariances well inside the PD cone; finite differences at
     h = 1e-5 need the smooth regime (the gradient op requires strict PD)."""
-    dists = state.label_dists if state.per_particle else state.label_dists.values()
-    for dist in dists:
-        dist.cov = dist.cov + ridge * np.eye(state.dim)
+    state.label_dists.covs += ridge * np.eye(state.dim)
     return state
 
 
@@ -161,25 +159,25 @@ def _fd_feature_check(src, dst, mode, reg, rng):
     if mode == MODE_JD_FL:
         c = src.class_ids()[0]
         mass = float(src.weights[src.labels == c].sum())
-        sp = src.copy(); sp.label_dists[c].mean[0] += h
-        sm = src.copy(); sm.label_dists[c].mean[0] -= h
+        sp = src.copy(); sp.label_dists.means[c, 0] += h
+        sm = src.copy(); sm.label_dists.means[c, 0] -= h
         fd = (value(sp) - value(sm)) / (2 * h)
-        worst = max(worst, abs(fd - grads.d_means[c][0] * mass) / max(abs(fd), 1e-6))
+        worst = max(worst, abs(fd - grads.d_means[c, 0] * mass) / max(abs(fd), 1e-6))
         v = rng.standard_normal((src.dim, src.dim)); v = 0.5 * (v + v.T)
-        sp = src.copy(); sp.label_dists[c].cov = sp.label_dists[c].cov + h * v
-        sm = src.copy(); sm.label_dists[c].cov = sm.label_dists[c].cov - h * v
+        sp = src.copy(); sp.label_dists.covs[c] += h * v
+        sm = src.copy(); sm.label_dists.covs[c] -= h * v
         fd = (value(sp) - value(sm)) / (2 * h)
         an = float(np.sum(grads.d_covs[c] * v)) * mass
         worst = max(worst, abs(fd - an) / max(abs(fd), 1e-6))
     elif mode == MODE_JD_VL:
         mass = float(src.weights[i])
-        sp = src.copy(); sp.label_dists[i].mean[0] += h
-        sm = src.copy(); sm.label_dists[i].mean[0] -= h
+        sp = src.copy(); sp.label_dists.means[i, 0] += h
+        sm = src.copy(); sm.label_dists.means[i, 0] -= h
         fd = (value(sp) - value(sm)) / (2 * h)
         worst = max(worst, abs(fd - grads.d_means[i, 0] * mass) / max(abs(fd), 1e-6))
         v = rng.standard_normal((src.dim, src.dim)); v = 0.5 * (v + v.T)
-        sp = src.copy(); sp.label_dists[i].cov = sp.label_dists[i].cov + h * v
-        sm = src.copy(); sm.label_dists[i].cov = sm.label_dists[i].cov - h * v
+        sp = src.copy(); sp.label_dists.covs[i] += h * v
+        sm = src.copy(); sm.label_dists.covs[i] -= h * v
         fd = (value(sp) - value(sm)) / (2 * h)
         an = float(np.sum(grads.d_covs[i] * v)) * mass
         worst = max(worst, abs(fd - an) / max(abs(fd), 1e-6))

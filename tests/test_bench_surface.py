@@ -1,0 +1,63 @@
+"""The library surface that the benchmark in ``perfbench/`` relies on.
+
+``perfbench/`` is only read here. Its tracer looks up every layer function
+by name, its kernel grid passes plain lists of LabelDistribution to the
+Bures kernels, and its class_adaptation check clusters the moment rows of
+a jd-vl final state.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from otflow.clustering import dbscan_bures
+from otflow.datagen import GeneratorSpec, generate
+from otflow.dynamics import FlowConfig, run_flow
+from otflow.functionals import FunctionalSpec, TargetDistanceTerm
+from otflow.gaussian import Moments, pairwise_bures_grads, pairwise_bures_sq
+from otflow.optim import OptimizerState
+from otflow.otdd import MODE_JD_VL
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_layers_resolve():
+    trace = bench_module("bench_trace")
+    for module_name, attr, _ in trace.LAYERS + trace.SETUP_LAYERS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), attr
+
+
+def test_kernels_same_on_moments_and_lists():
+    kernels = bench_module("bench_kernels")
+    rng = np.random.default_rng(0)
+    a, b = kernels._label_dists(rng, 7, 3), kernels._label_dists(rng, 4, 3)
+    rows_a, rows_b = Moments.of(a), Moments.of(b)
+    assert (len(rows_a), len(rows_b)) == (7, 4)
+    np.testing.assert_array_equal(pairwise_bures_sq(a, b), pairwise_bures_sq(rows_a, rows_b))
+    for from_list, from_rows in zip(
+        pairwise_bures_grads(a, b), pairwise_bures_grads(rows_a, rows_b)
+    ):
+        np.testing.assert_array_equal(from_list, from_rows)
+
+
+def test_jdvl_final_state_clusters():
+    src = generate(GeneratorSpec(n=20, k=2, seed=0, radius=1.5, sigma=0.4))
+    tgt = generate(GeneratorSpec(n=30, k=3, seed=1, radius=4.0, sigma=0.35))
+    config = FlowConfig(
+        functional=FunctionalSpec([TargetDistanceTerm(tgt)]),
+        optimizer=OptimizerState(step_size=0.1),
+        mode=MODE_JD_VL, steps=5, relabel_every=5, cluster_eps=1.5,
+    )
+    final = run_flow(src, config).final.state
+    assert len(final.label_dists) == src.n
+    assignment = dbscan_bures(final.label_dists, config.cluster_eps, config.cluster_min_pts)
+    assert assignment.labels.shape == (src.n,)

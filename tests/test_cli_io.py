@@ -11,8 +11,11 @@ import pytest
 from otflow.cli import main
 from otflow.config import OUTPUT_DIR_ENV, build_run, load_config_dict
 from otflow.datagen import GeneratorSpec, generate
+from otflow.dynamics import FlowConfig
 from otflow.errors import ConfigError, ParseError
+from otflow.functionals import TargetDistanceTerm
 from otflow.io import load_dataset, read_trajectory, save_dataset
+from otflow.optim import OptimizerState
 from otflow.plots import export_frames
 
 
@@ -223,6 +226,31 @@ class TestConfig:
         assert run_cfg.flow.mode == "jd-fl"
         assert run_cfg.flow.functional.entropy_weight() == 0.1
         assert run_cfg.target is not None
+
+    def test_absent_keys_take_library_defaults(self):
+        run_cfg = build_run({
+            "source": {"generator": {"n": 10, "k": 2, "seed": 0}},
+            "target": {"generator": {"n": 10, "k": 2, "seed": 5}},
+            "functional": {"terms": [{"kind": "target_distance"}]},
+        })
+        term = run_cfg.flow.functional.terms[0]
+        library = TargetDistanceTerm(run_cfg.target)
+        for attr in ("weight", "reg", "debias", "squared", "max_iter", "tol"):
+            assert getattr(term, attr) == getattr(library, attr), attr
+        assert run_cfg.flow == FlowConfig(
+            functional=run_cfg.flow.functional, optimizer=OptimizerState()
+        )
+
+    @pytest.mark.parametrize("rule", ["momentum", "adam", "adagrad"])
+    def test_entropy_needs_sgd(self, tmp_path, rule):
+        cfg_path, _ = minimal_config(
+            tmp_path,
+            functional={"terms": [{"kind": "entropy", "weight": 0.1}]},
+            optimizer={"rule": rule, "step_size": 0.1},
+        )
+        with pytest.raises(ConfigError, match="sgd"):
+            build_run(load_config_dict(cfg_path))
+        assert main(["run", str(cfg_path)]) == 2
 
 
 class TestRunEndToEnd:

@@ -12,6 +12,7 @@ from otflow.diagnostics import (
 from otflow.dynamics import FlowConfig, run_flow
 from otflow.errors import DimensionMismatchError, SizeLimitError
 from otflow.functionals import FunctionalSpec, PotentialTerm, TargetDistanceTerm
+from otflow.gaussian import Moments
 from otflow.optim import OptimizerState
 from otflow.otdd import DatasetState
 
@@ -167,11 +168,7 @@ class TestOracleProxy:
     def test_shuffled_labels_near_chance(self):
         rng = np.random.default_rng(1)
         train = generate(GeneratorSpec(n=1000, k=4, seed=2, radius=5.0, sigma=0.3))
-        shuffled = train.copy()
-        shuffled.labels = rng.permutation(shuffled.labels)
-        from otflow.otdd import label_stats
-
-        shuffled.label_dists = label_stats(shuffled)
+        shuffled = DatasetState.from_features(train.features, rng.permutation(train.labels))
         acc = oracle_accuracy_proxy(shuffled, train)
         assert abs(acc - 0.25) < 0.06
 
@@ -198,5 +195,9 @@ class TestOracleProxy:
         train = generate(GeneratorSpec(n=10, k=2, seed=7))
         with pytest.raises(ValueError):
             oracle_accuracy_proxy(
-                DatasetState(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0), {}), train
+                DatasetState(
+                    np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0),
+                    Moments(np.zeros((0, 2)), np.zeros((0, 2, 2))), np.zeros(0, dtype=int),
+                ),
+                train,
             )

@@ -105,15 +105,15 @@ class TestBlocks:
         rng = np.random.default_rng(7)
         state = rand_state(rng, 12, 2, 2)
         grads = FlowGradients.zeros(state, MODE_JD_FL)
-        for c in grads.d_means:
-            grads.d_means[c] = rng.standard_normal(2)
+        for k in range(len(state.label_dists)):
+            grads.d_means[k] = rng.standard_normal(2)
             v = rng.standard_normal((2, 2))
-            grads.d_covs[c] = 5.0 * (v + v.T)  # big enough to push outside the cone
+            grads.d_covs[k] = 5.0 * (v + v.T)  # big enough to push outside the cone
         opt = OptimizerState(rule="sgd", step_size=0.5)
         new, _ = apply_step(state, grads, opt)
-        for c, dist in new.label_dists.items():
+        for old, dist in zip(state.label_dists, new.label_dists):
             assert np.linalg.eigvalsh(dist.cov).min() >= 0.0
-            assert not np.allclose(dist.mean, state.label_dists[c].mean)
+            assert not np.allclose(dist.mean, old.mean)
 
     def test_per_particle_blocks(self):
         rng = np.random.default_rng(8)
@@ -130,8 +130,7 @@ class TestBlocks:
         state = rand_state(rng, 6, 2, 2)
         grads = FlowGradients.zeros(state, MODE_JD_FL)
         grads.d_features += 1.0
-        for c in grads.d_means:
-            grads.d_means[c] = np.ones(2)
+        grads.d_means[:] = 1.0
         opt = OptimizerState(rule="sgd", step_size=0.1, block_step_sizes={"means": 0.01})
         new, _ = apply_step(state, grads, opt)
         np.testing.assert_allclose(new.features, state.features - 0.1, atol=1e-12)

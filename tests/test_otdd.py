@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import rand_state, rel_err
-from otflow.errors import DegenerateClassError, DimensionMismatchError
-from otflow.gaussian import PSD_FLOOR_ABS, LabelDistribution
+from otflow.errors import DimensionMismatchError
+from otflow.gaussian import PSD_FLOOR_ABS, LabelDistribution, Moments
 from otflow.otdd import (
     MODE_FD,
     MODE_JD_FL,
@@ -11,7 +11,6 @@ from otflow.otdd import (
     DatasetState,
     FlowGradients,
     ground_cost_matrix,
-    label_stats,
     otdd,
     otdd_grads,
 )
@@ -26,9 +25,7 @@ FD_TOL = dict(tol=1e-9, max_iter=300_000)
 
 def inflate_covs(state, ridge=0.25):
     """FD checks at h=1e-5 need covariances well inside the PD cone."""
-    dists = state.label_dists if state.per_particle else state.label_dists.values()
-    for dist in dists:
-        dist.cov = dist.cov + ridge * np.eye(state.dim)
+    state.label_dists.covs += ridge * np.eye(state.dim)
     return state
 
 
@@ -47,7 +44,8 @@ def otdd_sq_value(src, dst, reg, debias=True):
 class TestDatasetState:
     def test_from_features_builds_stats(self):
         state = DatasetState.from_features([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]], [0, 0, 1])
-        assert set(state.label_dists) == {0, 1}
+        assert len(state.label_dists) == 2
+        np.testing.assert_array_equal(state.block, [0, 0, 1])
         assert state.n == 3 and state.dim == 2
         state.validate()
 
@@ -104,21 +102,15 @@ class TestLabelStats:
         assert np.abs(d.mean - mean).max() < 3 * np.sqrt(2.0 / 4000) * 3
         assert rel_err(d.cov, cov) < 0.15
 
-    def test_empty_class_error(self):
-        state = DatasetState.from_features([[0.0], [1.0]], [0, 0])
-        with pytest.raises(DegenerateClassError) as exc:
-            label_stats(state, classes=[0, 7])
-        assert exc.value.label == 7
-
 
 class TestGroundCost:
     def test_equal_stats_reduce_to_feature_cost(self):
         rng = np.random.default_rng(4)
         xa = rng.standard_normal((6, 2))
         xb = rng.standard_normal((5, 2))
-        shared = LabelDistribution(np.zeros(2), np.eye(2))
-        a = DatasetState(xa, np.zeros(6, dtype=int), np.full(6, 1 / 6), {0: shared})
-        b = DatasetState(xb, np.zeros(5, dtype=int), np.full(5, 1 / 5), {0: shared.copy()})
+        shared = Moments.of([LabelDistribution(np.zeros(2), np.eye(2))])
+        a = DatasetState(xa, np.zeros(6, dtype=int), np.full(6, 1 / 6), shared, np.zeros(6))
+        b = DatasetState(xb, np.zeros(5, dtype=int), np.full(5, 1 / 5), shared.copy(), np.zeros(5))
         np.testing.assert_allclose(
             ground_cost_matrix(a, b), squared_euclidean_cost(xa, xb), atol=1e-12
         )
@@ -199,9 +191,9 @@ class TestOtddGrads:
         assert np.abs(grads.d_features).max() <= 1e-4 * scale
 
     def test_single_pair_reduces_to_position_grad(self):
-        shared = LabelDistribution(np.zeros(2), np.eye(2))
-        a = DatasetState(np.array([[1.0, 1.0]]), np.array([0]), np.array([1.0]), {0: shared})
-        b = DatasetState(np.array([[0.0, 0.0]]), np.array([0]), np.array([1.0]), {0: shared.copy()})
+        shared = Moments.of([LabelDistribution(np.zeros(2), np.eye(2))])
+        a = DatasetState(np.array([[1.0, 1.0]]), np.array([0]), np.array([1.0]), shared, [0])
+        b = DatasetState(np.array([[0.0, 0.0]]), np.array([0]), np.array([1.0]), shared.copy(), [0])
         _, plan = otdd(a, b, reg=0.1, debias=False)
         grads = otdd_grads(a, b, plan, MODE_FD, debias=False)
         np.testing.assert_allclose(grads.d_features, [[2.0, 2.0]], atol=1e-8)
@@ -221,8 +213,6 @@ class TestOtddGrads:
         _, plan = otdd(a, b)
         with pytest.raises(DimensionMismatchError):
             otdd_grads(a, b, plan, MODE_JD_VL)
-        with pytest.raises(DimensionMismatchError):
-            otdd_grads(a.decoupled(), b, plan, MODE_FD)
 
     @pytest.mark.parametrize("debias", [True, False])
     def test_feature_grads_match_fd(self, debias):
@@ -253,15 +243,15 @@ class TestOtddGrads:
             mass = float(src.weights[src.labels == c].sum())
             # mean block
             for l in range(2):
-                sp = src.copy(); sp.label_dists[c].mean[l] += h
-                sm = src.copy(); sm.label_dists[c].mean[l] -= h
+                sp = src.copy(); sp.label_dists.means[c, l] += h
+                sm = src.copy(); sm.label_dists.means[c, l] -= h
                 fd = (otdd_sq_value(sp, dst, reg) - otdd_sq_value(sm, dst, reg)) / (2 * h)
-                analytic = grads.d_means[c][l] * mass
+                analytic = grads.d_means[c, l] * mass
                 assert abs(fd - analytic) / max(abs(fd), 1e-6) < 1e-3
             # covariance block along a random symmetric direction
             v = rng.standard_normal((2, 2)); v = 0.5 * (v + v.T)
-            sp = src.copy(); sp.label_dists[c].cov = sp.label_dists[c].cov + h * v
-            sm = src.copy(); sm.label_dists[c].cov = sm.label_dists[c].cov - h * v
+            sp = src.copy(); sp.label_dists.covs[c] += h * v
+            sm = src.copy(); sm.label_dists.covs[c] -= h * v
             fd = (otdd_sq_value(sp, dst, reg) - otdd_sq_value(sm, dst, reg)) / (2 * h)
             analytic = float(np.sum(grads.d_covs[c] * v)) * mass
             assert abs(fd - analytic) / max(abs(fd), 1e-6) < 1e-3
@@ -278,14 +268,14 @@ class TestOtddGrads:
         for i in [0, 4, 7]:
             p_i = float(src.weights[i])
             for l in range(2):
-                sp = src.copy(); sp.label_dists[i].mean[l] += h
-                sm = src.copy(); sm.label_dists[i].mean[l] -= h
+                sp = src.copy(); sp.label_dists.means[i, l] += h
+                sm = src.copy(); sm.label_dists.means[i, l] -= h
                 fd = (otdd_sq_value(sp, dst, reg) - otdd_sq_value(sm, dst, reg)) / (2 * h)
                 analytic = grads.d_means[i, l] * p_i
                 assert abs(fd - analytic) / max(abs(fd), 1e-6) < 1e-3
             v = rng.standard_normal((2, 2)); v = 0.5 * (v + v.T)
-            sp = src.copy(); sp.label_dists[i].cov = sp.label_dists[i].cov + h * v
-            sm = src.copy(); sm.label_dists[i].cov = sm.label_dists[i].cov - h * v
+            sp = src.copy(); sp.label_dists.covs[i] += h * v
+            sm = src.copy(); sm.label_dists.covs[i] -= h * v
             fd = (otdd_sq_value(sp, dst, reg) - otdd_sq_value(sm, dst, reg)) / (2 * h)
             analytic = float(np.sum(grads.d_covs[i] * v)) * p_i
             assert abs(fd - analytic) / max(abs(fd), 1e-6) < 1e-3
@@ -303,7 +293,7 @@ class TestFlowGradients:
         rng = np.random.default_rng(17)
         state = rand_state(rng, 6, 2, 3)
         g = FlowGradients.zeros(state, MODE_JD_FL)
-        assert set(g.d_means) == set(state.class_ids())
+        assert g.d_means.shape == (2, 3) and g.d_covs.shape == (2, 3, 3)
         g2 = FlowGradients.zeros(state.decoupled(), MODE_JD_VL)
         assert g2.d_means.shape == (6, 3)
 
