@@ -89,7 +89,10 @@ def check_displacement_convexity(
     through that base measure instead of the displacement geodesic (the
     regime where the target-distance functional is convex when the target
     itself is the base). No pass/fail is asserted; violations are reported.
+    The functional's solver state is reset first, so the report does not
+    depend on where its terms were evaluated before.
     """
+    functional.reset()
     w2 = feature_w2_sq(a, b)
     f_a = float(sum(eval_terms(a, functional)))
     f_b = float(sum(eval_terms(b, functional)))

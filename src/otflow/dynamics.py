@@ -56,8 +56,8 @@ class FlowConfig:
             raise ValueError(f"unknown noise_target {self.noise_target!r}")
         if self.relabel_method not in ("dbscan", "kmeans"):
             raise ValueError(f"unknown relabel_method {self.relabel_method!r}")
-        if self.relabel_method == "kmeans" and self.cluster_k is None:
-            raise ValueError("kmeans relabeling needs cluster_k")
+        if self.relabel_method == "kmeans" and (self.cluster_k is None or self.cluster_k < 1):
+            raise ValueError("kmeans relabeling needs cluster_k >= 1")
         if self.functional.entropy_weight() > 0.0 and self.optimizer.rule != "sgd":
             raise ValueError(
                 f"an entropy term needs the sgd rule, not {self.optimizer.rule!r}: "

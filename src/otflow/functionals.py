@@ -13,19 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .otdd import (
-    DatasetState,
-    FlowGradients,
-    ground_cost_matrix,
-    _assemble_grads,
-)
-from .transport import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    default_reg,
-    sinkhorn,
-    sinkhorn_symmetric,
-)
+from .otdd import DatasetState, Divergence, FlowGradients, _assemble_grads
+from .transport import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 POTENTIAL_FORMS = (
     "quadratic",
@@ -213,17 +202,13 @@ class EntropyTerm:
         return 0.0
 
 
-class TargetDistanceTerm:
-    """Entropic OT distance to a fixed target dataset.
-
-    By default the term evaluates (and differentiates) the squared debiased
-    divergence, which is smooth at its zero minimum; set ``squared=False``
-    to flow the distance itself. The regularization, when not given, is
-    frozen at the default fraction of the first evaluated mean ground cost
-    so the objective stays a fixed functional along a flow. Dual potentials
-    are warm-started between evaluations. ``reset()`` drops this solver
-    state (frozen regularization, warm duals, target self-value); every
-    ``run_flow`` starts with it, so a run never depends on earlier ones.
+class TargetDistanceTerm(Divergence):
+    """Entropic OT distance to a fixed target dataset as a weighted flow
+    term: a ``Divergence`` (the solver of ``otdd``) with its own iteration
+    defaults. By default it evaluates and differentiates the squared
+    debiased divergence, smooth at its zero minimum; ``squared=False``
+    flows the distance itself. ``run_flow`` and
+    ``check_displacement_convexity`` ``reset()`` its solver state first.
     """
 
     kind = "target_distance"
@@ -238,52 +223,12 @@ class TargetDistanceTerm:
         max_iter: int = 3 * DEFAULT_MAX_ITER,
         tol: float = DEFAULT_TOL,
     ):
-        self.target = target
         self.weight = weight
-        self.reg = reg
-        self.debias = debias
         self.squared = squared
-        self.max_iter = max_iter
-        self.tol = tol
-        self.reset()
-
-    def reset(self):
-        self._reg = self.reg
-        self._bb_soft = None
-        self._warm_ab = None
-        self._warm_aa = None
-
-    def _solve(self, state: DatasetState):
-        cost_ab = ground_cost_matrix(state, self.target)
-        if self._reg is None:
-            self._reg = default_reg(cost_ab)
-        if self._warm_ab is not None and self._warm_ab[0].shape[0] != state.n:
-            self._warm_ab = self._warm_aa = None
-        plan_ab = sinkhorn(
-            cost_ab, state.weights, self.target.weights, self._reg,
-            self.max_iter, self.tol, init=self._warm_ab,
-        )
-        self._warm_ab = (plan_ab.dual_left, plan_ab.dual_right)
-        plan_aa = None
-        if self.debias:
-            cost_aa = ground_cost_matrix(state, state)
-            plan_aa = sinkhorn_symmetric(
-                cost_aa, state.weights, self._reg,
-                self.max_iter, self.tol, init=self._warm_aa,
-            )
-            self._warm_aa = plan_aa.dual_left
-            if self._bb_soft is None:
-                cost_bb = ground_cost_matrix(self.target, self.target)
-                self._bb_soft = sinkhorn_symmetric(
-                    cost_bb, self.target.weights, self._reg, self.max_iter, self.tol
-                ).soft_cost
-            value_sq = plan_ab.soft_cost - 0.5 * (plan_aa.soft_cost + self._bb_soft)
-        else:
-            value_sq = plan_ab.soft_cost
-        return value_sq, plan_ab, plan_aa
+        super().__init__(target, reg, debias, max_iter, tol)
 
     def value_and_grads(self, state: DatasetState, mode: str):
-        value_sq, plan_ab, plan_aa = self._solve(state)
+        value_sq, plan_ab, plan_aa = self.solve(state)
         grads = _assemble_grads(state, self.target, plan_ab, plan_aa, mode)
         if self.squared:
             return value_sq, grads
@@ -293,10 +238,8 @@ class TargetDistanceTerm:
         return value, grads
 
     def value(self, state: DatasetState) -> float:
-        value_sq, _, _ = self._solve(state)
-        if self.squared:
-            return value_sq
-        return float(np.sqrt(max(value_sq, 0.0)))
+        value_sq = self.solve(state)[0]
+        return value_sq if self.squared else float(np.sqrt(max(value_sq, 0.0)))
 
 
 @dataclass
@@ -315,16 +258,13 @@ class FunctionalSpec:
     def entropy_weight(self) -> float:
         return sum(t.weight for t in self.terms if t.kind == "entropy")
 
-    def has_target(self) -> bool:
-        return any(t.kind == "target_distance" for t in self.terms)
-
     def term_kinds(self):
         return [t.kind for t in self.terms]
 
     def reset(self):
-        """Drop solver state that terms keep between evaluations."""
+        """Drop the solver state that divergence terms keep between solves."""
         for t in self.terms:
-            if t.kind == "target_distance":
+            if isinstance(t, Divergence):
                 t.reset()
 
 

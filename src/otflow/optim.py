@@ -15,6 +15,7 @@ from .gaussian import Moments, project_psd, psd_floor_value
 from .otdd import DatasetState, FlowGradients
 
 RULES = ("sgd", "momentum", "adam", "adagrad")
+BLOCKS = ("features", "means", "covs")
 
 
 @dataclass
@@ -42,6 +43,11 @@ class OptimizerState:
             raise ValueError(f"unknown optimizer rule {self.rule!r}")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
+        for block, tau in self.block_step_sizes.items():
+            if block not in BLOCKS or not tau > 0:
+                raise ValueError(
+                    f"block_step_sizes takes positive steps for {BLOCKS}, got {block!r}: {tau!r}"
+                )
 
     def clone(self) -> "OptimizerState":
         return OptimizerState(

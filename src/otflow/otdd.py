@@ -24,7 +24,6 @@ from .gaussian import (
 from .transport import (
     default_reg,
     sinkhorn,
-    sinkhorn_divergence,
     sinkhorn_symmetric,
     squared_euclidean_cost,
     validate_weights,
@@ -231,6 +230,56 @@ def ground_cost_matrix(src: DatasetState, dst: DatasetState) -> np.ndarray:
     return cost
 
 
+@dataclass(eq=False)
+class Divergence:
+    """Squared entropic OT dataset distance from a source state to ``target``.
+
+    ``solve(src)`` returns (value_sq, plan_ab, plan_aa). With ``debias`` the
+    value is the Sinkhorn divergence OT(src, target) - (OT(src, src) +
+    OT(target, target)) / 2 of the dual values, zero at src == target;
+    without it, OT(src, target) alone and plan_aa None. Solves share state,
+    which ``reset()`` drops: a None ``reg`` is frozen from the first solve's
+    ground cost, duals warm-start the next solve at the same particle count,
+    and the target self-value is solved once. ``target`` is read per solve.
+    """
+
+    target: DatasetState
+    reg: float | None = None
+    debias: bool = True
+    max_iter: int = EVAL_MAX_ITER
+    tol: float = EVAL_TOL
+
+    def __post_init__(self):
+        self.reset()
+
+    def reset(self):
+        self._reg = self.reg
+        self._bb_soft = None
+        self._warm_ab = None
+        self._warm_aa = None
+
+    def solve(self, src: DatasetState):
+        target = self.target
+        cost_ab = ground_cost_matrix(src, target)
+        if self._reg is None:
+            self._reg = default_reg(cost_ab)
+        if self._warm_ab is not None and self._warm_ab[0].shape[0] != src.n:
+            self._warm_ab = self._warm_aa = None
+        solver = (self._reg, self.max_iter, self.tol)
+        plan_ab = sinkhorn(cost_ab, src.weights, target.weights, *solver, init=self._warm_ab)
+        self._warm_ab = (plan_ab.dual_left, plan_ab.dual_right)
+        if not self.debias:
+            return plan_ab.soft_cost, plan_ab, None
+        cost_aa = ground_cost_matrix(src, src)
+        plan_aa = sinkhorn_symmetric(cost_aa, src.weights, *solver, init=self._warm_aa)
+        self._warm_aa = plan_aa.dual_left
+        if self._bb_soft is None:
+            cost_bb = ground_cost_matrix(target, target)
+            self._bb_soft = sinkhorn_symmetric(cost_bb, target.weights, *solver).soft_cost
+        value_sq = plan_ab.soft_cost - 0.5 * (plan_aa.soft_cost + self._bb_soft)
+        return value_sq, plan_ab, plan_aa
+
+
 def otdd(
     src: DatasetState,
     dst: DatasetState,
@@ -239,22 +288,14 @@ def otdd(
     max_iter: int = EVAL_MAX_ITER,
     tol: float = EVAL_TOL,
 ):
-    """Dataset distance between two states: sqrt of the entropic OT value
-    under the hybrid ground cost (debiased by default, so the distance of a
-    dataset to itself is zero). Returns (value, plan).
+    """Dataset distance between two states: the square root of one cold
+    ``Divergence(dst).solve(src)``, i.e. of the debiased Sinkhorn
+    divergence by default (zero from a dataset to itself), or of the
+    entropic dual value with ``debias=False``. Negative values clip to 0.
+    Returns (value, plan) with plan the src -> dst coupling.
     """
-    cost_ab = ground_cost_matrix(src, dst)
-    if reg is None:
-        reg = default_reg(cost_ab)
-    if debias:
-        cost_aa = ground_cost_matrix(src, src)
-        cost_bb = ground_cost_matrix(dst, dst)
-        value, plan_ab, _, _ = sinkhorn_divergence(
-            cost_ab, cost_aa, cost_bb, src.weights, dst.weights, reg, max_iter, tol
-        )
-        return float(np.sqrt(max(value, 0.0))), plan_ab
-    plan = sinkhorn(cost_ab, src.weights, dst.weights, reg, max_iter, tol)
-    return float(np.sqrt(max(plan.cost, 0.0))), plan
+    value_sq, plan, _ = Divergence(dst, reg, debias, max_iter, tol).solve(src)
+    return float(np.sqrt(max(value_sq, 0.0))), plan
 
 
 def _row_masses(plan: np.ndarray, row_idx: np.ndarray, col_idx: np.ndarray, p: int, q: int):
@@ -308,27 +349,22 @@ def _assemble_grads(src, dst, plan_ab, plan_aa, mode) -> FlowGradients:
 def otdd_grads(
     src: DatasetState,
     dst: DatasetState,
-    plan,
     mode: str,
+    reg: float | None = None,
     debias: bool = True,
     max_iter: int = EVAL_MAX_ITER,
     tol: float = EVAL_TOL,
 ) -> FlowGradients:
-    """Gradients of the (debiased) entropic OT value between two states.
+    """Gradients of the squared distance ``otdd(src, dst, reg, debias)[0]**2``
+    w.r.t. the source, from one cold ``Divergence(dst).solve(src)``.
 
-    ``plan`` must be the coupling returned by ``otdd`` for the same pair.
     Feature gradients are produced in every mode; in jd-fl and jd-vl
     moment gradients appear per row of ``src.label_dists``, assembled by
     chaining the coupling mass through the analytic Bures gradients. jd-vl
-    needs the per-particle layout. With ``debias`` the self-coupling
-    correction term is re-solved internally.
+    needs the per-particle layout.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     require_layout(src, mode)
-    plan_aa = None
-    if debias:
-        cost_aa = ground_cost_matrix(src, src)
-        plan_aa = sinkhorn_symmetric(cost_aa, src.weights, plan.reg, max_iter, tol)
-    return _assemble_grads(src, dst, plan, plan_aa, mode)
-
+    _, plan_ab, plan_aa = Divergence(dst, reg, debias, max_iter, tol).solve(src)
+    return _assemble_grads(src, dst, plan_ab, plan_aa, mode)

@@ -83,6 +83,43 @@ def _validate_cost(cost: np.ndarray):
 ANDERSON_MEMORY = 6
 
 
+class _LogFrame:
+    """Validated inputs of a log-domain solve.
+
+    The solvers iterate reg-scaled potentials u = f/reg, v = g/reg over the
+    kernel K = -C/reg; ``plan`` turns converged (u, v) into the coupling
+    plan = exp(u + v + K) * (a x b) and its linear and dual values.
+    """
+
+    def __init__(self, cost, a, b, reg: float):
+        self.cost = np.asarray(cost, dtype=float)
+        self.a = np.asarray(a, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        _validate_cost(self.cost)
+        validate_weights(self.a)
+        validate_weights(self.b)
+        if reg <= 0:
+            raise NumericError("reg must be positive")
+        if self.cost.shape != self.a.shape + self.b.shape:
+            raise NumericError("weight lengths do not match the cost matrix")
+        self.reg = reg
+        with np.errstate(divide="ignore"):
+            self.log_a = np.log(self.a)
+            self.log_b = np.log(self.b)
+        self.kernel = -self.cost / reg
+
+    def plan(self, u, v, err: float, it: int) -> TransportPlan:
+        reg = self.reg
+        f = reg * u
+        g = reg * v
+        plan = np.exp(
+            self.log_a[:, None] + self.log_b[None, :] + u[:, None] + v[None, :] + self.kernel
+        )
+        lin_cost = float(np.sum(plan * self.cost))
+        soft = float(f @ self.a + g @ self.b - reg * (plan.sum() - 1.0))
+        return TransportPlan(plan, f, g, lin_cost, reg, soft, err, it)
+
+
 def sinkhorn(
     cost: np.ndarray,
     a: np.ndarray,
@@ -106,25 +143,9 @@ def sinkhorn(
     Raises SinkhornConvergenceError (carrying the final violation) if the
     tolerance is not met within ``max_iter`` dual updates.
     """
-    cost = np.asarray(cost, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _validate_cost(cost)
-    validate_weights(a)
-    validate_weights(b)
-    if reg <= 0:
-        raise NumericError("reg must be positive")
-    n, m = cost.shape
-    if a.shape != (n,) or b.shape != (m,):
-        raise NumericError("weight lengths do not match the cost matrix")
-
-    with np.errstate(divide="ignore"):
-        log_a = np.log(a)
-        log_b = np.log(b)
-
-    # Reg-scaled potentials u = f/reg, v = g/reg over the kernel K = -C/reg;
-    # a single preallocated buffer keeps the inner loop allocation-free.
-    kernel = -cost / reg
+    frame = _LogFrame(cost, a, b, reg)
+    a, log_a, log_b, kernel = frame.a, frame.log_a, frame.log_b, frame.kernel
+    # A single preallocated buffer keeps the inner loop allocation-free.
     buf = np.empty_like(kernel)
 
     def full_round(u_cur):
@@ -148,7 +169,7 @@ def sinkhorn(
             terms = a * np.abs(np.expm1(u_cur - u_mapped))
         return float(np.sum(terms[a > 0]))
 
-    u = np.zeros(n) if init is None else np.asarray(init[0], dtype=float) / reg
+    u = np.zeros(a.shape[0]) if init is None else np.asarray(init[0], dtype=float) / reg
     tu, v = full_round(u)
     it = 1
     err = violation(u, tu)
@@ -178,23 +199,7 @@ def sinkhorn(
         tu, v = full_round(u)
         it += 1
         err = violation(u, tu)
-
-    f = reg * u
-    g = reg * v
-    log_plan = log_a[:, None] + log_b[None, :] + u[:, None] + v[None, :] + kernel
-    plan = np.exp(log_plan)
-    lin_cost = float(np.sum(plan * cost))
-    soft = float(f @ a + g @ b - reg * (plan.sum() - 1.0))
-    return TransportPlan(
-        plan=plan,
-        dual_left=f,
-        dual_right=g,
-        cost=lin_cost,
-        reg=reg,
-        soft_cost=soft,
-        marginal_error=err,
-        iterations=it,
-    )
+    return frame.plan(u, v, err, it)
 
 
 def sinkhorn_symmetric(
@@ -211,24 +216,12 @@ def sinkhorn_symmetric(
     f <- (f + T(f))/2 applies; it converges in far fewer iterations than
     alternating scalings and is the workhorse behind debiased divergences.
     """
-    cost = np.asarray(cost, dtype=float)
-    a = np.asarray(a, dtype=float)
-    _validate_cost(cost)
-    validate_weights(a)
-    if reg <= 0:
-        raise NumericError("reg must be positive")
-    n = a.shape[0]
-    if cost.shape != (n, n):
-        raise NumericError("cost must be square and match the weights")
-
-    with np.errstate(divide="ignore"):
-        log_a = np.log(a)
-    kernel = -cost / reg
+    frame = _LogFrame(cost, a, a, reg)
+    a, log_a, kernel = frame.a, frame.log_a, frame.kernel
     buf = np.empty_like(kernel)
-    u = np.zeros(n) if init is None else np.asarray(init, dtype=float) / reg
+    u = np.zeros(a.shape[0]) if init is None else np.asarray(init, dtype=float) / reg
 
     err = np.inf
-    it = 0
     for it in range(1, max_iter + 1):
         np.add(kernel, (u + log_a)[None, :], out=buf)
         mx = buf.max(axis=1)
@@ -242,22 +235,7 @@ def sinkhorn_symmetric(
         u = 0.5 * (u + t)
     else:
         raise SinkhornConvergenceError(err, max_iter)
-
-    f = reg * u
-    log_plan = log_a[:, None] + log_a[None, :] + u[:, None] + u[None, :] + kernel
-    plan = np.exp(log_plan)
-    lin_cost = float(np.sum(plan * cost))
-    soft = float(2.0 * (f @ a) - reg * (plan.sum() - 1.0))
-    return TransportPlan(
-        plan=plan,
-        dual_left=f,
-        dual_right=f.copy(),
-        cost=lin_cost,
-        reg=reg,
-        soft_cost=soft,
-        marginal_error=err,
-        iterations=it,
-    )
+    return frame.plan(u, u, err, it)
 
 
 def sinkhorn_divergence(

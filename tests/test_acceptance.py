@@ -135,8 +135,7 @@ def test_02_bures_closed_form():
 def _fd_feature_check(src, dst, mode, reg, rng):
     """Relative FD error of otdd gradients on a random instance."""
     solver = dict(tol=1e-9, max_iter=300_000)
-    _, plan = otdd(src, dst, reg=reg, **solver)
-    grads = otdd_grads(src, dst, plan, mode, **solver)
+    grads = otdd_grads(src, dst, mode, reg=reg, **solver)
 
     def value(state):
         pab = sinkhorn(ground_cost_matrix(state, dst), state.weights, dst.weights, reg, **{

@@ -2,8 +2,9 @@
 
 ``perfbench/`` is only read here. Its tracer looks up every layer function
 by name, its kernel grid passes plain lists of LabelDistribution to the
-Bures kernels, and its class_adaptation check clusters the moment rows of
-a jd-vl final state.
+Bures kernels, its class_adaptation check clusters the moment rows of a
+jd-vl final state, its distances must match its reference values, and its
+moved inputs replace a target term's dataset after the run is built.
 """
 
 import importlib
@@ -13,12 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from otflow.clustering import dbscan_bures
+from otflow.config import build_run
 from otflow.datagen import GeneratorSpec, generate
 from otflow.dynamics import FlowConfig, run_flow
 from otflow.functionals import FunctionalSpec, TargetDistanceTerm
 from otflow.gaussian import Moments, pairwise_bures_grads, pairwise_bures_sq
 from otflow.optim import OptimizerState
-from otflow.otdd import MODE_JD_VL
+from otflow.otdd import MODE_JD_VL, otdd
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,3 +63,34 @@ def test_jdvl_final_state_clusters():
     assert len(final.label_dists) == src.n
     assignment = dbscan_bures(final.label_dists, config.cluster_eps, config.cluster_min_pts)
     assert assignment.labels.shape == (src.n,)
+
+
+def test_distances_match_reference():
+    workloads = bench_module("bench_workloads")
+    datasets = workloads.distance_inputs(workloads.DEFAULT_SEED)
+    values = [otdd(datasets[a], datasets[b])[0] for a, b in workloads.DISTANCE_PAIRS]
+    expected = workloads.load_reference()[workloads.DISTANCE_WORKLOAD]["distances"]
+    np.testing.assert_allclose(values, expected, rtol=workloads.DISTANCE_RTOL, atol=0)
+
+
+def _distance_flow_config(target_seed):
+    return {
+        "source": {"generator": {"n": 20, "k": 2, "seed": 0, "radius": 1.5}},
+        "target": {"generator": {"n": 25, "k": 3, "seed": target_seed, "radius": 4.0}},
+        "functional": {"terms": [{"kind": "target_distance"}]},
+        "optimizer": {"step_size": 0.1},
+        "steps": 8,
+    }
+
+
+def test_swapped_target_runs_like_built_target():
+    run = build_run(_distance_flow_config(1))
+    run_flow(run.source, run.flow)  # leaves solver state for the first target
+    built = build_run(_distance_flow_config(2))
+    for term in run.flow.functional.terms:
+        if term.kind == "target_distance":
+            term.target = built.target
+    swapped = run_flow(run.source, run.flow)
+    expected = run_flow(built.source, built.flow)
+    assert swapped.objective_trace == expected.objective_trace
+    np.testing.assert_array_equal(swapped.final.state.features, expected.final.state.features)

@@ -253,6 +253,24 @@ class TestConfig:
         assert main(["run", str(cfg_path)]) == 2
 
 
+    def test_kmeans_needs_positive_cluster_k(self, tmp_path):
+        cfg_path, _ = minimal_config(
+            tmp_path, mode="jd-vl", relabel_method="kmeans", cluster_k=0
+        )
+        with pytest.raises(ConfigError, match="cluster_k"):
+            build_run(load_config_dict(cfg_path))
+        assert main(["run", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("sizes", [{"cov": 5.0}, {"means": -1.0}])
+    def test_bad_block_step_sizes(self, tmp_path, sizes):
+        cfg_path, _ = minimal_config(
+            tmp_path, optimizer={"rule": "sgd", "step_size": 0.1, "block_step_sizes": sizes}
+        )
+        with pytest.raises(ConfigError, match="block"):
+            build_run(load_config_dict(cfg_path))
+        assert main(["run", str(cfg_path)]) == 2
+
+
 class TestRunEndToEnd:
     def test_distance_flow_writes_decreasing_objective(self, tmp_path):
         cfg_path, _ = minimal_config(

@@ -10,8 +10,13 @@ from otflow.cli import main
 from otflow.config import OUTPUT_DIR_ENV
 from otflow.io import read_trajectory
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
+# Final objectives of the configs that the benchmark runs, checked there
+# at the same tolerance.
+REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+OBJECTIVE_RTOL = 1e-5
 
 
 @pytest.mark.parametrize("config_path", CONFIGS, ids=lambda p: p.stem)
@@ -23,6 +28,9 @@ def test_shipped_config_runs(config_path, tmp_path, monkeypatch):
     assert records[-1]["step"] > records[0]["step"]
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "ok"
+    if config_path.stem in REFERENCE:
+        expected = REFERENCE[config_path.stem]["objective"]
+        assert summary["final_objective"] == pytest.approx(expected, rel=OBJECTIVE_RTOL)
 
 
 def test_mixture_transfer_converges(tmp_path, monkeypatch):

@@ -94,6 +94,20 @@ class TestDisplacementConvexity:
         assert len(report.samples) == 11
         assert np.isfinite(report.max_violation)
 
+    def test_target_distance_report_ignores_history(self):
+        # The term's reg would otherwise stay frozen at whatever state it
+        # saw first, and its warm duals would carry over between reports.
+        a, b = matched_pair(7, n=10)
+        tgt = matched_pair(8, n=10)[0]
+        fresh = check_displacement_convexity(FunctionalSpec([TargetDistanceTerm(tgt)]), a, b)
+        spec = FunctionalSpec([TargetDistanceTerm(tgt)])
+        spec.terms[0].value(DatasetState.from_features(a.features + 20.0, a.labels))
+        after_far = check_displacement_convexity(spec, a, b)
+        again = check_displacement_convexity(spec, a, b)
+        assert after_far.samples == fresh.samples
+        assert again.samples == fresh.samples
+        assert after_far.max_violation == again.max_violation == fresh.max_violation
+
     def test_generalized_geodesic_base_mode(self):
         a, b = matched_pair(9, n=10)
         base = matched_pair(10, n=10)[0]

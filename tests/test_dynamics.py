@@ -252,6 +252,11 @@ class TestRunFlow:
             FlowConfig(
                 functional=spec, optimizer=sgd(0.1), relabel_method="kmeans"
             ).validate()
+        for k in (0, -2):
+            with pytest.raises(ValueError, match="cluster_k"):
+                FlowConfig(
+                    functional=spec, optimizer=sgd(0.1), relabel_method="kmeans", cluster_k=k
+                ).validate()
 
     def test_entropy_needs_sgd_rule(self):
         spec = FunctionalSpec([EntropyTerm(weight=1.0), PotentialTerm("quadratic")])

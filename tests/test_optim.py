@@ -146,6 +146,13 @@ class TestBlocks:
             apply_step(state, bad, OptimizerState())
         assert exc.value.step == 0
 
+    @pytest.mark.parametrize("sizes", [
+        {"cov": 5.0}, {"means": -1.0}, {"features": 0.0}, {"covs": float("nan")},
+    ])
+    def test_bad_block_step_sizes_rejected(self, sizes):
+        with pytest.raises(ValueError, match="block"):
+            OptimizerState(block_step_sizes=sizes)
+
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
             OptimizerState(rule="bfgs")

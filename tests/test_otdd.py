@@ -3,8 +3,11 @@ import pytest
 
 from helpers import rand_state, rel_err
 from otflow.errors import DimensionMismatchError
+from otflow.functionals import TargetDistanceTerm
 from otflow.gaussian import PSD_FLOOR_ABS, LabelDistribution, Moments
 from otflow.otdd import (
+    EVAL_MAX_ITER,
+    EVAL_TOL,
     MODE_FD,
     MODE_JD_FL,
     MODE_JD_VL,
@@ -185,8 +188,7 @@ class TestOtddGrads:
     def test_self_gradients_vanish(self):
         rng = np.random.default_rng(11)
         state = rand_state(rng, 10, 2, 2)
-        value, plan = otdd(state, state, tol=1e-8)
-        grads = otdd_grads(state, state, plan, MODE_FD, tol=1e-8)
+        grads = otdd_grads(state, state, MODE_FD, tol=1e-8)
         scale = float(np.abs(state.features).max())
         assert np.abs(grads.d_features).max() <= 1e-4 * scale
 
@@ -194,25 +196,22 @@ class TestOtddGrads:
         shared = Moments.of([LabelDistribution(np.zeros(2), np.eye(2))])
         a = DatasetState(np.array([[1.0, 1.0]]), np.array([0]), np.array([1.0]), shared, [0])
         b = DatasetState(np.array([[0.0, 0.0]]), np.array([0]), np.array([1.0]), shared.copy(), [0])
-        _, plan = otdd(a, b, reg=0.1, debias=False)
-        grads = otdd_grads(a, b, plan, MODE_FD, debias=False)
+        grads = otdd_grads(a, b, MODE_FD, reg=0.1, debias=False)
         np.testing.assert_allclose(grads.d_features, [[2.0, 2.0]], atol=1e-8)
 
     def test_fd_mode_has_no_moment_grads(self):
         rng = np.random.default_rng(12)
         a = rand_state(rng, 10, 2, 2)
         b = rand_state(rng, 10, 2, 2)
-        _, plan = otdd(a, b)
-        grads = otdd_grads(a, b, plan, MODE_FD)
+        grads = otdd_grads(a, b, MODE_FD)
         assert grads.d_means is None and grads.d_covs is None
 
     def test_mode_shape_mismatch(self):
         rng = np.random.default_rng(13)
         a = rand_state(rng, 6, 2, 2)
         b = rand_state(rng, 6, 2, 2)
-        _, plan = otdd(a, b)
         with pytest.raises(DimensionMismatchError):
-            otdd_grads(a, b, plan, MODE_JD_VL)
+            otdd_grads(a, b, MODE_JD_VL)
 
     @pytest.mark.parametrize("debias", [True, False])
     def test_feature_grads_match_fd(self, debias):
@@ -220,8 +219,7 @@ class TestOtddGrads:
         src = rand_state(rng, 8, 2, 2)
         dst = rand_state(rng, 9, 2, 2)
         reg = 0.1 * float(ground_cost_matrix(src, dst).mean())
-        _, plan = otdd(src, dst, reg=reg, debias=debias, tol=1e-9, max_iter=300_000)
-        grads = otdd_grads(src, dst, plan, MODE_FD, debias=debias, tol=1e-9, max_iter=300_000)
+        grads = otdd_grads(src, dst, MODE_FD, reg=reg, debias=debias, tol=1e-9, max_iter=300_000)
         h = 1e-5
         gref = np.abs(grads.d_features).max() * src.weights[0]
         for i, l in [(0, 0), (3, 1), (7, 0)]:
@@ -236,8 +234,7 @@ class TestOtddGrads:
         src = inflate_covs(rand_state(rng, 10, 2, 2))
         dst = inflate_covs(rand_state(rng, 11, 3, 2))
         reg = 0.1 * float(ground_cost_matrix(src, dst).mean())
-        _, plan = otdd(src, dst, reg=reg, tol=1e-9, max_iter=300_000)
-        grads = otdd_grads(src, dst, plan, MODE_JD_FL, tol=1e-9, max_iter=300_000)
+        grads = otdd_grads(src, dst, MODE_JD_FL, reg=reg, tol=1e-9, max_iter=300_000)
         h = 1e-5
         for c in src.class_ids():
             mass = float(src.weights[src.labels == c].sum())
@@ -261,8 +258,7 @@ class TestOtddGrads:
         src = inflate_covs(rand_state(rng, 8, 2, 2).decoupled())
         dst = inflate_covs(rand_state(rng, 9, 3, 2))
         reg = 0.1 * float(ground_cost_matrix(src, dst).mean())
-        _, plan = otdd(src, dst, reg=reg, tol=1e-9, max_iter=300_000)
-        grads = otdd_grads(src, dst, plan, MODE_JD_VL, tol=1e-9, max_iter=300_000)
+        grads = otdd_grads(src, dst, MODE_JD_VL, reg=reg, tol=1e-9, max_iter=300_000)
         assert grads.d_means.shape == (8, 2)
         h = 1e-5
         for i in [0, 4, 7]:
@@ -283,9 +279,38 @@ class TestOtddGrads:
     def test_grads_finite_for_floored_covs(self):
         state = DatasetState.from_features([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 3, [0] * 3 + [1] * 3)
         other = DatasetState.from_features([[2.0, 0.0]] * 3 + [[3.0, 1.0]] * 3, [0] * 3 + [1] * 3)
-        _, plan = otdd(state, other)
-        grads = otdd_grads(state, other, plan, MODE_JD_FL)
+        grads = otdd_grads(state, other, MODE_JD_FL)
         assert grads.is_finite()
+
+
+class TestOneSolvePath:
+    """otdd, otdd_grads and TargetDistanceTerm solve the same divergence."""
+
+    @staticmethod
+    def pair():
+        rng = np.random.default_rng(19)
+        return rand_state(rng, 12, 2, 2), rand_state(rng, 14, 3, 2)
+
+    @pytest.mark.parametrize("reg", [0.5, None])
+    @pytest.mark.parametrize("debias", [True, False])
+    def test_otdd_is_sqrt_of_term_value(self, debias, reg):
+        a, b = self.pair()
+        term = TargetDistanceTerm(b, reg=reg, debias=debias, max_iter=EVAL_MAX_ITER, tol=EVAL_TOL)
+        value, _ = otdd(a, b, reg=reg, debias=debias)
+        # sqrt is correctly rounded, so this is exact where value**2 is not.
+        assert value == np.sqrt(term.value(a))
+
+    @pytest.mark.parametrize("debias", [True, False])
+    def test_grads_equal_term_grads(self, debias):
+        a, b = self.pair()
+        term = TargetDistanceTerm(b, reg=0.5, debias=debias, max_iter=EVAL_MAX_ITER, tol=EVAL_TOL)
+        _, expected = term.value_and_grads(a, MODE_JD_FL)
+        grads = otdd_grads(a, b, MODE_JD_FL, reg=0.5, debias=debias)
+        for got, want in zip(
+            (grads.d_features, grads.d_means, grads.d_covs),
+            (expected.d_features, expected.d_means, expected.d_covs),
+        ):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestFlowGradients:
