@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import pairwise_bures_sq, spd_sqrt
+from .gaussian import Moments, pairwise_bures_sq, spd_sqrt
 
 NOISE = -1
 
@@ -74,10 +74,8 @@ def dbscan_bures(dists, eps: float = DEFAULT_EPS, min_pts: int = DEFAULT_MIN_PTS
 
 def embed_distributions(dists) -> np.ndarray:
     """Euclidean embedding [mean ; vec(sqrt(cov))] per distribution."""
-    rows = []
-    for d in dists:
-        rows.append(np.concatenate([d.mean, spd_sqrt(d.cov).ravel()]))
-    return np.stack(rows)
+    m = Moments.of(dists)
+    return np.concatenate([m.means, spd_sqrt(m.covs).reshape(len(m), -1)], axis=1)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng) -> np.ndarray:

@@ -19,6 +19,9 @@ PSD_FLOOR_SCALE = 1e-6
 PSD_FLOOR_ABS = 1e-6
 
 SYMMETRY_RTOL = 1e-12
+# A first-argument covariance of a Bures gradient is singular when
+# lambda_min <= SINGULAR_RTOL * max(lambda_max, 1).
+SINGULAR_RTOL = 1e-14
 
 
 @dataclass
@@ -80,14 +83,19 @@ class Moments(Sequence):
 
 
 def _check_finite(m: np.ndarray, name: str = "matrix"):
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NumericError(f"{name} contains non-finite entries")
 
 
 def _check_symmetric(m: np.ndarray, name: str = "matrix"):
     scale = max(float(np.abs(m).max(initial=0.0)), 1.0)
-    if np.abs(m - m.T).max(initial=0.0) > SYMMETRY_RTOL * scale * 10:
+    if np.abs(m - m.swapaxes(-1, -2)).max(initial=0.0) > SYMMETRY_RTOL * scale * 10:
         raise NumericError(f"{name} is not symmetric")
+
+
+def _from_eig(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """v diag(w) v^T for eigenvector stacks v (..., d, d) and values w (..., d)."""
+    return (v * w[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 def psd_floor_value(m: np.ndarray) -> np.ndarray:
@@ -98,7 +106,8 @@ def psd_floor_value(m: np.ndarray) -> np.ndarray:
 
 
 def spd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
+    """Symmetric PSD square root via eigendecomposition, of one matrix or
+    of each matrix of a (..., d, d) stack.
 
     Negative eigenvalues from roundoff are clipped at zero, so the result
     satisfies s @ s == m to ~1e-8 relative error for any valid PSD input.
@@ -107,8 +116,7 @@ def spd_sqrt(m: np.ndarray) -> np.ndarray:
     _check_finite(m)
     _check_symmetric(m)
     w, v = np.linalg.eigh(m)
-    w = np.maximum(w, 0.0)
-    return (v * np.sqrt(w)) @ v.T
+    return _from_eig(v, np.sqrt(np.maximum(w, 0.0)))
 
 
 def project_psd(m: np.ndarray, floor=0.0) -> np.ndarray:
@@ -126,8 +134,7 @@ def project_psd(m: np.ndarray, floor=0.0) -> np.ndarray:
     if (w >= floor).all():
         return m
     clipped = (w < floor).any(axis=-1)
-    w = np.maximum(w, floor)
-    out = (v * w[..., None, :]) @ v.swapaxes(-1, -2)
+    out = _from_eig(v, np.maximum(w, floor))
     out = 0.5 * (out + out.swapaxes(-1, -2))
     return np.where(clipped[..., None, None], out, m)
 
@@ -136,16 +143,10 @@ def bures_w2_sq(a: LabelDistribution, b: LabelDistribution) -> float:
     """Squared 2-Wasserstein distance between Gaussians, closed form:
 
         ||mu_a - mu_b||^2 + tr(S_a) + tr(S_b) - 2 tr((S_a^1/2 S_b S_a^1/2)^1/2)
+
+    The 1x1 case of ``pairwise_bures_sq``.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    sa = spd_sqrt(a.cov)
-    inner = sa @ b.cov @ sa
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.T))
-    cross = 2.0 * np.sum(np.sqrt(np.maximum(w, 0.0)))
-    mean_term = float(np.sum((a.mean - b.mean) ** 2))
-    val = mean_term + float(np.trace(a.cov) + np.trace(b.cov)) - cross
-    return max(val, 0.0)
+    return float(pairwise_bures_sq([a], [b])[0, 0])
 
 
 def bures_w2_sq_grad_fd(a: LabelDistribution, b: LabelDistribution, h: float = 1e-5):
@@ -175,36 +176,14 @@ def bures_w2_sq_grad_fd(a: LabelDistribution, b: LabelDistribution, h: float = 1
 
 
 def bures_w2_sq_grad(a: LabelDistribution, b: LabelDistribution, verify: bool = False):
-    """Analytic gradient of ``bures_w2_sq`` w.r.t. the first argument.
+    """Analytic gradient of ``bures_w2_sq`` w.r.t. the first argument: the
+    1x1 case of ``pairwise_bures_grads``, returned as (grad_mean, grad_cov).
 
-    Returns (grad_mean, grad_cov) with
-
-        grad_mean = 2 (mu_a - mu_b)
-        grad_cov  = I - T,   T = S_a^-1/2 (S_a^1/2 S_b S_a^1/2)^1/2 S_a^-1/2
-
-    T is the symmetric factor of the optimal Gaussian transport map, so
-    grad_cov vanishes iff the covariances coincide. Requires S_a strictly
-    positive definite (floor the covariance first). With ``verify`` the
-    result is cross-checked against central differences and a NumericError
-    is raised on disagreement beyond 1e-3 relative.
+    With ``verify`` the result is cross-checked against central differences
+    and a NumericError is raised on disagreement beyond 1e-3 relative.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    d = a.dim
-    wa, va = np.linalg.eigh(a.cov)
-    if wa.min() <= 0.0 or wa.min() < 1e-14 * max(wa.max(), 1.0):
-        raise NumericError(
-            "covariance numerically singular; apply project_psd with a positive floor first"
-        )
-    sqrt_wa = np.sqrt(wa)
-    sa = (va * sqrt_wa) @ va.T
-    isa = (va / sqrt_wa) @ va.T
-    inner = sa @ b.cov @ sa
-    wm, vm = np.linalg.eigh(0.5 * (inner + inner.T))
-    inner_sqrt = (vm * np.sqrt(np.maximum(wm, 0.0))) @ vm.T
-    t = isa @ inner_sqrt @ isa
-    grad_cov = np.eye(d) - 0.5 * (t + t.T)
-    grad_mean = 2.0 * (a.mean - b.mean)
+    grad_means, grad_covs = pairwise_bures_grads([a], [b])
+    grad_mean, grad_cov = grad_means[0, 0], grad_covs[0, 0]
     if verify:
         fd_mean, fd_cov = bures_w2_sq_grad_fd(a, b)
         scale = max(np.abs(grad_mean).max(), np.abs(grad_cov).max(), 1e-6)
@@ -219,11 +198,24 @@ def bures_w2_sq_grad(a: LabelDistribution, b: LabelDistribution, verify: bool = 
     return grad_mean, grad_cov
 
 
-def _batched_sqrt(covs: np.ndarray) -> np.ndarray:
-    """PSD square roots of a stacked (k, d, d) array of symmetric matrices."""
-    w, v = np.linalg.eigh(covs)
-    w = np.sqrt(np.maximum(w, 0.0))
-    return np.einsum("kij,kj,klj->kil", v, w, v)
+def _moment_pair(dists_a, dists_b):
+    """Both arguments of a pairwise kernel as Moments of one dimension,
+    with finite entries."""
+    a, b = Moments.of(dists_a), Moments.of(dists_b)
+    if a.means.shape[1] != b.means.shape[1]:
+        raise DimensionMismatchError(
+            f"dimension mismatch: {a.means.shape[1]} vs {b.means.shape[1]}"
+        )
+    for m in (a.means, a.covs, b.means, b.covs):
+        _check_finite(m, "Gaussian moments")
+    return a, b
+
+
+def _sandwich(sa: np.ndarray, covs_b: np.ndarray) -> np.ndarray:
+    """Symmetrized S_a^1/2 S_b S_a^1/2 for every pair: (p, q, d, d) from
+    square roots sa (p, d, d) and covariances covs_b (q, d, d)."""
+    inner = sa[:, None] @ covs_b[None] @ sa[:, None]
+    return 0.5 * (inner + inner.swapaxes(-1, -2))
 
 
 def pairwise_bures_sq(dists_a, dists_b) -> np.ndarray:
@@ -234,24 +226,12 @@ def pairwise_bures_sq(dists_a, dists_b) -> np.ndarray:
     eigendecompositions, which keeps per-step flow costs flat even for
     per-particle label distributions.
     """
-    a, b = Moments.of(dists_a), Moments.of(dists_b)
-    p, q = len(a), len(b)
-
-    mean_term = (
-        np.sum(a.means**2, axis=1)[:, None]
-        + np.sum(b.means**2, axis=1)[None, :]
-        - 2.0 * a.means @ b.means.T
-    )
+    a, b = _moment_pair(dists_a, dists_b)
+    mean_term = np.sum((a.means[:, None, :] - b.means[None, :, :]) ** 2, axis=-1)
     tr_a = np.trace(a.covs, axis1=1, axis2=2)
     tr_b = np.trace(b.covs, axis1=1, axis2=2)
-
-    sa = _batched_sqrt(a.covs)
-    # inner[i, j] = sa[i] @ b.covs[j] @ sa[i]
-    inner = np.einsum("iab,jbc,icd->ijad", sa, b.covs, sa)
-    inner = 0.5 * (inner + np.swapaxes(inner, 2, 3))
-    w = np.linalg.eigvalsh(inner.reshape(p * q, *inner.shape[2:]))
-    cross = 2.0 * np.sum(np.sqrt(np.maximum(w, 0.0)), axis=1).reshape(p, q)
-
+    w = np.linalg.eigvalsh(_sandwich(spd_sqrt(a.covs), b.covs))
+    cross = 2.0 * np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1)
     out = mean_term + tr_a[:, None] + tr_b[None, :] - cross
     return np.maximum(out, 0.0)
 
@@ -259,29 +239,29 @@ def pairwise_bures_sq(dists_a, dists_b) -> np.ndarray:
 def pairwise_bures_grads(dists_a, dists_b):
     """All-pairs analytic Bures gradients w.r.t. the first argument.
 
-    Returns (grad_means, grad_covs) of shapes (p, q, d) and (p, q, d, d).
-    Same math as ``bures_w2_sq_grad``, batched, on the same inputs as
-    ``pairwise_bures_sq``; first-argument covariances must be strictly
-    positive definite.
-    """
-    a, b = Moments.of(dists_a), Moments.of(dists_b)
-    p, q, d = len(a), len(b), a.means.shape[1]
+    Returns (grad_means, grad_covs) of shapes (p, q, d) and (p, q, d, d):
 
+        grad_mean = 2 (mu_a - mu_b)
+        grad_cov  = I - T,   T = S_a^-1/2 (S_a^1/2 S_b S_a^1/2)^1/2 S_a^-1/2
+
+    T is the symmetric factor of the optimal Gaussian transport map, so
+    grad_cov vanishes iff the covariances coincide. Takes the inputs of
+    ``pairwise_bures_sq``; every first-argument covariance must be
+    positive definite, lambda_min > 1e-14 * max(lambda_max, 1) (floor the
+    covariances with ``project_psd`` first), or NumericError is raised.
+    """
+    a, b = _moment_pair(dists_a, dists_b)
+    d = a.means.shape[1]
     grad_means = 2.0 * (a.means[:, None, :] - b.means[None, :, :])
 
     wa, va = np.linalg.eigh(a.covs)
-    if wa.min() <= 0.0:
-        raise NumericError("first-argument covariance numerically singular")
+    if np.any(wa[:, 0] <= SINGULAR_RTOL * np.maximum(wa[:, -1], 1.0)):
+        raise NumericError(
+            "covariance numerically singular; apply project_psd with a positive floor first"
+        )
     sq = np.sqrt(wa)
-    sa = np.einsum("kij,kj,klj->kil", va, sq, va)
-    isa = np.einsum("kij,kj,klj->kil", va, 1.0 / sq, va)
-
-    inner = np.einsum("iab,jbc,icd->ijad", sa, b.covs, sa)
-    inner = 0.5 * (inner + np.swapaxes(inner, 2, 3))
-    wm, vm = np.linalg.eigh(inner.reshape(p * q, d, d))
-    inner_sqrt = np.einsum("kij,kj,klj->kil", vm, np.sqrt(np.maximum(wm, 0.0)), vm)
-    inner_sqrt = inner_sqrt.reshape(p, q, d, d)
-    t = np.einsum("iab,ijbc,icd->ijad", isa, inner_sqrt, isa)
-    t = 0.5 * (t + np.swapaxes(t, 2, 3))
-    grad_covs = np.eye(d)[None, None] - t
+    isa = _from_eig(va, 1.0 / sq)[:, None]
+    wm, vm = np.linalg.eigh(_sandwich(_from_eig(va, sq), b.covs))
+    t = isa @ _from_eig(vm, np.sqrt(np.maximum(wm, 0.0))) @ isa
+    grad_covs = np.eye(d) - 0.5 * (t + t.swapaxes(-1, -2))
     return grad_means, grad_covs

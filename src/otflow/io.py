@@ -94,13 +94,16 @@ def _read_idx_header(data: bytes, path, expected_magic: int, ndim: int):
     return dims, need
 
 
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise ParseError(path, str(exc)) from exc
+
+
 def _load_idx(images_path, labels_path, downscale: int, per_class_cap):
     images_path, labels_path = Path(images_path), Path(labels_path)
-    try:
-        img_data = images_path.read_bytes()
-        lbl_data = labels_path.read_bytes()
-    except OSError as exc:
-        raise ParseError(images_path, str(exc)) from exc
+    img_data, lbl_data = _read_bytes(images_path), _read_bytes(labels_path)
 
     (n, rows, cols), off = _read_idx_header(img_data, images_path, 2051, 3)
     if len(img_data) - off < n * rows * cols:
@@ -148,7 +151,9 @@ def snapshot_record(snap) -> dict:
 
 
 def write_trajectory(trajectory, path):
-    """Append-only JSONL dump of the recorded snapshots."""
+    """Write a run's recorded snapshots as JSONL, one record per line, once
+    the run has ended; an existing file at ``path`` is truncated. Nothing
+    is streamed while the run is in progress."""
     path = Path(path)
     with path.open("w") as fh:
         for snap in trajectory.snapshots:

@@ -237,10 +237,12 @@ class Divergence:
     ``solve(src)`` returns (value_sq, plan_ab, plan_aa). With ``debias`` the
     value is the Sinkhorn divergence OT(src, target) - (OT(src, src) +
     OT(target, target)) / 2 of the dual values, zero at src == target;
-    without it, OT(src, target) alone and plan_aa None. Solves share state,
-    which ``reset()`` drops: a None ``reg`` is frozen from the first solve's
-    ground cost, duals warm-start the next solve at the same particle count,
-    and the target self-value is solved once. ``target`` is read per solve.
+    without it, OT(src, target) alone and plan_aa None. ``couplings(src)``
+    returns (plan_ab, plan_aa) only, without solving the target self-term.
+    Solves share state, which ``reset()`` drops: a None ``reg`` is frozen
+    from the first solve's ground cost, duals warm-start the next solve at
+    the same particle count, and the target self-value is solved once, by
+    the first ``solve``. ``target`` is read per solve.
     """
 
     target: DatasetState
@@ -258,24 +260,31 @@ class Divergence:
         self._warm_ab = None
         self._warm_aa = None
 
-    def solve(self, src: DatasetState):
-        target = self.target
-        cost_ab = ground_cost_matrix(src, target)
+    def couplings(self, src: DatasetState):
+        cost_ab = ground_cost_matrix(src, self.target)
         if self._reg is None:
             self._reg = default_reg(cost_ab)
         if self._warm_ab is not None and self._warm_ab[0].shape[0] != src.n:
             self._warm_ab = self._warm_aa = None
         solver = (self._reg, self.max_iter, self.tol)
-        plan_ab = sinkhorn(cost_ab, src.weights, target.weights, *solver, init=self._warm_ab)
+        plan_ab = sinkhorn(cost_ab, src.weights, self.target.weights, *solver, init=self._warm_ab)
         self._warm_ab = (plan_ab.dual_left, plan_ab.dual_right)
         if not self.debias:
-            return plan_ab.soft_cost, plan_ab, None
+            return plan_ab, None
         cost_aa = ground_cost_matrix(src, src)
         plan_aa = sinkhorn_symmetric(cost_aa, src.weights, *solver, init=self._warm_aa)
         self._warm_aa = plan_aa.dual_left
+        return plan_ab, plan_aa
+
+    def solve(self, src: DatasetState):
+        plan_ab, plan_aa = self.couplings(src)
+        if plan_aa is None:
+            return plan_ab.soft_cost, plan_ab, None
         if self._bb_soft is None:
-            cost_bb = ground_cost_matrix(target, target)
-            self._bb_soft = sinkhorn_symmetric(cost_bb, target.weights, *solver).soft_cost
+            cost_bb = ground_cost_matrix(self.target, self.target)
+            self._bb_soft = sinkhorn_symmetric(
+                cost_bb, self.target.weights, self._reg, self.max_iter, self.tol
+            ).soft_cost
         value_sq = plan_ab.soft_cost - 0.5 * (plan_aa.soft_cost + self._bb_soft)
         return value_sq, plan_ab, plan_aa
 
@@ -356,7 +365,8 @@ def otdd_grads(
     tol: float = EVAL_TOL,
 ) -> FlowGradients:
     """Gradients of the squared distance ``otdd(src, dst, reg, debias)[0]**2``
-    w.r.t. the source, from one cold ``Divergence(dst).solve(src)``.
+    w.r.t. the source, from the couplings of one cold ``Divergence(dst)``;
+    the target self-term, which has no source gradient, is not solved.
 
     Feature gradients are produced in every mode; in jd-fl and jd-vl
     moment gradients appear per row of ``src.label_dists``, assembled by
@@ -366,5 +376,5 @@ def otdd_grads(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     require_layout(src, mode)
-    _, plan_ab, plan_aa = Divergence(dst, reg, debias, max_iter, tol).solve(src)
+    plan_ab, plan_aa = Divergence(dst, reg, debias, max_iter, tol).couplings(src)
     return _assemble_grads(src, dst, plan_ab, plan_aa, mode)

@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otflow
 from otflow.cli import main
 from otflow.config import OUTPUT_DIR_ENV, build_run, load_config_dict
 from otflow.datagen import GeneratorSpec, generate
@@ -121,6 +124,14 @@ class TestIdx:
         lbl.write_bytes(struct.pack(">ii", 2049, 1) + b"\x00")
         with pytest.raises(ParseError):
             load_dataset(img, fmt="idx", labels_path=lbl)
+
+    def test_unreadable_labels_file_named(self, tmp_path):
+        images = np.zeros((2, 2, 2), dtype=np.uint8)
+        img, lbl = write_idx_pair(tmp_path, images, np.zeros(2, dtype=np.uint8))
+        lbl.unlink()
+        with pytest.raises(ParseError) as info:
+            load_dataset(img, fmt="idx", labels_path=lbl)
+        assert info.value.path == lbl
 
 
 class TestTrajectoryFile:
@@ -384,8 +395,11 @@ class TestConvexityCommand:
 
 class TestEntryPoint:
     def test_console_script_runs(self):
+        # The child imports the otflow this test imports, installed or not.
+        path = [str(Path(otflow.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         proc = subprocess.run(
-            [sys.executable, "-m", "otflow.cli", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "otflow.cli", "--help"], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0
         assert "distance" in proc.stdout

@@ -10,7 +10,7 @@ from otflow.clustering import (
     embed_distributions,
     kmeans_embedded,
 )
-from otflow.gaussian import LabelDistribution
+from otflow.gaussian import LabelDistribution, spd_sqrt
 
 
 def gaussian_cluster(rng, center, n, spread=0.05):
@@ -96,6 +96,15 @@ class TestDbscan:
 
 
 class TestKmeans:
+    def test_embedding_matches_per_row_roots(self):
+        rng = np.random.default_rng(9)
+        dists = []
+        for _ in range(6):
+            a = rng.standard_normal((3, 3))
+            dists.append(LabelDistribution(rng.standard_normal(3), a @ a.T + 0.1 * np.eye(3)))
+        rows = [np.concatenate([g.mean, spd_sqrt(g.cov).ravel()]) for g in dists]
+        np.testing.assert_array_equal(embed_distributions(dists), np.stack(rows))
+
     def test_each_point_own_cluster(self):
         rng = np.random.default_rng(4)
         dists = [LabelDistribution(rng.standard_normal(2) * 10, np.eye(2)) for _ in range(5)]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +8,7 @@ from helpers import directional_diff, rand_gaussian, rand_spd, rel_err
 from otflow.errors import DimensionMismatchError, NumericError
 from otflow.gaussian import (
     LabelDistribution,
+    Moments,
     bures_w2_sq,
     bures_w2_sq_grad,
     bures_w2_sq_grad_fd,
@@ -16,6 +18,21 @@ from otflow.gaussian import (
     psd_floor_value,
     spd_sqrt,
 )
+
+
+def _pairwise_sq(a, b):
+    return pairwise_bures_sq([a], [b])[0, 0]
+
+
+def _pairwise_grads(a, b):
+    gm, gc = pairwise_bures_grads([a, a], [b, b, b])
+    return gm[1, 2], gc[1, 2]
+
+
+# Every entry point to the Bures kernels, by the name pytest shows.
+VALUE_ENTRIES = {"bures_w2_sq": bures_w2_sq, "pairwise_bures_sq": _pairwise_sq}
+GRAD_ENTRIES = {"bures_w2_sq_grad": bures_w2_sq_grad, "pairwise_bures_grads": _pairwise_grads}
+ENTRIES = {**VALUE_ENTRIES, **GRAD_ENTRIES}
 
 
 class TestSpdSqrt:
@@ -38,6 +55,19 @@ class TestSpdSqrt:
         m[0, 1] = m[1, 0] = np.nan
         with pytest.raises(NumericError):
             spd_sqrt(m)
+
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(8)
+        stack = np.stack([rand_spd(rng, 3) for _ in range(5)]).reshape(5, 1, 3, 3)
+        roots = spd_sqrt(stack)
+        assert roots.shape == stack.shape
+        for k in range(5):
+            np.testing.assert_allclose(roots[k, 0], spd_sqrt(stack[k, 0]), rtol=1e-13, atol=1e-15)
+
+    def test_asymmetric_stack_rejected(self):
+        stack = np.stack([np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])])
+        with pytest.raises(NumericError):
+            spd_sqrt(stack)
 
 
 class TestProjectPsd:
@@ -77,11 +107,30 @@ class TestBures:
         b = LabelDistribution([3.0], [[1.0]])
         assert bures_w2_sq(a, b) == pytest.approx(9.0, abs=1e-9)
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("entry", VALUE_ENTRIES.values(), ids=VALUE_ENTRIES.keys())
+    def test_close_means_far_from_origin(self, entry):
+        a = LabelDistribution([1e4, -1e4], np.eye(2))
+        b = LabelDistribution([1e4 + 1e-3, -1e4], np.eye(2))
+        assert entry(a, b) == pytest.approx(1e-6, rel=1e-6)
+
+    @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+    def test_dimension_mismatch(self, entry):
         a = LabelDistribution([0.0], [[1.0]])
         b = LabelDistribution([0.0, 0.0], np.eye(2))
         with pytest.raises(DimensionMismatchError):
-            bures_w2_sq(a, b)
+            entry(a, b)
+        with pytest.raises(DimensionMismatchError):
+            entry(b, a)
+
+    @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+    @pytest.mark.parametrize("side", ["first", "second"])
+    @pytest.mark.parametrize("field", ["mean", "cov"])
+    def test_nonfinite_rejected(self, entry, side, field):
+        good = LabelDistribution([0.0, 1.0], np.eye(2))
+        bad = good.copy()
+        getattr(bad, field)[0, ...] = np.nan
+        with pytest.raises(NumericError):
+            entry(bad, good) if side == "first" else entry(good, bad)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -159,11 +208,22 @@ class TestBuresGrad:
             )
             assert abs(np.sum(gc * v) - fd) / max(abs(fd), 1e-6) < 1e-4
 
-    def test_singular_covariance_raises(self):
+    @pytest.mark.parametrize("entry", GRAD_ENTRIES.values(), ids=GRAD_ENTRIES.keys())
+    def test_singular_covariance_raises(self, entry):
         a = LabelDistribution([0.0, 0.0], np.diag([1.0, 0.0]))
         b = LabelDistribution([1.0, 1.0], np.eye(2))
         with pytest.raises(NumericError):
-            bures_w2_sq_grad(a, b)
+            entry(a, b)
+
+    @pytest.mark.parametrize("entry", GRAD_ENTRIES.values(), ids=GRAD_ENTRIES.keys())
+    def test_singularity_threshold_is_relative(self, entry):
+        b = LabelDistribution([1.0, 1.0], np.eye(2))
+        # lambda_min / lambda_max = 5e-15 is singular, 5e-13 is not.
+        entry(LabelDistribution([0.0, 0.0], np.diag([2.0, 1e-12])), b)
+        with pytest.raises(NumericError):
+            entry(LabelDistribution([0.0, 0.0], np.diag([2.0, 1e-14])), b)
+        with pytest.raises(NumericError):
+            entry(LabelDistribution([0.0], [[5e-15]]), LabelDistribution([0.0], [[1.0]]))
 
     def test_verify_mode_cross_checks(self):
         rng = np.random.default_rng(37)
@@ -176,6 +236,8 @@ class TestBuresGrad:
 
 
 class TestPairwise:
+    """The batched kernels entry by entry against their own 1x1 case."""
+
     def test_values_match_scalar_path(self):
         rng = np.random.default_rng(41)
         da = [rand_gaussian(rng, 2) for _ in range(4)]
@@ -195,3 +257,49 @@ class TestPairwise:
                 gm, gc = bures_w2_sq_grad(da[i], db[j])
                 np.testing.assert_allclose(gms[i, j], gm, atol=1e-9)
                 np.testing.assert_allclose(gcs[i, j], gc, atol=1e-8)
+
+
+def _random_moments(rng, k, d):
+    """k random Gaussians in dimension d, covariances of varied scale."""
+    means = 2.0 * rng.standard_normal((k, d))
+    covs = np.stack([rand_spd(rng, d, scale=rng.uniform(0.2, 5.0)) for _ in range(k)])
+    return Moments(means, covs)
+
+
+class TestBuresOracles:
+    """The batched kernels against identities they were not built from."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_value_is_fidelity_form(self, d):
+        # tr((S_a^1/2 S_b S_a^1/2)^1/2) is the nuclear norm of S_a^1/2 S_b^1/2.
+        rng = np.random.default_rng(100 + d)
+        a, b = _random_moments(rng, 4, d), _random_moments(rng, 3, d)
+        block = pairwise_bures_sq(a, b)
+        assert block.shape == (4, 3)
+        for i in range(4):
+            for j in range(3):
+                ra = np.real(scipy.linalg.sqrtm(a.covs[i]))
+                rb = np.real(scipy.linalg.sqrtm(b.covs[j]))
+                nuclear = np.linalg.svd(ra @ rb, compute_uv=False).sum()
+                want = (
+                    np.sum((a.means[i] - b.means[j]) ** 2)
+                    + np.trace(a.covs[i]) + np.trace(b.covs[j]) - 2.0 * nuclear
+                )
+                assert block[i, j] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_gradient_is_transport_map(self, d):
+        # I - grad_cov is the Gaussian OT map: symmetric PD with T S_a T = S_b.
+        rng = np.random.default_rng(200 + d)
+        a, b = _random_moments(rng, 3, d), _random_moments(rng, 4, d)
+        gms, gcs = pairwise_bures_grads(a, b)
+        assert gms.shape == (3, 4, d) and gcs.shape == (3, 4, d, d)
+        for i in range(3):
+            for j in range(4):
+                np.testing.assert_allclose(
+                    gms[i, j], 2.0 * (a.means[i] - b.means[j]), rtol=1e-10, atol=1e-12
+                )
+                t = np.eye(d) - gcs[i, j]
+                np.testing.assert_array_equal(t, t.T)
+                assert np.linalg.eigvalsh(t).min() > 0.0
+                assert rel_err(t @ a.covs[i] @ t, b.covs[j]) < 1e-10

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,22 @@ class TestOneSolvePath:
             (expected.d_features, expected.d_means, expected.d_covs),
         ):
             np.testing.assert_array_equal(got, want)
+
+    def test_grads_solve_no_target_self_term(self, monkeypatch):
+        otdd_module = sys.modules["otflow.otdd"]
+        sizes = []
+        solve = otdd_module.sinkhorn_symmetric
+
+        def counting(cost, *args, **kwargs):
+            sizes.append(cost.shape[0])
+            return solve(cost, *args, **kwargs)
+
+        monkeypatch.setattr(otdd_module, "sinkhorn_symmetric", counting)
+        a, b = self.pair()
+        otdd_grads(a, b, MODE_JD_FL, reg=0.5)
+        assert sizes == [a.n]
+        otdd(a, b, reg=0.5)
+        assert sizes == [a.n, a.n, b.n]
 
 
 class TestFlowGradients:
