@@ -1,16 +1,16 @@
 """Entropic-regularized optimal transport between discrete measures.
 
 Log-domain Sinkhorn for the regularized problem, an exact small-instance
-solver (linear assignment / LP) used as oracle, debiased divergence values,
+solver (one LP) used as oracle, debiased divergence values,
 and envelope-form gradients of the transport value w.r.t. point positions.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linprog
 
-from .errors import NumericError, SinkhornConvergenceError, SizeLimitError
+from .errors import DimensionMismatchError, NumericError, SinkhornConvergenceError, SizeLimitError
 
 EXACT_SIZE_LIMIT = 64
 DEFAULT_MAX_ITER = 2000
@@ -98,8 +98,8 @@ class _LogFrame:
         _validate_cost(self.cost)
         validate_weights(self.a)
         validate_weights(self.b)
-        if reg <= 0:
-            raise NumericError("reg must be positive")
+        if not (np.isfinite(reg) and reg > 0):
+            raise NumericError(f"reg must be positive and finite (got {reg!r})")
         if self.cost.shape != self.a.shape + self.b.shape:
             raise NumericError("weight lengths do not match the cost matrix")
         self.reg = reg
@@ -107,6 +107,19 @@ class _LogFrame:
             self.log_a = np.log(self.a)
             self.log_b = np.log(self.b)
         self.kernel = -self.cost / reg
+        # One kernel-sized buffer keeps the rounds allocation-free.
+        self.buf = np.empty_like(self.kernel)
+
+    def start(self, f) -> np.ndarray:
+        """Scaled left potential to start from: zero, or the warm start f/reg."""
+        if f is None:
+            return np.zeros(self.a.shape[0])
+        f = np.asarray(f, dtype=float)
+        if f.shape != self.a.shape:
+            raise DimensionMismatchError(f"warm start has shape {f.shape}, not {self.a.shape}")
+        if not np.all(np.isfinite(f)):
+            raise NumericError("warm-start potential contains non-finite entries")
+        return f / self.reg
 
     def plan(self, u, v, err: float, it: int) -> TransportPlan:
         reg = self.reg
@@ -118,6 +131,87 @@ class _LogFrame:
         lin_cost = float(np.sum(plan * self.cost))
         soft = float(f @ self.a + g @ self.b - reg * (plan.sum() - 1.0))
         return TransportPlan(plan, f, g, lin_cost, reg, soft, err, it)
+
+
+def _softmin(kernel, shift, axis: int, buf) -> np.ndarray:
+    """-log sum exp(kernel + shift) along ``axis``, stabilized by its maximum.
+
+    ``shift`` runs along ``axis``; ``buf`` (kernel-shaped) is overwritten.
+    """
+    np.add(kernel, shift[:, None] if axis == 0 else shift, out=buf)
+    mx = buf.max(axis=axis, keepdims=True)
+    np.subtract(buf, mx, out=buf)
+    np.exp(buf, out=buf)
+    return -(np.log(buf.sum(axis=axis)) + mx.squeeze(axis))
+
+
+def _violation(a, u, t) -> float:
+    """L1 marginal violation sum_i a_i |exp(u_i - t_i) - 1|.
+
+    With t the scaling that u maps to, the row sums of the plan are
+    a_i * exp(u_i - t_i). Zero-weight atoms are excluded (their rows are
+    exactly zero).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = a * np.abs(np.expm1(u - t))
+    return float(np.sum(terms[a > 0]))
+
+
+class _Anderson:
+    """Anderson extrapolation (Walker & Ni 2011) over a fixed-point map T.
+
+    Keeps the last ANDERSON_MEMORY pairs (T(u), T(u) - u) in two ring
+    buffers. The extrapolant is the affine combination of the stored T(u)
+    whose residuals combine to the least L2 norm; differences against the
+    newest entry span that affine space.
+    """
+
+    def __init__(self, n: int):
+        self.maps = np.empty((ANDERSON_MEMORY, n))
+        self.residuals = np.empty((ANDERSON_MEMORY, n))
+        self.count = 0
+
+    def push(self, u, tu):
+        """Record (T(u), T(u) - u); return the extrapolant, or None with one entry."""
+        slot = self.count % ANDERSON_MEMORY
+        self.maps[slot] = tu
+        self.residuals[slot] = tu - u
+        self.count += 1
+        k = min(self.count, ANDERSON_MEMORY)
+        if k < 2:
+            return None
+        older = (slot + np.arange(1, k)) % k  # the other entries, oldest first
+        r = self.residuals[slot]
+        gamma = np.linalg.lstsq((r - self.residuals[older]).T, r, rcond=None)[0]
+        return tu - (tu - self.maps[older]).T @ gamma
+
+
+def _fixed_point(step, u, max_iter: int, tol: float, accel=None):
+    """Iterate ``step`` from u until the violation it reports is within ``tol``.
+
+    ``step(u)`` returns (next u, the matching right potential, violation at
+    u). Each call is one round. With ``accel`` an Anderson candidate is
+    tried between plain rounds and kept only if its true violation is
+    lower. A NaN violation never counts as converged. Returns (u, right
+    potential, violation, rounds); raises SinkhornConvergenceError when
+    ``max_iter`` rounds do not reach ``tol``.
+    """
+    nxt, right, err = step(u)
+    it = 1
+    while not err <= tol:
+        if it >= max_iter:
+            raise SinkhornConvergenceError(err, it)
+        cand = None if accel is None else accel.push(u, nxt)
+        if cand is not None and np.all(np.isfinite(cand)):
+            c_nxt, c_right, e_cand = step(cand)
+            it += 1
+            if e_cand < err:
+                u, nxt, right, err = cand, c_nxt, c_right, e_cand
+                continue
+        u = nxt
+        nxt, right, err = step(u)
+        it += 1
+    return u, right, err, it
 
 
 def sinkhorn(
@@ -138,67 +232,26 @@ def sinkhorn(
     fixed point (safeguarded by the true violation, so the stopping metric
     is never fooled) cuts through the slowly decaying tail that plain
     alternation hits at small reg or on nearly symmetric instances. Stable
-    for reg down to ~1e-3 of the mean cost. ``init`` warm-starts the duals.
+    for reg down to ~1e-3 of the mean cost.
+
+    ``init`` warm-starts the solve with a pair (f, g), such as
+    (plan.dual_left, plan.dual_right) of an earlier solve; only f is read.
+    It must have one finite entry per source atom. ``reg`` must be positive
+    and finite.
 
     Raises SinkhornConvergenceError (carrying the final violation) if the
     tolerance is not met within ``max_iter`` dual updates.
     """
     frame = _LogFrame(cost, a, b, reg)
-    a, log_a, log_b, kernel = frame.a, frame.log_a, frame.log_b, frame.kernel
-    # A single preallocated buffer keeps the inner loop allocation-free.
-    buf = np.empty_like(kernel)
 
-    def full_round(u_cur):
+    def full_round(u):
         """One column scaling followed by one row scaling."""
-        np.add(kernel, (u_cur + log_a)[:, None], out=buf)
-        mx = buf.max(axis=0)
-        np.subtract(buf, mx[None, :], out=buf)
-        np.exp(buf, out=buf)
-        v_cur = -(np.log(buf.sum(axis=0)) + mx)
-        np.add(kernel, (v_cur + log_b)[None, :], out=buf)
-        mx = buf.max(axis=1)
-        np.subtract(buf, mx[:, None], out=buf)
-        np.exp(buf, out=buf)
-        return -(np.log(buf.sum(axis=1)) + mx), v_cur
+        v = _softmin(frame.kernel, u + frame.log_a, 0, frame.buf)
+        tu = _softmin(frame.kernel, v + frame.log_b, 1, frame.buf)
+        return tu, v, _violation(frame.a, u, tu)
 
-    def violation(u_cur, u_mapped):
-        # Row sums of plan(u, v(u)) are a_i * exp(u_i - T(u)_i); columns are
-        # exact by construction, so this is the full marginal violation.
-        # Zero-weight atoms are excluded (their rows are exactly zero).
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = a * np.abs(np.expm1(u_cur - u_mapped))
-        return float(np.sum(terms[a > 0]))
-
-    u = np.zeros(a.shape[0]) if init is None else np.asarray(init[0], dtype=float) / reg
-    tu, v = full_round(u)
-    it = 1
-    err = violation(u, tu)
-    hist_tu: list = []
-    hist_r: list = []
-    while err > tol:
-        if it >= max_iter:
-            raise SinkhornConvergenceError(err, it)
-        hist_tu.append(tu)
-        hist_r.append(tu - u)
-        if len(hist_tu) > ANDERSON_MEMORY:
-            hist_tu.pop(0)
-            hist_r.pop(0)
-        if len(hist_tu) >= 2:
-            d_r = np.diff(np.stack(hist_r, axis=1), axis=1)
-            d_tu = np.diff(np.stack(hist_tu, axis=1), axis=1)
-            gamma = np.linalg.lstsq(d_r, hist_r[-1], rcond=None)[0]
-            cand = tu - d_tu @ gamma
-            if np.all(np.isfinite(cand)):
-                t_cand, v_cand = full_round(cand)
-                it += 1
-                e_cand = violation(cand, t_cand)
-                if e_cand < err:
-                    u, tu, v, err = cand, t_cand, v_cand, e_cand
-                    continue
-        u = tu
-        tu, v = full_round(u)
-        it += 1
-        err = violation(u, tu)
+    u = frame.start(None if init is None else init[0])
+    u, v, err, it = _fixed_point(full_round, u, max_iter, tol, _Anderson(u.shape[0]))
     return frame.plan(u, v, err, it)
 
 
@@ -215,26 +268,15 @@ def sinkhorn_symmetric(
     The optimal potentials satisfy f = g, so the averaged fixed-point update
     f <- (f + T(f))/2 applies; it converges in far fewer iterations than
     alternating scalings and is the workhorse behind debiased divergences.
+    ``init`` warm-starts f (one finite entry per atom).
     """
     frame = _LogFrame(cost, a, a, reg)
-    a, log_a, kernel = frame.a, frame.log_a, frame.kernel
-    buf = np.empty_like(kernel)
-    u = np.zeros(a.shape[0]) if init is None else np.asarray(init, dtype=float) / reg
 
-    err = np.inf
-    for it in range(1, max_iter + 1):
-        np.add(kernel, (u + log_a)[None, :], out=buf)
-        mx = buf.max(axis=1)
-        np.subtract(buf, mx[:, None], out=buf)
-        np.exp(buf, out=buf)
-        t = -(np.log(buf.sum(axis=1)) + mx)
-        with np.errstate(over="ignore"):
-            err = float(np.sum(a * np.abs(np.expm1(u - t))))
-        if err <= tol:
-            break
-        u = 0.5 * (u + t)
-    else:
-        raise SinkhornConvergenceError(err, max_iter)
+    def averaged_round(u):
+        t = _softmin(frame.kernel, u + frame.log_a, 1, frame.buf)
+        return 0.5 * (u + t), u, _violation(frame.a, u, t)
+
+    u, _, err, it = _fixed_point(averaged_round, frame.start(init), max_iter, tol)
     return frame.plan(u, u, err, it)
 
 
@@ -260,33 +302,13 @@ def sinkhorn_divergence(
     return value, plan_ab, plan_aa, plan_bb
 
 
-def _lp_duals(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Kantorovich potentials via the dual LP: max a.f + b.g, f_i+g_j <= C_ij."""
-    n, m = cost.shape
-    nv = n + m
-    a_ub = np.zeros((n * m, nv))
-    rows = np.repeat(np.arange(n), m)
-    cols = np.tile(np.arange(m), n)
-    a_ub[np.arange(n * m), rows] = 1.0
-    a_ub[np.arange(n * m), n + cols] = 1.0
-    res = linprog(
-        c=-np.concatenate([a, b]),
-        A_ub=a_ub,
-        b_ub=cost.ravel(),
-        bounds=[(None, None)] * nv,
-        method="highs",
-    )
-    if not res.success:
-        raise NumericError(f"dual LP failed: {res.message}")
-    return res.x[:n], res.x[n:]
-
-
 def exact_ot(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> TransportPlan:
     """Exact optimal transport for small instances (n, m <= 64).
 
-    Uniform equal-size marginals reduce to a linear assignment; anything
-    else is solved as an LP over the transportation polytope. Dual
-    potentials come from the dual LP in both cases.
+    One LP over the transportation polytope, for every instance. Its
+    equality-constraint marginals are the Kantorovich potentials (f, g):
+    f_i + g_j <= C_ij, with a.f + b.g equal to the cost. The last column
+    constraint is redundant and dropped, which fixes its potential at 0.
     """
     cost = np.asarray(cost, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -299,46 +321,15 @@ def exact_ot(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> TransportPlan:
         raise SizeLimitError(
             f"exact_ot supports at most {EXACT_SIZE_LIMIT} atoms per side (got {n}x{m})"
         )
-
-    uniform = (
-        n == m
-        and np.allclose(a, 1.0 / n, atol=1e-12)
-        and np.allclose(b, 1.0 / m, atol=1e-12)
-    )
-    if uniform:
-        rows, cols = linear_sum_assignment(cost)
-        plan = np.zeros((n, m))
-        plan[rows, cols] = 1.0 / n
-        lin_cost = float(cost[rows, cols].mean())
-    else:
-        a_eq = np.zeros((n + m, n * m))
-        idx = np.arange(n * m).reshape(n, m)
-        for i in range(n):
-            a_eq[i, idx[i, :]] = 1.0
-        for j in range(m):
-            a_eq[n + j, idx[:, j]] = 1.0
-        # Drop one redundant marginal constraint to keep the system full rank.
-        res = linprog(
-            c=cost.ravel(),
-            A_eq=a_eq[:-1],
-            b_eq=np.concatenate([a, b])[:-1],
-            bounds=(0, None),
-            method="highs",
-        )
-        if not res.success:
-            raise NumericError(f"transport LP failed: {res.message}")
-        plan = res.x.reshape(n, m)
-        lin_cost = float(res.fun)
-
-    f, g = _lp_duals(cost, a, b)
-    return TransportPlan(
-        plan=plan,
-        dual_left=f,
-        dual_right=g,
-        cost=lin_cost,
-        reg=0.0,
-        soft_cost=lin_cost,
-    )
+    # Row i sums plan[i, :], row n + j sums plan[:, j] of the flattened plan.
+    a_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
+    b_eq = np.concatenate([a, b])[:-1]
+    res = linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq, bounds=(0, None), method="highs")
+    if not res.success:
+        raise NumericError(f"transport LP failed: {res.message}")
+    duals = np.append(res.eqlin.marginals, 0.0)
+    lin_cost = float(res.fun)
+    return TransportPlan(res.x.reshape(n, m), duals[:n], duals[n:], lin_cost, 0.0, lin_cost)
 
 
 def squared_euclidean_cost(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -4,7 +4,10 @@
 by name, its kernel grid passes plain lists of LabelDistribution to the
 Bures kernels, its class_adaptation check clusters the moment rows of a
 jd-vl final state, its distances must match its reference values, and its
-moved inputs replace a target term's dataset after the run is built.
+moved inputs replace a target term's dataset after the run is built. Its
+spans read ``iterations`` and ``marginal_error`` off every solve's plan and
+off SinkhornConvergenceError, and its kernel grid warm-starts ``sinkhorn``
+with a plan's ``(dual_left, dual_right)``.
 """
 
 import importlib
@@ -12,15 +15,18 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from otflow.clustering import dbscan_bures
 from otflow.config import build_run
 from otflow.datagen import GeneratorSpec, generate
 from otflow.dynamics import FlowConfig, run_flow
+from otflow.errors import SinkhornConvergenceError
 from otflow.functionals import FunctionalSpec, TargetDistanceTerm
 from otflow.gaussian import Moments, pairwise_bures_grads, pairwise_bures_sq
 from otflow.optim import OptimizerState
-from otflow.otdd import MODE_JD_VL, otdd
+from otflow.otdd import MODE_JD_VL, ground_cost_matrix, otdd
+from otflow.transport import default_reg, sinkhorn, sinkhorn_symmetric
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,6 +55,35 @@ def test_kernels_same_on_moments_and_lists():
         pairwise_bures_grads(a, b), pairwise_bures_grads(rows_a, rows_b)
     ):
         np.testing.assert_array_equal(from_list, from_rows)
+
+
+def _solve_inputs():
+    src = generate(GeneratorSpec(n=30, k=3, seed=0, radius=2.0, sigma=0.4))
+    tgt = generate(GeneratorSpec(n=40, k=3, seed=1, radius=5.0))
+    cost = ground_cost_matrix(src, tgt)
+    return src, tgt, cost, default_reg(cost)
+
+
+def test_solves_report_rounds_and_violation():
+    src, tgt, cost, reg = _solve_inputs()
+    tol = 1e-6
+    cold = sinkhorn(cost, src.weights, tgt.weights, reg, 2000, tol)
+    warm = sinkhorn(
+        cost, src.weights, tgt.weights, reg, 2000, tol, init=(cold.dual_left, cold.dual_right)
+    )
+    self_plan = sinkhorn_symmetric(ground_cost_matrix(src, src), src.weights, reg, 2000, tol)
+    for plan in (cold, warm, self_plan):
+        assert isinstance(plan.iterations, int) and plan.iterations >= 1
+        assert 0.0 <= plan.marginal_error <= tol
+    assert warm.iterations <= cold.iterations
+
+
+def test_convergence_error_reports_rounds_and_violation():
+    src, tgt, cost, reg = _solve_inputs()
+    with pytest.raises(SinkhornConvergenceError) as exc:
+        sinkhorn(cost, src.weights, tgt.weights, 1e-3 * reg, 3, 1e-12)
+    assert exc.value.iterations >= 3
+    assert exc.value.marginal_error > 1e-12
 
 
 def test_jdvl_final_state_clusters():

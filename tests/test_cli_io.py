@@ -327,6 +327,17 @@ class TestDistanceCommand:
         out = capsys.readouterr().out.strip()
         assert float(out) >= 0.0
 
+    @pytest.mark.parametrize("extra", [[], ["--no-debias"]])
+    @pytest.mark.parametrize("reg", ["nan", "inf"])
+    def test_nonfinite_reg_exit_code(self, tmp_path, capsys, reg, extra):
+        for seed, name in ((0, "a.csv"), (1, "b.csv")):
+            save_dataset(generate(GeneratorSpec(n=10, k=2, seed=seed)), tmp_path / name)
+        args = ["distance", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--reg", reg]
+        assert main(args + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reg must be positive and finite" in captured.err
+
 
 class TestFrames:
     def test_frame_count_follows_stride(self, tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from otflow.datagen import GeneratorSpec, generate
 from otflow.diagnostics import (
+    _matching,
     check_displacement_convexity,
     check_flow_contraction,
     displacement_interpolant,
@@ -15,6 +17,7 @@ from otflow.functionals import FunctionalSpec, PotentialTerm, TargetDistanceTerm
 from otflow.gaussian import Moments
 from otflow.optim import OptimizerState
 from otflow.otdd import DatasetState
+from otflow.transport import exact_ot, squared_euclidean_cost
 
 
 def matched_pair(seed, n=16, d=2):
@@ -32,6 +35,17 @@ class TestInterpolant:
         i1 = displacement_interpolant(a, b, 1.0)
         # t=1 reaches b's positions (in matched order)
         assert feature_w2_sq(i1, b) < 1e-12
+
+    def test_matching_is_the_optimal_assignment(self):
+        a, b = matched_pair(3, n=20)
+        cost = squared_euclidean_cost(a.features, b.features)
+        sigma = _matching(a, b)
+        rows, cols = linear_sum_assignment(cost)
+        np.testing.assert_array_equal(sigma, cols)
+        # the exact-OT LP finds the same optimum
+        exact = exact_ot(cost, a.weights, b.weights)
+        assert exact.cost == pytest.approx(cost[rows, sigma].mean(), abs=1e-12)
+        np.testing.assert_array_equal(np.argmax(exact.plan, axis=1), sigma)
 
     def test_two_singletons_midpoint(self):
         a = DatasetState.from_features([[0.0, 0.0]], [0])

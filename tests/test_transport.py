@@ -3,9 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from otflow.errors import NumericError, SinkhornConvergenceError, SizeLimitError
+from otflow.errors import (
+    DimensionMismatchError,
+    NumericError,
+    SinkhornConvergenceError,
+    SizeLimitError,
+)
 from otflow.transport import (
+    ANDERSON_MEMORY,
     DiscreteMeasure,
+    _fixed_point,
     exact_ot,
     ot_position_grad,
     sinkhorn,
@@ -133,6 +140,27 @@ class TestSinkhorn:
             sinkhorn(np.array([[np.inf]]), uniform(1), uniform(1), reg=0.1)
         with pytest.raises(NumericError):
             sinkhorn(np.array([[1.0]]), uniform(1), uniform(1), reg=0.0)
+        cost = np.random.default_rng(14).uniform(size=(5, 5))
+        u = uniform(5)
+        solvers = (
+            lambda reg, init=None: sinkhorn(cost, u, u, reg, init=init),
+            lambda reg, init=None: sinkhorn_symmetric(cost, u, reg, init=init),
+        )
+        for solve in solvers:
+            for reg in (np.nan, np.inf, -np.inf):
+                with pytest.raises(NumericError, match="reg"):
+                    solve(reg)
+        # sinkhorn takes the pair (f, g) and reads f; sinkhorn_symmetric takes f
+        wraps = (lambda f: (f, None), lambda f: f)
+        for solve, wrap in zip(solvers, wraps):
+            for f in (np.array([3.0]), np.zeros(4), np.zeros(6), np.zeros((5, 1))):
+                with pytest.raises(DimensionMismatchError):
+                    solve(0.1, wrap(f))
+            for bad in (np.nan, np.inf):
+                f = np.zeros(5)
+                f[2] = bad
+                with pytest.raises(NumericError):
+                    solve(0.1, wrap(f))
 
     def test_warm_start_converges_faster(self):
         rng = np.random.default_rng(6)
@@ -143,6 +171,46 @@ class TestSinkhorn:
         warm = sinkhorn(cost, u, u, reg, tol=1e-9, init=(cold.dual_left, cold.dual_right))
         assert warm.iterations <= cold.iterations
         assert warm.cost == pytest.approx(cold.cost, abs=1e-9)
+
+    def test_anderson_ring_wraps_with_unchanged_iterates(self):
+        # A cold solve that takes 23 extrapolation steps, so the
+        # ANDERSON_MEMORY-entry history ring wraps several times. The
+        # expected count and plan come from Anderson over consecutive
+        # differences, which span the same affine space as differences
+        # against the newest entry.
+        rng = np.random.default_rng(2)
+        cost = rng.uniform(size=(7, 4))
+        plan = sinkhorn(cost, uniform(7), uniform(4), 0.02 * cost.mean(), tol=1e-9)
+        assert ANDERSON_MEMORY < 23
+        assert plan.iterations == 35
+        expected = [
+            [1.2860245270438042e-07, 0.14284379946920595, 1.2090501239620602e-30,
+             1.3214785430913109e-05],
+            [1.5065504757272277e-20, 1.7640413662140575e-18, 0.1122298747816652,
+             0.030627268075519274],
+            [0.06594970507843932, 7.196534828613208e-11, 2.0622479456808427e-13,
+             0.07690743770655055],
+            [0.005479562526177686, 1.2828851291628647e-05, 0.13736475147969246,
+             4.695927005484186e-17],
+            [4.2681051742525725e-30, 4.234232819722361e-10, 0.0004050630013475027,
+             0.14245207943249924],
+            [0.035713771672992285, 0.10714337118411366, 7.012366382287506e-25,
+             3.458381289594768e-26],
+            [0.1428568321199379, 3.035619001508698e-20, 3.1073708925852644e-07,
+             3.059190140065542e-23],
+        ]
+        np.testing.assert_allclose(plan.plan, expected, rtol=0, atol=1e-12)
+
+    def test_nan_violation_is_not_convergence(self):
+        # Both solvers stop on `violation <= tol`; a NaN violation must run
+        # out of rounds, not pass as converged.
+        def nan_round(u):
+            return u, u, float("nan")
+
+        with pytest.raises(SinkhornConvergenceError) as exc:
+            _fixed_point(nan_round, np.zeros(3), max_iter=4, tol=1e-6)
+        assert exc.value.iterations == 4
+        assert np.isnan(exc.value.marginal_error)
 
 
 class TestSinkhornSymmetric:
@@ -197,13 +265,19 @@ class TestExactOt:
         cost = rng.uniform(size=(4, 6))
         a = rng.uniform(0.5, 1.0, 4); a /= a.sum()
         b = rng.uniform(0.5, 1.0, 6); b /= b.sum()
-        plan = exact_ot(cost, a, b)
-        np.testing.assert_allclose(plan.plan.sum(axis=1), a, atol=1e-8)
-        np.testing.assert_allclose(plan.plan.sum(axis=0), b, atol=1e-8)
-        # strong duality: dual value equals primal cost
-        assert plan.dual_left @ a + plan.dual_right @ b == pytest.approx(plan.cost, abs=1e-7)
-        slack = plan.dual_left[:, None] + plan.dual_right[None, :] - cost
-        assert slack.max() <= 1e-7
+        # uniform square instances solve the same LP and read the same duals
+        instances = [(cost, a, b)] + [
+            (rng.uniform(size=(n, n)), uniform(n), uniform(n)) for n in (9, 40)
+        ]
+        for cost, a, b in instances:
+            plan = exact_ot(cost, a, b)
+            np.testing.assert_allclose(plan.plan.sum(axis=1), a, atol=1e-8)
+            np.testing.assert_allclose(plan.plan.sum(axis=0), b, atol=1e-8)
+            # strong duality: dual value equals primal cost
+            dual = plan.dual_left @ a + plan.dual_right @ b
+            assert dual == pytest.approx(plan.cost, abs=1e-7)
+            slack = plan.dual_left[:, None] + plan.dual_right[None, :] - cost
+            assert slack.max() <= 1e-7
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
