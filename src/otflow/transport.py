@@ -1,8 +1,15 @@
 """Entropic-regularized optimal transport between discrete measures.
 
-Log-domain Sinkhorn for the regularized problem, an exact small-instance
-solver (one LP) used as oracle, debiased divergence values,
-and envelope-form gradients of the transport value w.r.t. point positions.
+Sinkhorn for the regularized problem, an exact small-instance solver (one
+LP) used as oracle, debiased divergence values, and envelope-form gradients
+of the transport value w.r.t. point positions.
+
+Both Sinkhorn solvers iterate the log-potentials but run each round in the
+scaling domain (Cuturi 2013): a matrix-vector product with the kernel
+absorbed at reference potentials, stabilized by rebuilding that kernel
+whenever the scalings drift out of range (Schmitzer 2019, "Stabilized
+Sparse Scaling Algorithms for Entropy Regularized Transport Problems",
+Alg. 2).
 """
 
 from dataclasses import dataclass, field
@@ -81,14 +88,26 @@ def _validate_cost(cost: np.ndarray):
 
 
 ANDERSON_MEMORY = 6
+# Scalings exp(u - reference) and absorbed sums must stay within
+# [1/SCALE_BOUND, SCALE_BOUND]. Within it, entries of the absorbed kernel
+# lost to underflow carry no visible mass; outside it the kernel is
+# rebuilt. Anderson candidates farther than LOG_BOUND from the plain round
+# are not tried.
+SCALE_BOUND = 1e50
+LOG_BOUND = np.log(SCALE_BOUND)
 
 
 class _LogFrame:
-    """Validated inputs of a log-domain solve.
+    """Validated inputs and absorbed kernel of one solve.
 
-    The solvers iterate reg-scaled potentials u = f/reg, v = g/reg over the
-    kernel K = -C/reg; ``plan`` turns converged (u, v) into the coupling
-    plan = exp(u + v + K) * (a x b) and its linear and dual values.
+    The solvers iterate reg-scaled potentials u = f/reg, v = g/reg. ``buf``
+    holds the kernel absorbed at reference potentials ``ref = [ru, rv]``,
+    K~ = exp(-C/reg + ru (+) rv). A half round (``softmin``) is one
+    matrix-vector product of K~ with weighted scalings exp(u - ru) or
+    exp(v - rv), plus O(n + m) exp and log work; ``_softmin`` rebuilds K~
+    around the current potentials when the scalings drift too far. ``plan``
+    scales K~ in place into the coupling exp(u (+) v - C/reg) * (a x b)
+    and computes its linear and dual values.
     """
 
     def __init__(self, cost, a, b, reg: float):
@@ -101,14 +120,11 @@ class _LogFrame:
         if not (np.isfinite(reg) and reg > 0):
             raise NumericError(f"reg must be positive and finite (got {reg!r})")
         if self.cost.shape != self.a.shape + self.b.shape:
-            raise NumericError("weight lengths do not match the cost matrix")
+            raise DimensionMismatchError("weight lengths do not match the cost matrix")
         self.reg = reg
-        with np.errstate(divide="ignore"):
-            self.log_a = np.log(self.a)
-            self.log_b = np.log(self.b)
-        self.kernel = -self.cost / reg
-        # One kernel-sized buffer keeps the rounds allocation-free.
-        self.buf = np.empty_like(self.kernel)
+        # The one kernel-sized array of a solve: K~, and at the end the plan.
+        self.buf = np.empty(self.cost.shape)
+        self.ref = [None, None]
 
     def start(self, f) -> np.ndarray:
         """Scaled left potential to start from: zero, or the warm start f/reg."""
@@ -121,28 +137,63 @@ class _LogFrame:
             raise NumericError("warm-start potential contains non-finite entries")
         return f / self.reg
 
+    def softmin(self, shift, axis: int, w) -> np.ndarray:
+        """-log sum_k w_k exp(-C/reg + shift) along ``axis``; ``shift`` runs along it.
+
+        A scaling step on K~. The first call of a solve, and any call whose
+        scaling exp(shift - reference) or absorbed sum leaves
+        [1/SCALE_BOUND, SCALE_BOUND] (or is not finite), rebuilds K~ around
+        ``shift`` instead.
+        """
+        ref = self.ref[axis]
+        if ref is not None:
+            d = shift - ref
+            if np.abs(d).max() <= LOG_BOUND:
+                wx = w * np.exp(d)
+                s = wx @ self.buf if axis == 0 else self.buf @ wx
+                if s.min() >= 1.0 / SCALE_BOUND and s.max() <= SCALE_BOUND:
+                    return self.ref[1 - axis] - np.log(s)
+        self.ref[axis] = shift
+        self.ref[1 - axis], out = _softmin(self.cost, self.reg, shift, axis, self.buf, w)
+        return out
+
     def plan(self, u, v, err: float, it: int) -> TransportPlan:
         reg = self.reg
         f = reg * u
         g = reg * v
-        plan = np.exp(
-            self.log_a[:, None] + self.log_b[None, :] + u[:, None] + v[None, :] + self.kernel
-        )
-        lin_cost = float(np.sum(plan * self.cost))
+        with np.errstate(divide="ignore"):  # a zero weight zeroes its line
+            left = np.exp(np.log(self.a) + u - self.ref[0])
+            right = np.exp(np.log(self.b) + v - self.ref[1])
+        plan = self.buf
+        plan *= left[:, None]
+        plan *= right
+        lin_cost = float(np.vdot(plan, self.cost))
         soft = float(f @ self.a + g @ self.b - reg * (plan.sum() - 1.0))
         return TransportPlan(plan, f, g, lin_cost, reg, soft, err, it)
 
 
-def _softmin(kernel, shift, axis: int, buf) -> np.ndarray:
-    """-log sum exp(kernel + shift) along ``axis``, stabilized by its maximum.
+def _softmin(cost, reg: float, shift, axis: int, buf, w):
+    """The rebuild: a log-domain half round that absorbs ``shift`` into ``buf``.
 
-    ``shift`` runs along ``axis``; ``buf`` (kernel-shaped) is overwritten.
+    Fills ``buf`` with K~ = exp(-C/reg + shift - mx), where mx is the
+    maximum of -C/reg + shift along ``axis`` over the atoms with positive
+    weight, so each line along ``axis`` peaks at exactly 1 on them. Returns
+    the other reference potential -mx and -log sum_k w_k exp(-C/reg + shift)
+    along ``axis``.
+
+    A zero-weight atom can lie far above that maximum, where its exact
+    entries could overflow. They are capped at 1: they enter no marginal,
+    so only that atom's own potential becomes approximate.
     """
-    np.add(kernel, shift[:, None] if axis == 0 else shift, out=buf)
-    mx = buf.max(axis=axis, keepdims=True)
-    np.subtract(buf, mx, out=buf)
+    np.divide(cost, -reg, out=buf)
+    np.add(buf, shift[:, None] if axis == 0 else shift, out=buf)
+    live = (w > 0)[:, None] if axis == 0 else w > 0
+    mx = buf.max(axis=axis, where=live, initial=-np.inf)
+    np.subtract(buf, mx if axis == 0 else mx[:, None], out=buf)
+    np.minimum(buf, 0.0, out=buf)
     np.exp(buf, out=buf)
-    return -(np.log(buf.sum(axis=axis)) + mx.squeeze(axis))
+    s = w @ buf if axis == 0 else buf @ w
+    return -mx, -mx - np.log(s)
 
 
 def _violation(a, u, t) -> float:
@@ -192,9 +243,11 @@ def _fixed_point(step, u, max_iter: int, tol: float, accel=None):
     ``step(u)`` returns (next u, the matching right potential, violation at
     u). Each call is one round. With ``accel`` an Anderson candidate is
     tried between plain rounds and kept only if its true violation is
-    lower. A NaN violation never counts as converged. Returns (u, right
-    potential, violation, rounds); raises SinkhornConvergenceError when
-    ``max_iter`` rounds do not reach ``tol``.
+    lower. A candidate farther than LOG_BOUND from the plain round, or
+    non-finite, is not tried: out there its violation is no longer a
+    faithful measure. A NaN violation never counts as converged. Returns
+    (u, right potential, violation, rounds); raises
+    SinkhornConvergenceError when ``max_iter`` rounds do not reach ``tol``.
     """
     nxt, right, err = step(u)
     it = 1
@@ -202,7 +255,7 @@ def _fixed_point(step, u, max_iter: int, tol: float, accel=None):
         if it >= max_iter:
             raise SinkhornConvergenceError(err, it)
         cand = None if accel is None else accel.push(u, nxt)
-        if cand is not None and np.all(np.isfinite(cand)):
+        if cand is not None and np.abs(cand - nxt).max() < LOG_BOUND:
             c_nxt, c_right, e_cand = step(cand)
             it += 1
             if e_cand < err:
@@ -223,7 +276,7 @@ def sinkhorn(
     tol: float = DEFAULT_TOL,
     init=None,
 ) -> TransportPlan:
-    """Log-domain Sinkhorn iterations for entropic OT.
+    """Stabilized Sinkhorn iterations for entropic OT.
 
     Alternates exact row/column scalings on the dual potentials (f, g) with
     plan(f, g) = exp((f + g - C)/reg) * (a x b). Column marginals are exact
@@ -231,12 +284,20 @@ def sinkhorn(
     row marginals drops below ``tol``. Anderson extrapolation over the dual
     fixed point (safeguarded by the true violation, so the stopping metric
     is never fooled) cuts through the slowly decaying tail that plain
-    alternation hits at small reg or on nearly symmetric instances. Stable
-    for reg down to ~1e-3 of the mean cost.
+    alternation hits at small reg or on nearly symmetric instances. A
+    candidate farther than LOG_BOUND from the plain round is not tried.
+
+    A round is two matrix-vector products with the kernel absorbed at
+    reference potentials, K~ = exp((ru (+) rv) - C/reg), on the scalings
+    exp(u - ru) and exp(v - rv). The first round absorbs the start into K~;
+    a round whose scaling or absorbed sum leaves [1e-50, 1e50] rebuilds it
+    in the log domain first. Stable for reg down to ~1e-3 of the mean cost.
 
     ``init`` warm-starts the solve with a pair (f, g), such as
     (plan.dual_left, plan.dual_right) of an earlier solve; only f is read.
-    It must have one finite entry per source atom. ``reg`` must be positive
+    It must have one finite entry per source atom, and is centred to mean
+    zero: (f + c, g - c) is the same solution for every c, and a large
+    offset would swamp the violation in rounding. ``reg`` must be positive
     and finite.
 
     Raises SinkhornConvergenceError (carrying the final violation) if the
@@ -246,11 +307,12 @@ def sinkhorn(
 
     def full_round(u):
         """One column scaling followed by one row scaling."""
-        v = _softmin(frame.kernel, u + frame.log_a, 0, frame.buf)
-        tu = _softmin(frame.kernel, v + frame.log_b, 1, frame.buf)
+        v = frame.softmin(u, 0, frame.a)
+        tu = frame.softmin(v, 1, frame.b)
         return tu, v, _violation(frame.a, u, tu)
 
     u = frame.start(None if init is None else init[0])
+    u -= u.mean()
     u, v, err, it = _fixed_point(full_round, u, max_iter, tol, _Anderson(u.shape[0]))
     return frame.plan(u, v, err, it)
 
@@ -268,12 +330,14 @@ def sinkhorn_symmetric(
     The optimal potentials satisfy f = g, so the averaged fixed-point update
     f <- (f + T(f))/2 applies; it converges in far fewer iterations than
     alternating scalings and is the workhorse behind debiased divergences.
-    ``init`` warm-starts f (one finite entry per atom).
+    A round is one matrix-vector product with the absorbed kernel, rebuilt
+    as in ``sinkhorn``. ``init`` warm-starts f (one finite entry per atom);
+    f = g fixes the offset, so it is not centred.
     """
     frame = _LogFrame(cost, a, a, reg)
 
     def averaged_round(u):
-        t = _softmin(frame.kernel, u + frame.log_a, 1, frame.buf)
+        t = frame.softmin(u, 1, frame.a)
         return 0.5 * (u + t), u, _violation(frame.a, u, t)
 
     u, _, err, it = _fixed_point(averaged_round, frame.start(init), max_iter, tol)

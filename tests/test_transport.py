@@ -9,6 +9,7 @@ from otflow.errors import (
     SinkhornConvergenceError,
     SizeLimitError,
 )
+import otflow.transport as transport
 from otflow.transport import (
     ANDERSON_MEMORY,
     DiscreteMeasure,
@@ -24,6 +25,24 @@ from otflow.transport import (
 
 def uniform(n):
     return np.full(n, 1.0 / n)
+
+
+def symmetric_cost(rng, n):
+    c = rng.uniform(size=(n, n))
+    return 0.5 * (c + c.T)
+
+
+def count_rebuilds(monkeypatch):
+    """Log each call of the kernel rebuild, ``transport._softmin``."""
+    calls = []
+    rebuild = transport._softmin
+
+    def counting(*args):
+        calls.append(1)
+        return rebuild(*args)
+
+    monkeypatch.setattr(transport, "_softmin", counting)
+    return calls
 
 
 def brute_force_assignment(cost):
@@ -82,12 +101,64 @@ class TestSinkhorn:
         plan = sinkhorn(cost, uniform(5), uniform(7), reg=0.1 * cost.mean())
         assert plan.cost == pytest.approx(float(np.sum(plan.plan * cost)), abs=1e-12)
 
-    def test_small_reg_matches_exact(self):
+    def test_small_reg_matches_exact(self, monkeypatch):
         rng = np.random.default_rng(2)
         cost = rng.uniform(size=(6, 6))
         u = uniform(6)
         exact = exact_ot(cost, u, u)
+        calls = count_rebuilds(monkeypatch)
         plan = sinkhorn(cost, u, u, reg=1e-3 * cost.mean(), max_iter=50_000, tol=1e-4)
+        assert abs(plan.cost - exact.cost) / exact.cost < 0.01
+        # The potentials move far beyond the scaling bound, so the absorbed
+        # kernel is rebuilt mid-solve (the first round builds it, twice at
+        # most).
+        assert len(calls) > 2
+
+    @pytest.mark.parametrize("solver", ["sinkhorn", "sinkhorn_symmetric"])
+    def test_reported_violation_is_the_true_one(self, solver):
+        # The plan comes from the absorbed kernel and the violation from the
+        # log-potentials; both must describe the same coupling, also at a
+        # reg that forces rebuilds.
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            n = int(rng.integers(3, 12))
+            a = rng.uniform(0.2, 1.0, n); a /= a.sum()
+            if solver == "sinkhorn":
+                m = int(rng.integers(3, 12))
+                cost = rng.uniform(size=(n, m))
+                b = rng.uniform(0.2, 1.0, m); b /= b.sum()
+                plan = sinkhorn(cost, a, b, 1e-3 * cost.mean(), max_iter=100_000, tol=1e-5)
+            else:
+                cost, b = symmetric_cost(rng, n), a
+                plan = sinkhorn_symmetric(cost, a, 1e-3 * cost.mean(), max_iter=100_000, tol=1e-5)
+            row_l1 = np.abs(plan.plan.sum(axis=1) - a).sum()
+            assert plan.marginal_error == pytest.approx(row_l1, rel=0, abs=1e-12)
+            expected = np.outer(a, b) * np.exp(
+                (plan.dual_left[:, None] + plan.dual_right[None, :] - cost) / plan.reg
+            )
+            # Below 1e-200 an entry may come from an underflowed kernel
+            # entry times scalings of at most 1e50 each.
+            np.testing.assert_allclose(plan.plan, expected, rtol=1e-12, atol=1e-200)
+
+    @pytest.mark.parametrize("solver", ["sinkhorn", "sinkhorn_symmetric"])
+    def test_zero_weight_atom_far_above_the_rest(self, solver):
+        # Atom 0 carries no mass and is far closer to everything than the
+        # other atoms are, so at small reg it alone lies above the absorbed
+        # kernel's maximum. It must leave the solve finite and the plan on
+        # the other atoms exact.
+        rng = np.random.default_rng(24)
+        cost = symmetric_cost(rng, 7) * 0.6 + 0.4
+        cost[0, :] = cost[:, 0] = 0.01
+        a = np.append(0.0, uniform(6))
+        reg = 1e-3 * cost.mean()
+        if solver == "sinkhorn":
+            plan = sinkhorn(cost, a, a, reg, max_iter=100_000, tol=1e-4)
+        else:
+            plan = sinkhorn_symmetric(cost, a, reg, max_iter=100_000, tol=1e-4)
+        assert np.all(np.isfinite(plan.dual_left)) and np.all(np.isfinite(plan.dual_right))
+        assert not plan.plan[0].any() and not plan.plan[:, 0].any()
+        assert np.abs(plan.plan.sum(axis=1) - a).sum() <= 1e-4
+        exact = exact_ot(cost[1:, 1:], a[1:], a[1:])
         assert abs(plan.cost - exact.cost) / exact.cost < 0.01
 
     def test_self_cost_vanishes_as_reg_shrinks(self):
@@ -142,6 +213,15 @@ class TestSinkhorn:
             sinkhorn(np.array([[1.0]]), uniform(1), uniform(1), reg=0.0)
         cost = np.random.default_rng(14).uniform(size=(5, 5))
         u = uniform(5)
+        # weight lengths that do not match the cost are a shape error
+        with pytest.raises(DimensionMismatchError, match="weight lengths"):
+            sinkhorn(cost, uniform(4), u, 0.1)
+        with pytest.raises(DimensionMismatchError, match="weight lengths"):
+            sinkhorn(cost, u, uniform(6), 0.1)
+        with pytest.raises(DimensionMismatchError, match="weight lengths"):
+            sinkhorn_symmetric(cost, uniform(4), 0.1)
+        with pytest.raises(DimensionMismatchError, match="weight lengths"):
+            sinkhorn_symmetric(cost[:, :4], u, 0.1)
         solvers = (
             lambda reg, init=None: sinkhorn(cost, u, u, reg, init=init),
             lambda reg, init=None: sinkhorn_symmetric(cost, u, reg, init=init),
@@ -171,6 +251,31 @@ class TestSinkhorn:
         warm = sinkhorn(cost, u, u, reg, tol=1e-9, init=(cold.dual_left, cold.dual_right))
         assert warm.iterations <= cold.iterations
         assert warm.cost == pytest.approx(cold.cost, abs=1e-9)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e12, 1e16])
+    def test_warm_start_far_along_gauge(self, offset):
+        # (f + c, g - c) is the same solution for every c. A warm start
+        # shifted along that direction must solve exactly like the unshifted
+        # one; an uncentred start loses u - T(u) to rounding and reports a
+        # violation of 0 for a plan that misses its marginals. reg is a power
+        # of two and the start even multiples of it, so every shifted start
+        # is exact.
+        rng = np.random.default_rng(30)
+        n, m = 9, 12
+        cost = rng.uniform(size=(n, m))
+        a = rng.uniform(0.2, 1.0, n); a /= a.sum()
+        b = rng.uniform(0.2, 1.0, m); b /= b.sum()
+        reg, tol = 2.0**-5, 1e-9
+        nearby = sinkhorn(cost + 0.1 * rng.uniform(size=(n, m)), a, b, reg)
+        u0 = 2.0 * np.round(nearby.dual_left / (2.0 * reg))
+
+        def solve(c):
+            return sinkhorn(cost, a, b, reg, tol=tol, init=(reg * (u0 + c), nearby.dual_right))
+
+        base, plan = solve(0.0), solve(offset)
+        assert plan.iterations == base.iterations
+        np.testing.assert_allclose(plan.plan, base.plan, rtol=0, atol=1e-12)
+        assert np.abs(plan.plan.sum(axis=1) - a).sum() <= tol
 
     def test_anderson_ring_wraps_with_unchanged_iterates(self):
         # A cold solve that takes 23 extrapolation steps, so the
@@ -224,6 +329,19 @@ class TestSinkhornSymmetric:
         gen = sinkhorn(cost, u, u, reg, tol=1e-10)
         assert sym.soft_cost == pytest.approx(gen.soft_cost, abs=1e-7)
         np.testing.assert_allclose(sym.plan, sym.plan.T, atol=1e-12)
+
+    def test_small_reg_matches_exact(self, monkeypatch):
+        # The stability claim of both solvers: a cold solve at 1e-3 of the
+        # mean cost, which rebuilds the absorbed kernel mid-solve.
+        rng = np.random.default_rng(23)
+        cost = symmetric_cost(rng, 6)
+        u = uniform(6)
+        exact = exact_ot(cost, u, u)
+        calls = count_rebuilds(monkeypatch)
+        plan = sinkhorn_symmetric(cost, u, reg=1e-3 * cost.mean(), max_iter=50_000, tol=1e-4)
+        assert len(calls) > 1
+        assert abs(plan.cost - exact.cost) / exact.cost < 0.01
+        assert np.abs(plan.plan.sum(axis=1) - u).sum() <= 1e-4
 
     def test_self_divergence_zero(self):
         rng = np.random.default_rng(8)
