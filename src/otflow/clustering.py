@@ -29,10 +29,9 @@ class ClusterAssignment:
 
 
 def bures_distance_matrix(dists) -> np.ndarray:
-    """Pairwise sqrt-Bures distances between label distributions."""
-    sq = pairwise_bures_sq(dists, dists)
-    np.fill_diagonal(sq, 0.0)
-    return np.sqrt(sq)
+    """Pairwise sqrt-Bures distances between label distributions: a
+    symmetric matrix with a zero diagonal, from the pairs i < j."""
+    return np.sqrt(pairwise_bures_sq(dists, dists))
 
 
 def dbscan_bures(dists, eps: float = DEFAULT_EPS, min_pts: int = DEFAULT_MIN_PTS) -> ClusterAssignment:

@@ -228,8 +228,8 @@ class TargetDistanceTerm(Divergence):
         super().__init__(target, reg, debias, max_iter, tol)
 
     def value_and_grads(self, state: DatasetState, mode: str):
-        value_sq, plan_ab, plan_aa = self.solve(state)
-        grads = _assemble_grads(state, self.target, plan_ab, plan_aa, mode)
+        value_sq, plan_ab, plan_aa, bures = self.solve(state, mode)
+        grads = _assemble_grads(state, self.target, plan_ab, plan_aa, bures)
         if self.squared:
             return value_sq, grads
         value = float(np.sqrt(max(value_sq, 0.0)))

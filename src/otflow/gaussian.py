@@ -182,7 +182,7 @@ def bures_w2_sq_grad(a: LabelDistribution, b: LabelDistribution, verify: bool = 
     With ``verify`` the result is cross-checked against central differences
     and a NumericError is raised on disagreement beyond 1e-3 relative.
     """
-    grad_means, grad_covs = pairwise_bures_grads([a], [b])
+    _, grad_means, grad_covs = pairwise_bures_grads([a], [b])
     grad_mean, grad_cov = grad_means[0, 0], grad_covs[0, 0]
     if verify:
         fd_mean, fd_cov = bures_w2_sq_grad_fd(a, b)
@@ -211,11 +211,41 @@ def _moment_pair(dists_a, dists_b):
     return a, b
 
 
+def _pair_rows(a: Moments, b: Moments, same: bool):
+    """Row indices (i, j) of the pairs a kernel solves: the open mesh of
+    the whole p x q block, which broadcasts to (p, q), or only i < j of a
+    self-block (``same``), flat, whose lower triangle mirrors the upper and
+    whose diagonal is zero."""
+    if same:
+        return np.triu_indices(len(a), 1)
+    return np.ix_(np.arange(len(a)), np.arange(len(b)))
+
+
 def _sandwich(sa: np.ndarray, covs_b: np.ndarray) -> np.ndarray:
-    """Symmetrized S_a^1/2 S_b S_a^1/2 for every pair: (p, q, d, d) from
-    square roots sa (p, d, d) and covariances covs_b (q, d, d)."""
-    inner = sa[:, None] @ covs_b[None] @ sa[:, None]
+    """Symmetrized S_a^1/2 S_b S_a^1/2 for every pair, from stacks of
+    square roots sa and covariances covs_b that broadcast together."""
+    inner = sa @ covs_b @ sa
     return 0.5 * (inner + inner.swapaxes(-1, -2))
+
+
+def _bures_values(a: Moments, b: Moments, i, j, same: bool, root_sums) -> np.ndarray:
+    """The (p, q) squared distances from tr((S_a^1/2 S_b S_a^1/2)^1/2) of
+    the solved pairs (i, j), mirrored onto (j, i) for a self-block."""
+    values = np.zeros((len(a), len(b)))
+    mean_term = np.sum((a.means[i] - b.means[j]) ** 2, axis=-1)
+    tr_a = np.trace(a.covs, axis1=1, axis2=2)
+    tr_b = np.trace(b.covs, axis1=1, axis2=2)
+    values[i, j] = np.maximum(mean_term + tr_a[i] + tr_b[j] - 2.0 * root_sums, 0.0)
+    if same:
+        values[j, i] = values[i, j]
+    return values
+
+
+def _map_grad(outer: np.ndarray, vm: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """I - sym(outer V diag(w) V^T outer) for each pair, with outer
+    symmetric: (outer V) diag(w) (outer V)^T."""
+    t = _from_eig(outer @ vm, w)
+    return np.eye(t.shape[-1]) - 0.5 * (t + t.swapaxes(-1, -2))
 
 
 def pairwise_bures_sq(dists_a, dists_b) -> np.ndarray:
@@ -223,35 +253,47 @@ def pairwise_bures_sq(dists_a, dists_b) -> np.ndarray:
 
     ``dists_a`` and ``dists_b`` are Moments or sequences of
     LabelDistribution; returns a (len(a), len(b)) matrix. Batched over
-    eigendecompositions, which keeps per-step flow costs flat even for
-    per-particle label distributions.
+    eigenvalue solves, which keeps per-step flow costs flat even for
+    per-particle label distributions. When ``dists_b is dists_a`` only the
+    pairs i < j are solved: the matrix is exactly symmetric with an exactly
+    zero diagonal.
     """
     a, b = _moment_pair(dists_a, dists_b)
-    mean_term = np.sum((a.means[:, None, :] - b.means[None, :, :]) ** 2, axis=-1)
-    tr_a = np.trace(a.covs, axis1=1, axis2=2)
-    tr_b = np.trace(b.covs, axis1=1, axis2=2)
-    w = np.linalg.eigvalsh(_sandwich(spd_sqrt(a.covs), b.covs))
-    cross = 2.0 * np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1)
-    out = mean_term + tr_a[:, None] + tr_b[None, :] - cross
-    return np.maximum(out, 0.0)
+    same = dists_b is dists_a
+    i, j = _pair_rows(a, b, same)
+    w = np.linalg.eigvalsh(_sandwich(spd_sqrt(a.covs)[i], b.covs[j]))
+    return _bures_values(a, b, i, j, same, np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1))
 
 
 def pairwise_bures_grads(dists_a, dists_b):
-    """All-pairs analytic Bures gradients w.r.t. the first argument.
+    """All-pairs squared Bures-Wasserstein distances and their analytic
+    gradients w.r.t. the first argument, from one eigendecomposition of
+    M = S_a^1/2 S_b S_a^1/2 = V diag(w) V^T per pair.
 
-    Returns (grad_means, grad_covs) of shapes (p, q, d) and (p, q, d, d):
+    Returns (values, grad_means, grad_covs) of shapes (p, q), (p, q, d)
+    and (p, q, d, d):
 
+        value     = ||mu_a - mu_b||^2 + tr(S_a) + tr(S_b) - 2 sum(sqrt(w))
         grad_mean = 2 (mu_a - mu_b)
-        grad_cov  = I - T,   T = S_a^-1/2 (S_a^1/2 S_b S_a^1/2)^1/2 S_a^-1/2
+        grad_cov  = I - T,   T = S_a^-1/2 M^1/2 S_a^-1/2
 
     T is the symmetric factor of the optimal Gaussian transport map, so
-    grad_cov vanishes iff the covariances coincide. Takes the inputs of
+    grad_cov vanishes iff the covariances coincide. The values are those of
+    ``pairwise_bures_sq`` up to rounding. Takes the inputs of
     ``pairwise_bures_sq``; every first-argument covariance must be
     positive definite, lambda_min > 1e-14 * max(lambda_max, 1) (floor the
     covariances with ``project_psd`` first), or NumericError is raised.
+
+    When ``dists_b is dists_a`` only the pairs i < j are decomposed. The
+    values are mirrored, the diagonal of values and gradients is exactly
+    zero, and the map of (j, i) is the inverse T_ji = S_i^1/2 M^-1/2 S_i^1/2
+    of the map of (i, j); a pair whose M is not numerically positive
+    definite raises NumericError.
     """
     a, b = _moment_pair(dists_a, dists_b)
     d = a.means.shape[1]
+    same = dists_b is dists_a
+    i, j = _pair_rows(a, b, same)
     grad_means = 2.0 * (a.means[:, None, :] - b.means[None, :, :])
 
     wa, va = np.linalg.eigh(a.covs)
@@ -260,8 +302,17 @@ def pairwise_bures_grads(dists_a, dists_b):
             "covariance numerically singular; apply project_psd with a positive floor first"
         )
     sq = np.sqrt(wa)
-    isa = _from_eig(va, 1.0 / sq)[:, None]
-    wm, vm = np.linalg.eigh(_sandwich(_from_eig(va, sq), b.covs))
-    t = isa @ _from_eig(vm, np.sqrt(np.maximum(wm, 0.0))) @ isa
-    grad_covs = np.eye(d) - 0.5 * (t + t.swapaxes(-1, -2))
-    return grad_means, grad_covs
+    sa = _from_eig(va, sq)[i]
+    wm, vm = np.linalg.eigh(_sandwich(sa, b.covs[j]))
+    root = np.sqrt(np.maximum(wm, 0.0))
+    values = _bures_values(a, b, i, j, same, np.sum(root, axis=-1))
+
+    grad_covs = np.zeros((len(a), len(b), d, d))
+    grad_covs[i, j] = _map_grad(_from_eig(va, 1.0 / sq)[i], vm, root)
+    if same:
+        if np.any(wm[:, 0] <= 0.0):
+            raise NumericError(
+                "covariance pair too ill-conditioned to invert its transport map"
+            )
+        grad_covs[j, i] = _map_grad(sa, vm, 1.0 / root)
+    return values, grad_means, grad_covs

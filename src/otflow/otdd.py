@@ -214,31 +214,49 @@ def label_stats(state: DatasetState) -> Moments:
     return Moments(means, project_psd(covs, psd_floor_value(covs)))
 
 
-def ground_cost_matrix(src: DatasetState, dst: DatasetState) -> np.ndarray:
+def ground_cost_matrix(src: DatasetState, dst: DatasetState, label_block=None) -> np.ndarray:
     """Hybrid ground cost: squared feature distance plus squared Bures term.
 
     Label-pair distances are computed once per distinct distribution pair
-    and broadcast to the full particle grid.
+    and broadcast to the full particle grid. ``label_block`` is that (p, q)
+    matrix of squared Bures distances between the moment rows when the
+    caller has it already; by default it is ``pairwise_bures_sq`` of them.
     """
     if src.dim != dst.dim:
         raise DimensionMismatchError(
             f"feature dimension mismatch: {src.dim} vs {dst.dim}"
         )
     cost = squared_euclidean_cost(src.features, dst.features)
-    label_block = pairwise_bures_sq(src.label_dists, dst.label_dists)
+    if label_block is None:
+        label_block = pairwise_bures_sq(src.label_dists, dst.label_dists)
     cost += label_block[src.block][:, dst.block]
     return cost
+
+
+def _cost_and_bures(src: DatasetState, dst: DatasetState, grads: bool):
+    """The ground cost from ``src`` to ``dst`` and, with ``grads``, the
+    Bures block (values, grad_means, grad_covs) between their moment rows
+    that its label term was built from; None without."""
+    if not grads:
+        return ground_cost_matrix(src, dst), None
+    bures = pairwise_bures_grads(src.label_dists, dst.label_dists)
+    return ground_cost_matrix(src, dst, bures[0]), bures
 
 
 @dataclass(eq=False)
 class Divergence:
     """Squared entropic OT dataset distance from a source state to ``target``.
 
-    ``solve(src)`` returns (value_sq, plan_ab, plan_aa). With ``debias`` the
-    value is the Sinkhorn divergence OT(src, target) - (OT(src, src) +
-    OT(target, target)) / 2 of the dual values, zero at src == target;
-    without it, OT(src, target) alone and plan_aa None. ``couplings(src)``
-    returns (plan_ab, plan_aa) only, without solving the target self-term.
+    ``solve(src)`` returns (value_sq, plan_ab, plan_aa, bures). With
+    ``debias`` the value is the Sinkhorn divergence OT(src, target) -
+    (OT(src, src) + OT(target, target)) / 2 of the dual values, zero at
+    src == target; without it, OT(src, target) alone and plan_aa None.
+    ``couplings(src)`` returns (plan_ab, plan_aa, bures) only, without
+    solving the target self-term. Given a mode that moves moments (jd-fl,
+    jd-vl), both build the source-target and source self label blocks with
+    ``pairwise_bures_grads`` and return them as ``bures`` = (ab, aa), aa
+    None without debias, for ``_assemble_grads``; otherwise ``bures`` is
+    None and the label costs are values only.
     Solves share state, which ``reset()`` drops: a None ``reg`` is frozen
     from the first solve's ground cost, duals warm-start the next solve at
     the same particle count, and the target self-value is solved once, by
@@ -260,8 +278,9 @@ class Divergence:
         self._warm_ab = None
         self._warm_aa = None
 
-    def couplings(self, src: DatasetState):
-        cost_ab = ground_cost_matrix(src, self.target)
+    def couplings(self, src: DatasetState, mode: str = MODE_FD):
+        grads = mode != MODE_FD
+        cost_ab, bures_ab = _cost_and_bures(src, self.target, grads)
         if self._reg is None:
             self._reg = default_reg(cost_ab)
         if self._warm_ab is not None and self._warm_ab[0].shape[0] != src.n:
@@ -270,23 +289,23 @@ class Divergence:
         plan_ab = sinkhorn(cost_ab, src.weights, self.target.weights, *solver, init=self._warm_ab)
         self._warm_ab = (plan_ab.dual_left, plan_ab.dual_right)
         if not self.debias:
-            return plan_ab, None
-        cost_aa = ground_cost_matrix(src, src)
+            return plan_ab, None, (bures_ab, None) if grads else None
+        cost_aa, bures_aa = _cost_and_bures(src, src, grads)
         plan_aa = sinkhorn_symmetric(cost_aa, src.weights, *solver, init=self._warm_aa)
         self._warm_aa = plan_aa.dual_left
-        return plan_ab, plan_aa
+        return plan_ab, plan_aa, (bures_ab, bures_aa) if grads else None
 
-    def solve(self, src: DatasetState):
-        plan_ab, plan_aa = self.couplings(src)
+    def solve(self, src: DatasetState, mode: str = MODE_FD):
+        plan_ab, plan_aa, bures = self.couplings(src, mode)
         if plan_aa is None:
-            return plan_ab.soft_cost, plan_ab, None
+            return plan_ab.soft_cost, plan_ab, None, bures
         if self._bb_soft is None:
             cost_bb = ground_cost_matrix(self.target, self.target)
             self._bb_soft = sinkhorn_symmetric(
                 cost_bb, self.target.weights, self._reg, self.max_iter, self.tol
             ).soft_cost
         value_sq = plan_ab.soft_cost - 0.5 * (plan_aa.soft_cost + self._bb_soft)
-        return value_sq, plan_ab, plan_aa
+        return value_sq, plan_ab, plan_aa, bures
 
 
 def otdd(
@@ -303,15 +322,14 @@ def otdd(
     entropic dual value with ``debias=False``. Negative values clip to 0.
     Returns (value, plan) with plan the src -> dst coupling.
     """
-    value_sq, plan, _ = Divergence(dst, reg, debias, max_iter, tol).solve(src)
+    value_sq, plan = Divergence(dst, reg, debias, max_iter, tol).solve(src)[:2]
     return float(np.sqrt(max(value_sq, 0.0))), plan
 
 
 def _row_masses(plan: np.ndarray, row_idx: np.ndarray, col_idx: np.ndarray, p: int, q: int):
     """Aggregate coupling mass onto moment-row pairs: (p, q) matrix."""
-    out = np.zeros((p, q))
-    np.add.at(out, (row_idx[:, None], col_idx[None, :]), plan)
-    return out
+    pair = (row_idx[:, None] * q + col_idx[None, :]).ravel()
+    return np.bincount(pair, weights=plan.ravel(), minlength=p * q).reshape(p, q)
 
 
 def _feature_grad(plan_ab, src, dst, plan_aa=None):
@@ -324,30 +342,31 @@ def _feature_grad(plan_ab, src, dst, plan_aa=None):
     return g
 
 
-def _assemble_grads(src, dst, plan_ab, plan_aa, mode) -> FlowGradients:
+def _assemble_grads(src, dst, plan_ab, plan_aa, bures) -> FlowGradients:
     """Chain the coupling through feature and Bures gradients.
 
     ``plan_aa`` is the source self-coupling of the debiased divergence, or
-    None for the raw entropic value. All outputs use the per-unit-mass
-    convention of FlowGradients: each moment row is divided by the mass of
-    the particles that share it.
+    None for the raw entropic value. ``bures`` is the (ab, aa) pair of
+    label blocks that ``Divergence.couplings`` built the costs from, or
+    None in fd, where only features get gradients. All outputs use the
+    per-unit-mass convention of FlowGradients: each moment row is divided
+    by the mass of the particles that share it.
     """
     d_feat = _feature_grad(plan_ab, src, dst, plan_aa) / src.weights[:, None]
-    if mode == MODE_FD:
+    if bures is None:
         return FlowGradients(d_feat)
 
-    rows_a, rows_b = src.label_dists, dst.label_dists
-    p, q = len(rows_a), len(rows_b)
+    (_, g_mean_ab, g_cov_ab), bures_aa = bures
+    p, q = len(src.label_dists), len(dst.label_dists)
 
     mass_ab = _row_masses(plan_ab.plan, src.block, dst.block, p, q)
-    g_mean_ab, g_cov_ab = pairwise_bures_grads(rows_a, rows_b)
     d_mean = np.einsum("pq,pqd->pd", mass_ab, g_mean_ab)
     d_cov = np.einsum("pq,pqde->pde", mass_ab, g_cov_ab)
 
     if plan_aa is not None:
+        _, g_mean_aa, g_cov_aa = bures_aa
         mass_aa = _row_masses(plan_aa.plan, src.block, src.block, p, p)
         mass_aa = 0.5 * (mass_aa + mass_aa.T)
-        g_mean_aa, g_cov_aa = pairwise_bures_grads(rows_a, rows_a)
         d_mean -= np.einsum("pq,pqd->pd", mass_aa, g_mean_aa)
         d_cov -= np.einsum("pq,pqde->pde", mass_aa, g_cov_aa)
 
@@ -376,5 +395,5 @@ def otdd_grads(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     require_layout(src, mode)
-    plan_ab, plan_aa = Divergence(dst, reg, debias, max_iter, tol).couplings(src)
-    return _assemble_grads(src, dst, plan_ab, plan_aa, mode)
+    plan_ab, plan_aa, bures = Divergence(dst, reg, debias, max_iter, tol).couplings(src, mode)
+    return _assemble_grads(src, dst, plan_ab, plan_aa, bures)

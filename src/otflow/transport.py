@@ -122,6 +122,7 @@ class _LogFrame:
         if self.cost.shape != self.a.shape + self.b.shape:
             raise DimensionMismatchError("weight lengths do not match the cost matrix")
         self.reg = reg
+        self.live = self.a > 0
         # The one kernel-sized array of a solve: K~, and at the end the plan.
         self.buf = np.empty(self.cost.shape)
         self.ref = [None, None]
@@ -196,16 +197,16 @@ def _softmin(cost, reg: float, shift, axis: int, buf, w):
     return -mx, -mx - np.log(s)
 
 
-def _violation(a, u, t) -> float:
+def _violation(a, live, u, t) -> float:
     """L1 marginal violation sum_i a_i |exp(u_i - t_i) - 1|.
 
     With t the scaling that u maps to, the row sums of the plan are
     a_i * exp(u_i - t_i). Zero-weight atoms are excluded (their rows are
-    exactly zero).
+    exactly zero): ``live`` is the mask a > 0, computed once per solve.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         terms = a * np.abs(np.expm1(u - t))
-    return float(np.sum(terms[a > 0]))
+    return float(terms[live].sum())
 
 
 class _Anderson:
@@ -309,7 +310,7 @@ def sinkhorn(
         """One column scaling followed by one row scaling."""
         v = frame.softmin(u, 0, frame.a)
         tu = frame.softmin(v, 1, frame.b)
-        return tu, v, _violation(frame.a, u, tu)
+        return tu, v, _violation(frame.a, frame.live, u, tu)
 
     u = frame.start(None if init is None else init[0])
     u -= u.mean()
@@ -338,7 +339,7 @@ def sinkhorn_symmetric(
 
     def averaged_round(u):
         t = frame.softmin(u, 1, frame.a)
-        return 0.5 * (u + t), u, _violation(frame.a, u, t)
+        return 0.5 * (u + t), u, _violation(frame.a, frame.live, u, t)
 
     u, _, err, it = _fixed_point(averaged_round, frame.start(init), max_iter, tol)
     return frame.plan(u, u, err, it)

@@ -57,6 +57,30 @@ def test_kernels_same_on_moments_and_lists():
         np.testing.assert_array_equal(from_list, from_rows)
 
 
+def test_traced_flow_records_bures_grad_pairs():
+    trace, workloads = bench_module("bench_trace"), bench_module("bench_workloads")
+    steps = 3
+    run = workloads.flow_inputs(BENCH_DIR.parent, "class_adaptation", workloads.DEFAULT_SEED, steps)
+    tracer = trace.Tracer()
+    with tracer.op(0) as root_span:
+        root_span(lambda: run_flow(run.source, run.flow))
+    grads = trace.summarize(tracer.spans)[0]["gaussian.pairwise_bures_grads"]
+    p, q = run.source.n, len(run.target.label_dists)
+    assert grads["calls"] == 2 * steps
+    assert grads["pairs"] == steps * (p * q + p * p)
+
+    def in_step(span):
+        while span[1] >= 0:
+            span = tracer.spans[span[1]]
+            if span[3] == "dynamics.flow_step":
+                return True
+        return False
+
+    # Steps pay no value-only Bures call; records and relabeling do.
+    value_calls = [s for s in tracer.spans if s[3] == "gaussian.pairwise_bures_sq"]
+    assert value_calls and not any(in_step(s) for s in value_calls)
+
+
 def _solve_inputs():
     src = generate(GeneratorSpec(n=30, k=3, seed=0, radius=2.0, sigma=0.4))
     tgt = generate(GeneratorSpec(n=40, k=3, seed=1, radius=5.0))

@@ -25,7 +25,7 @@ def _pairwise_sq(a, b):
 
 
 def _pairwise_grads(a, b):
-    gm, gc = pairwise_bures_grads([a, a], [b, b, b])
+    _, gm, gc = pairwise_bures_grads([a, a], [b, b, b])
     return gm[1, 2], gc[1, 2]
 
 
@@ -251,12 +251,57 @@ class TestPairwise:
         rng = np.random.default_rng(43)
         da = [rand_gaussian(rng, 2) for _ in range(3)]
         db = [rand_gaussian(rng, 2) for _ in range(2)]
-        gms, gcs = pairwise_bures_grads(da, db)
+        values, gms, gcs = pairwise_bures_grads(da, db)
         for i in range(3):
             for j in range(2):
+                assert values[i, j] == pytest.approx(bures_w2_sq(da[i], db[j]), abs=1e-9)
                 gm, gc = bures_w2_sq_grad(da[i], db[j])
                 np.testing.assert_allclose(gms[i, j], gm, atol=1e-9)
                 np.testing.assert_allclose(gcs[i, j], gc, atol=1e-8)
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_self_block_matches_scalar_path_both_ways(self, d):
+        # b is a: only i < j is decomposed; (j, i) is mirrored or inverted.
+        rng = np.random.default_rng(47 + d)
+        m = _random_moments(rng, 5, d)
+        values, gms, gcs = pairwise_bures_grads(m, m)
+        sq = pairwise_bures_sq(m, m)
+        for block in (values, sq):
+            np.testing.assert_array_equal(block, block.T)
+            assert not np.diag(block).any()
+        diag = np.arange(5)
+        assert not gms[diag, diag].any() and not gcs[diag, diag].any()
+        for i in range(5):
+            for j in range(5):
+                if i == j:
+                    continue
+                v, gm, gc = pairwise_bures_grads([m[i]], [m[j]])
+                for got in (values[i, j], sq[i, j]):
+                    np.testing.assert_allclose(got, v[0, 0], rtol=1e-10, atol=1e-10)
+                np.testing.assert_allclose(gms[i, j], gm[0, 0], rtol=1e-10, atol=1e-10)
+                np.testing.assert_allclose(gcs[i, j], gc[0, 0], rtol=1e-10, atol=1e-10)
+                t_ij, t_ji = np.eye(d) - gcs[i, j], np.eye(d) - gcs[j, i]
+                np.testing.assert_allclose(t_ij @ t_ji, np.eye(d), atol=1e-10)
+
+    def test_self_block_returns_finite_or_raises(self):
+        # Nearly rank-one, nearly aligned covariances pass the singularity
+        # check, yet S_i^1/2 S_j S_i^1/2 can round to a non-positive
+        # eigenvalue, which the inverted map of (j, i) cannot take.
+        rng = np.random.default_rng(53)
+
+        def thin(angle, small):
+            r = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+            c = r @ np.diag([1.0, small]) @ r.T
+            return 0.5 * (c + c.T)
+
+        for _ in range(50):
+            angle = rng.uniform(0.0, np.pi)
+            m = Moments(np.zeros((2, 2)), [thin(angle, 2e-14), thin(angle + 1e-9, 3e-14)])
+            try:
+                blocks = pairwise_bures_grads(m, m)
+            except NumericError:
+                continue
+            assert all(np.isfinite(b).all() for b in blocks)
 
 
 def _random_moments(rng, k, d):
@@ -274,25 +319,26 @@ class TestBuresOracles:
         # tr((S_a^1/2 S_b S_a^1/2)^1/2) is the nuclear norm of S_a^1/2 S_b^1/2.
         rng = np.random.default_rng(100 + d)
         a, b = _random_moments(rng, 4, d), _random_moments(rng, 3, d)
-        block = pairwise_bures_sq(a, b)
-        assert block.shape == (4, 3)
-        for i in range(4):
-            for j in range(3):
-                ra = np.real(scipy.linalg.sqrtm(a.covs[i]))
-                rb = np.real(scipy.linalg.sqrtm(b.covs[j]))
-                nuclear = np.linalg.svd(ra @ rb, compute_uv=False).sum()
-                want = (
-                    np.sum((a.means[i] - b.means[j]) ** 2)
-                    + np.trace(a.covs[i]) + np.trace(b.covs[j]) - 2.0 * nuclear
-                )
-                assert block[i, j] == pytest.approx(want, rel=1e-10)
+        for block in (pairwise_bures_sq(a, b), pairwise_bures_grads(a, b)[0]):
+            assert block.shape == (4, 3)
+            for i in range(4):
+                for j in range(3):
+                    ra = np.real(scipy.linalg.sqrtm(a.covs[i]))
+                    rb = np.real(scipy.linalg.sqrtm(b.covs[j]))
+                    nuclear = np.linalg.svd(ra @ rb, compute_uv=False).sum()
+                    want = (
+                        np.sum((a.means[i] - b.means[j]) ** 2)
+                        + np.trace(a.covs[i]) + np.trace(b.covs[j]) - 2.0 * nuclear
+                    )
+                    assert block[i, j] == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_gradient_is_transport_map(self, d):
         # I - grad_cov is the Gaussian OT map: symmetric PD with T S_a T = S_b.
         rng = np.random.default_rng(200 + d)
         a, b = _random_moments(rng, 3, d), _random_moments(rng, 4, d)
-        gms, gcs = pairwise_bures_grads(a, b)
+        values, gms, gcs = pairwise_bures_grads(a, b)
+        assert values.shape == (3, 4)
         assert gms.shape == (3, 4, d) and gcs.shape == (3, 4, d, d)
         for i in range(3):
             for j in range(4):

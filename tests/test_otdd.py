@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import rand_state, rel_err
+from otflow.dynamics import FlowConfig, flow_step
 from otflow.errors import DimensionMismatchError
-from otflow.functionals import TargetDistanceTerm
+from otflow.functionals import FunctionalSpec, TargetDistanceTerm
 from otflow.gaussian import PSD_FLOOR_ABS, LabelDistribution, Moments
+from otflow.optim import OptimizerState
 from otflow.otdd import (
     EVAL_MAX_ITER,
     EVAL_TOL,
@@ -15,6 +17,7 @@ from otflow.otdd import (
     MODE_JD_VL,
     DatasetState,
     FlowGradients,
+    _row_masses,
     ground_cost_matrix,
     otdd,
     otdd_grads,
@@ -285,6 +288,20 @@ class TestOtddGrads:
         assert grads.is_finite()
 
 
+class TestRowMasses:
+    @pytest.mark.parametrize("per_particle", [False, True])
+    def test_matches_unbuffered_accumulation(self, per_particle):
+        rng = np.random.default_rng(23)
+        n, m, q = 9, 7, 4
+        p = n if per_particle else 3
+        plan = rng.random((n, m)) / (n * m)
+        rows = np.arange(n) if per_particle else rng.integers(p, size=n)
+        cols = rng.integers(q, size=m)
+        want = np.zeros((p, q))
+        np.add.at(want, (rows[:, None], cols[None, :]), plan)
+        np.testing.assert_allclose(_row_masses(plan, rows, cols, p, q), want, rtol=0, atol=1e-14)
+
+
 class TestOneSolvePath:
     """otdd, otdd_grads and TargetDistanceTerm solve the same divergence."""
 
@@ -329,6 +346,36 @@ class TestOneSolvePath:
         assert sizes == [a.n]
         otdd(a, b, reg=0.5)
         assert sizes == [a.n, a.n, b.n]
+
+    def test_jdvl_flow_step_makes_one_bures_pass(self, monkeypatch):
+        # The costs and the gradients of a step share one kernel call per
+        # label block: source-target, then the source self-block.
+        calls = []
+
+        def counting(name, kernel):
+            def wrapped(rows_a, rows_b):
+                calls.append((name, len(rows_a), len(rows_b), rows_b is rows_a))
+                return kernel(rows_a, rows_b)
+
+            return wrapped
+
+        a, b = self.pair()
+        src = a.decoupled()
+        term = TargetDistanceTerm(b, reg=0.5)
+        config = FlowConfig(FunctionalSpec([term]), OptimizerState(step_size=0.1), MODE_JD_VL)
+        term.value(src)  # solves the target self-term, as run_flow's first record does
+        for module, name in (
+            ("otflow.otdd", "pairwise_bures_sq"),
+            ("otflow.otdd", "pairwise_bures_grads"),
+            ("otflow.clustering", "pairwise_bures_sq"),
+        ):
+            kernel = getattr(sys.modules[module], name)
+            monkeypatch.setattr(sys.modules[module], name, counting(name, kernel))
+        flow_step(src, config, config.optimizer.clone(), np.random.default_rng(0))
+        assert calls == [
+            ("pairwise_bures_grads", src.n, len(b.label_dists), False),
+            ("pairwise_bures_grads", src.n, src.n, True),
+        ]
 
 
 class TestFlowGradients:
