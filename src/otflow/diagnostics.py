@@ -9,7 +9,6 @@ statements are defined; labels ride along unchanged.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .dynamics import FlowConfig, run_flow
 from .errors import DimensionMismatchError, SizeLimitError
@@ -52,6 +51,8 @@ def _matching(a: DatasetState, b: DatasetState) -> np.ndarray:
     uniform = np.full(a.n, 1.0 / a.n)
     if not (np.allclose(a.weights, uniform) and np.allclose(b.weights, uniform)):
         raise DimensionMismatchError("interpolation needs uniform weights")
+    from scipy.optimize import linear_sum_assignment  # on first use: a slow import
+
     return linear_sum_assignment(squared_euclidean_cost(a.features, b.features))[1]
 
 
@@ -168,6 +169,8 @@ def oracle_accuracy_proxy(flowed: DatasetState, source_train: DatasetState) -> f
         for ti, tc in enumerate(true_classes):
             for pi, pc in enumerate(classes):
                 confusion[ti, pi] = np.sum((flowed.labels == tc) & (pred == pc))
+        from scipy.optimize import linear_sum_assignment  # on first use: a slow import
+
         rows, cols = linear_sum_assignment(-confusion)
         return float(confusion[rows, cols].sum() / flowed.n)
 

@@ -1,9 +1,11 @@
 """Symmetric-PSD matrix primitives and the closed-form 2-Wasserstein
 (Bures) distance between Gaussians, with analytic gradients.
 
-All matrix square roots go through symmetric eigendecomposition; covariances
-are kept inside the PSD cone by clipping eigenvalues at a floor that scales
-with the matrix trace.
+Matrix square roots go through symmetric eigendecomposition, except in the
+Bures kernels at d = 2, which take the square root of each 2x2 pair matrix
+from its trace and determinant (Cayley-Hamilton) and decompose nothing.
+Covariances are kept inside the PSD cone by clipping eigenvalues at a floor
+that scales with the matrix trace.
 """
 
 from collections.abc import Sequence
@@ -149,53 +151,12 @@ def bures_w2_sq(a: LabelDistribution, b: LabelDistribution) -> float:
     return float(pairwise_bures_sq([a], [b])[0, 0])
 
 
-def bures_w2_sq_grad_fd(a: LabelDistribution, b: LabelDistribution, h: float = 1e-5):
-    """Central-difference gradient of ``bures_w2_sq``; the fallback route
-    used to cross-check the analytic formula."""
-    d = a.dim
-    grad_mean = np.zeros(d)
-    for l in range(d):
-        e = np.zeros(d)
-        e[l] = h
-        grad_mean[l] = (
-            bures_w2_sq(LabelDistribution(a.mean + e, a.cov), b)
-            - bures_w2_sq(LabelDistribution(a.mean - e, a.cov), b)
-        ) / (2 * h)
-    grad_cov = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            e = np.zeros((d, d))
-            e[i, j] = e[j, i] = h
-            diff = (
-                bures_w2_sq(LabelDistribution(a.mean, a.cov + e), b)
-                - bures_w2_sq(LabelDistribution(a.mean, a.cov - e), b)
-            ) / (2 * h)
-            # diff = <grad, direction>; off-diagonal directions hit two entries
-            grad_cov[i, j] = grad_cov[j, i] = diff if i == j else diff / 2.0
-    return grad_mean, grad_cov
-
-
-def bures_w2_sq_grad(a: LabelDistribution, b: LabelDistribution, verify: bool = False):
+def bures_w2_sq_grad(a: LabelDistribution, b: LabelDistribution):
     """Analytic gradient of ``bures_w2_sq`` w.r.t. the first argument: the
     1x1 case of ``pairwise_bures_grads``, returned as (grad_mean, grad_cov).
-
-    With ``verify`` the result is cross-checked against central differences
-    and a NumericError is raised on disagreement beyond 1e-3 relative.
     """
     _, grad_means, grad_covs = pairwise_bures_grads([a], [b])
-    grad_mean, grad_cov = grad_means[0, 0], grad_covs[0, 0]
-    if verify:
-        fd_mean, fd_cov = bures_w2_sq_grad_fd(a, b)
-        scale = max(np.abs(grad_mean).max(), np.abs(grad_cov).max(), 1e-6)
-        if (
-            np.abs(fd_mean - grad_mean).max() > 1e-3 * scale
-            or np.abs(fd_cov - grad_cov).max() > 1e-3 * scale
-        ):
-            raise NumericError(
-                "analytic Bures gradient disagrees with finite differences; "
-                "covariance likely too close to the PSD boundary"
-            )
-    return grad_mean, grad_cov
+    return grad_means[0, 0], grad_covs[0, 0]
 
 
 def _moment_pair(dists_a, dists_b):
@@ -248,18 +209,100 @@ def _map_grad(outer: np.ndarray, vm: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.eye(t.shape[-1]) - 0.5 * (t + t.swapaxes(-1, -2))
 
 
+def _check_nonsingular(lam_min: np.ndarray, lam_max: np.ndarray):
+    """NumericError unless every lambda_min > SINGULAR_RTOL * max(lambda_max, 1);
+    a NaN lambda_min counts as singular."""
+    if not np.all(lam_min > SINGULAR_RTOL * np.maximum(lam_max, 1.0)):
+        raise NumericError(
+            "covariance numerically singular; apply project_psd with a positive floor first"
+        )
+
+
+def _entries_2d(covs: np.ndarray):
+    """(x, y, z, det) of each 2x2 covariance [[x, y], [y, z]] of a stack,
+    with y the mean of the two off-diagonal entries."""
+    x, z = covs[:, 0, 0], covs[:, 1, 1]
+    y = 0.5 * (covs[:, 0, 1] + covs[:, 1, 0])
+    return x, y, z, x * z - y * y
+
+
+def _bures_2d(a: Moments, b: Moments, same: bool, grads: bool):
+    """Both Bures kernels at d = 2 in closed form, over the whole (p, q)
+    block from per-row scalars.
+
+    det M = det S_a det S_b and tr M = tr(S_a S_b), so by Cayley-Hamilton
+    M^1/2 = (M + s I) / t with s = sqrt(det M) and t = tr M^1/2 =
+    sqrt(tr M + 2 s) (Bhatia, Jain & Lim 2019):
+
+        value = ||mu_a - mu_b||^2 + tr S_a + tr S_b - 2 t
+        T     = (S_b + s S_a^-1) / t,   S_a^-1 = adj(S_a) / det S_a
+
+    Returns the values, and with ``grads`` (values, grad_means, grad_covs
+    = I - T) after the singular check on the first argument. A self-block
+    (``same``) is the same broadcast, T_ji being the formula at (j, i); its
+    values are exactly symmetric, and the diagonal of values and
+    gradients is set to 0.
+    """
+    xa, ya, za, det_a = _entries_2d(a.covs)
+    xb, yb, zb, det_b = _entries_2d(b.covs)
+    if grads:
+        lam_max = 0.5 * (xa + za) + np.hypot(0.5 * (xa - za), ya)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _check_nonsingular(det_a / lam_max, lam_max)
+    # Clamped at 0 like the eigenvalues of a PSD-singular covariance.
+    root_a, root_b = np.sqrt(np.maximum(det_a, 0.0)), np.sqrt(np.maximum(det_b, 0.0))
+    # t^2 = x_a x_b + 2 y_a y_b + z_a z_b + 2 s as one product of the rows.
+    rows_b = np.array([xb, yb, zb, root_b])
+    t_sq = np.array([xa, 2.0 * ya, za, 2.0 * root_a]).T @ rows_b
+    if same:
+        # Each (i, j) and (j, i) sum the same products, but BLAS may not
+        # order them alike.
+        t_sq = 0.5 * (t_sq + t_sq.T)
+    t = np.sqrt(np.maximum(t_sq, 0.0))
+    # One coordinate at a time: broadcasting over a length-2 axis is slow.
+    dx = np.subtract.outer(a.means[:, 0], b.means[:, 0])
+    dy = np.subtract.outer(a.means[:, 1], b.means[:, 1])
+    values = np.maximum(dx * dx + dy * dy + np.add.outer(xa + za, xb + zb) - 2.0 * t, 0.0)
+    diag = np.arange(len(a))
+    if same:
+        values[diag, diag] = 0.0
+    if not grads:
+        return values
+
+    grad_means = np.stack([2.0 * dx, 2.0 * dy], axis=-1)
+    # t T = S_b + sqrt(det S_b) adj(S_a) / sqrt(det S_a), entries xx, xy
+    # and yy, as one batched product of the rows; T = 0 where t = 0.
+    left = np.ones((3, len(a), 2))
+    left[..., 1] = np.array([za, -ya, xa]) / root_a
+    right = np.empty((3, 2, len(b)))
+    right[:, 0], right[:, 1] = rows_b[:3], root_b
+    tmap = (left @ right) * (1.0 / np.where(t > 0.0, t, np.inf))
+    grad_covs = np.empty(values.shape + (2, 2))
+    grad_covs[..., 0, 0] = 1.0 - tmap[0]
+    grad_covs[..., 0, 1] = grad_covs[..., 1, 0] = -tmap[1]
+    grad_covs[..., 1, 1] = 1.0 - tmap[2]
+    if same:
+        grad_covs[diag, diag] = 0.0
+    return values, grad_means, grad_covs
+
+
 def pairwise_bures_sq(dists_a, dists_b) -> np.ndarray:
     """All-pairs squared Bures-Wasserstein distances.
 
     ``dists_a`` and ``dists_b`` are Moments or sequences of
-    LabelDistribution; returns a (len(a), len(b)) matrix. Batched over
-    eigenvalue solves, which keeps per-step flow costs flat even for
-    per-particle label distributions. When ``dists_b is dists_a`` only the
-    pairs i < j are solved: the matrix is exactly symmetric with an exactly
-    zero diagonal.
+    LabelDistribution; returns a (len(a), len(b)) matrix. At d = 2 every
+    pair is a closed form in the covariances' traces and determinants
+    (``_bures_2d``); otherwise the kernel is batched over eigenvalue
+    solves, and when ``dists_b is dists_a`` only the pairs i < j are
+    solved. Either way a self-block is exactly symmetric with an exactly
+    zero diagonal, and a first-argument covariance that is not symmetric
+    raises NumericError.
     """
     a, b = _moment_pair(dists_a, dists_b)
     same = dists_b is dists_a
+    if a.means.shape[1] == 2:
+        _check_symmetric(a.covs)
+        return _bures_2d(a, b, same, grads=False)
     i, j = _pair_rows(a, b, same)
     w = np.linalg.eigvalsh(_sandwich(spd_sqrt(a.covs)[i], b.covs[j]))
     return _bures_values(a, b, i, j, same, np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1))
@@ -267,13 +310,13 @@ def pairwise_bures_sq(dists_a, dists_b) -> np.ndarray:
 
 def pairwise_bures_grads(dists_a, dists_b):
     """All-pairs squared Bures-Wasserstein distances and their analytic
-    gradients w.r.t. the first argument, from one eigendecomposition of
-    M = S_a^1/2 S_b S_a^1/2 = V diag(w) V^T per pair.
+    gradients w.r.t. the first argument, from one square root of
+    M = S_a^1/2 S_b S_a^1/2 per pair.
 
     Returns (values, grad_means, grad_covs) of shapes (p, q), (p, q, d)
     and (p, q, d, d):
 
-        value     = ||mu_a - mu_b||^2 + tr(S_a) + tr(S_b) - 2 sum(sqrt(w))
+        value     = ||mu_a - mu_b||^2 + tr(S_a) + tr(S_b) - 2 tr(M^1/2)
         grad_mean = 2 (mu_a - mu_b)
         grad_cov  = I - T,   T = S_a^-1/2 M^1/2 S_a^-1/2
 
@@ -283,24 +326,26 @@ def pairwise_bures_grads(dists_a, dists_b):
     ``pairwise_bures_sq``; every first-argument covariance must be
     positive definite, lambda_min > 1e-14 * max(lambda_max, 1) (floor the
     covariances with ``project_psd`` first), or NumericError is raised.
+    When ``dists_b is dists_a`` the values are exactly symmetric and the
+    diagonal of values and gradients is exactly zero.
 
-    When ``dists_b is dists_a`` only the pairs i < j are decomposed. The
-    values are mirrored, the diagonal of values and gradients is exactly
-    zero, and the map of (j, i) is the inverse T_ji = S_i^1/2 M^-1/2 S_i^1/2
-    of the map of (i, j); a pair whose M is not numerically positive
+    At d = 2, T = (S_b + s S_a^-1) / t in closed form (``_bures_2d``).
+    Otherwise M = V diag(w) V^T is decomposed by one ``eigh`` per pair, and
+    a self-block decomposes only the pairs i < j: the values are mirrored,
+    and the map of (j, i) is the inverse T_ji = S_i^1/2 M^-1/2 S_i^1/2 of
+    the map of (i, j), so a pair whose M is not numerically positive
     definite raises NumericError.
     """
     a, b = _moment_pair(dists_a, dists_b)
     d = a.means.shape[1]
     same = dists_b is dists_a
+    if d == 2:
+        return _bures_2d(a, b, same, grads=True)
     i, j = _pair_rows(a, b, same)
     grad_means = 2.0 * (a.means[:, None, :] - b.means[None, :, :])
 
     wa, va = np.linalg.eigh(a.covs)
-    if np.any(wa[:, 0] <= SINGULAR_RTOL * np.maximum(wa[:, -1], 1.0)):
-        raise NumericError(
-            "covariance numerically singular; apply project_psd with a positive floor first"
-        )
+    _check_nonsingular(wa[:, 0], wa[:, -1])
     sq = np.sqrt(wa)
     sa = _from_eig(va, sq)[i]
     wm, vm = np.linalg.eigh(_sandwich(sa, b.covs[j]))

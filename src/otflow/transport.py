@@ -15,7 +15,6 @@ Alg. 2).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DimensionMismatchError, NumericError, SinkhornConvergenceError, SizeLimitError
 
@@ -375,6 +374,8 @@ def exact_ot(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> TransportPlan:
     f_i + g_j <= C_ij, with a.f + b.g equal to the cost. The last column
     constraint is redundant and dropped, which fixes its potential at 0.
     """
+    from scipy.optimize import linprog  # on first use: a slow import
+
     cost = np.asarray(cost, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from otflow.gaussian import LabelDistribution
+from otflow.gaussian import LabelDistribution, bures_w2_sq
 from otflow.otdd import DatasetState
 
 
@@ -44,3 +44,29 @@ def rel_err(approx, exact, floor=1e-8):
     exact = np.asarray(exact, dtype=float)
     scale = max(float(np.abs(exact).max(initial=0.0)), float(np.abs(approx).max(initial=0.0)), floor)
     return float(np.abs(approx - exact).max(initial=0.0)) / scale
+
+
+def bures_w2_sq_grad_fd(a: LabelDistribution, b: LabelDistribution, h: float = 1e-5):
+    """Central-difference gradient of ``bures_w2_sq`` w.r.t. the first
+    argument, as (grad_mean, grad_cov): the oracle of the analytic form."""
+    d = a.dim
+    grad_mean = np.zeros(d)
+    for l in range(d):
+        e = np.zeros(d)
+        e[l] = h
+        grad_mean[l] = (
+            bures_w2_sq(LabelDistribution(a.mean + e, a.cov), b)
+            - bures_w2_sq(LabelDistribution(a.mean - e, a.cov), b)
+        ) / (2 * h)
+    grad_cov = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            e = np.zeros((d, d))
+            e[i, j] = e[j, i] = h
+            diff = (
+                bures_w2_sq(LabelDistribution(a.mean, a.cov + e), b)
+                - bures_w2_sq(LabelDistribution(a.mean, a.cov - e), b)
+            ) / (2 * h)
+            # diff = <grad, direction>; off-diagonal directions hit two entries
+            grad_cov[i, j] = grad_cov[j, i] = diff if i == j else diff / 2.0
+    return grad_mean, grad_cov

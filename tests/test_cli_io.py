@@ -404,13 +404,23 @@ class TestConvexityCommand:
         assert report["generalized_base"] is True
 
 
+def _child_python(*args):
+    """Run the interpreter in a child process that imports the otflow this
+    test imports, installed or not."""
+    path = [str(Path(otflow.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
-        # The child imports the otflow this test imports, installed or not.
-        path = [str(Path(otflow.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "otflow.cli", "--help"], capture_output=True, text=True, env=env
-        )
+        proc = _child_python("-m", "otflow.cli", "--help")
         assert proc.returncode == 0
         assert "distance" in proc.stdout
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize is most of the import time; only the exact-OT and
+        # matching oracles need it, and they import it on first use.
+        proc = _child_python("-c", "import sys, otflow; print('scipy.optimize' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -4,14 +4,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import directional_diff, rand_gaussian, rand_spd, rel_err
+from helpers import bures_w2_sq_grad_fd, directional_diff, rand_gaussian, rand_spd, rel_err
 from otflow.errors import DimensionMismatchError, NumericError
 from otflow.gaussian import (
     LabelDistribution,
     Moments,
     bures_w2_sq,
     bures_w2_sq_grad,
-    bures_w2_sq_grad_fd,
     pairwise_bures_grads,
     pairwise_bures_sq,
     project_psd,
@@ -226,13 +225,25 @@ class TestBuresGrad:
             entry(LabelDistribution([0.0], [[5e-15]]), LabelDistribution([0.0], [[1.0]]))
 
     def test_verify_mode_cross_checks(self):
+        # The analytic gradient against the central-difference oracle.
         rng = np.random.default_rng(37)
         a = rand_gaussian(rng, 2)
         b = rand_gaussian(rng, 2)
-        gm, gc = bures_w2_sq_grad(a, b, verify=True)
+        gm, gc = bures_w2_sq_grad(a, b)
         fd_mean, fd_cov = bures_w2_sq_grad_fd(a, b)
         np.testing.assert_allclose(fd_mean, gm, rtol=1e-4, atol=1e-6)
         np.testing.assert_allclose(fd_cov, gc, rtol=1e-4, atol=1e-6)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_fd_oracle(self, d):
+        # d = 2 is the closed form, d = 3 the eigendecomposition path.
+        rng = np.random.default_rng(39 + d)
+        for _ in range(10):
+            a, b = rand_gaussian(rng, d), rand_gaussian(rng, d)
+            gm, gc = bures_w2_sq_grad(a, b)
+            fd_mean, fd_cov = bures_w2_sq_grad_fd(a, b)
+            np.testing.assert_allclose(fd_mean, gm, rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(fd_cov, gc, rtol=1e-4, atol=1e-6)
 
 
 class TestPairwise:
@@ -349,3 +360,128 @@ class TestBuresOracles:
                 np.testing.assert_array_equal(t, t.T)
                 assert np.linalg.eigvalsh(t).min() > 0.0
                 assert rel_err(t @ a.covs[i] @ t, b.covs[j]) < 1e-10
+
+
+def _rotation(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+
+def _conditioned_covs(rng, k, cond_lo, cond_hi):
+    """k random 2x2 covariances with condition numbers in [cond_lo, cond_hi]."""
+    covs = []
+    for _ in range(k):
+        r = _rotation(rng.uniform(0.0, np.pi))
+        top = rng.uniform(0.2, 5.0)
+        c = r @ np.diag([top, top / rng.uniform(cond_lo, cond_hi)]) @ r.T
+        covs.append(0.5 * (c + c.T))
+    return np.stack(covs)
+
+
+def _well_conditioned(rng, k):
+    """k 2-D Gaussians with cond <= 1e2; every other covariance is a
+    rank-one matrix floored by project_psd at 1/50 of its eigenvalue."""
+    covs = _conditioned_covs(rng, k, 1.0, 1e2)
+    for c in covs[::2]:
+        v = rng.standard_normal(2)
+        c[...] = project_psd(np.outer(v, v), floor=v @ v / 50.0)
+    return Moments(2.0 * rng.standard_normal((k, 2)), covs)
+
+
+def _embed_3d(m):
+    """The 2-D moments block-diagonally in 3-D, with a shared third mean
+    coordinate and unit variance on the third axis: every Bures value is
+    unchanged, and every gradient gains a zero third row and column."""
+    means = np.concatenate([m.means, np.full((len(m), 1), 0.7)], axis=1)
+    covs = np.zeros((len(m), 3, 3))
+    covs[:, :2, :2] = m.covs
+    covs[:, 2, 2] = 1.0
+    return Moments(means, covs)
+
+
+class TestBures2D:
+    """The closed form at d = 2 against the eigendecomposition path and a
+    high-precision reference, and at the edges of its domain."""
+
+    @pytest.mark.parametrize("p,q", [(60, 5), (60, 60), (60, None)], ids=["60x5", "60x60", "self60"])
+    def test_matches_eigh_path_in_3d(self, p, q):
+        rng = np.random.default_rng(300 + p + (q or 0))
+        a = _well_conditioned(rng, p)
+        b = a if q is None else _well_conditioned(rng, q)
+        a3 = _embed_3d(a)
+        b3 = a3 if q is None else _embed_3d(b)
+        values, gms, gcs = pairwise_bures_grads(a, b)
+        values3, gms3, gcs3 = pairwise_bures_grads(a3, b3)
+        for got, want in [
+            (values, values3),
+            (pairwise_bures_sq(a, b), pairwise_bures_sq(a3, b3)),
+            (gms, gms3[..., :2]),
+            (gcs, gcs3[..., :2, :2]),
+        ]:
+            assert rel_err(got, want) < 1e-12
+        assert rel_err(gcs3[..., 2, :], 0.0, floor=np.abs(gcs).max()) < 1e-12
+        assert rel_err(gcs3[..., :, 2], 0.0, floor=np.abs(gcs).max()) < 1e-12
+        assert not gms3[..., 2].any()
+
+    @pytest.mark.parametrize("cond", [1e4, 1e5, 1e6])
+    def test_high_condition_matches_mpmath_reference(self, cond):
+        mp = pytest.importorskip("mpmath")
+        ctx = mp.mp.clone()
+        ctx.dps = 60
+
+        def sqrtm(m):
+            w, v = ctx.eigsy(m)
+            return v * ctx.diag([ctx.sqrt(x) for x in w]) * v.T
+
+        rng = np.random.default_rng(int(np.log10(cond)))
+        a = Moments(rng.standard_normal((4, 2)), _conditioned_covs(rng, 4, cond, cond))
+        b = Moments(rng.standard_normal((3, 2)), _conditioned_covs(rng, 3, cond, cond))
+        values, _, gcs = pairwise_bures_grads(a, b)
+        sq = pairwise_bures_sq(a, b)
+        for i in range(4):
+            for j in range(3):
+                sa, sb = ctx.matrix(a.covs[i].tolist()), ctx.matrix(b.covs[j].tolist())
+                ra = sqrtm(sa)
+                root = sqrtm(ra * sb * ra)
+                t = ra**-1 * root * ra**-1
+                want = sum((ctx.mpf(x) - ctx.mpf(y)) ** 2 for x, y in zip(a.means[i], b.means[j]))
+                want += sum(sa[k, k] + sb[k, k] - 2 * root[k, k] for k in range(2))
+                grad = np.array([[float(ctx.mpf(k == l) - t[k, l]) for l in range(2)] for k in range(2)])
+                for got in (values[i, j], sq[i, j]):
+                    assert got == pytest.approx(float(want), rel=1e-9)
+                assert rel_err(gcs[i, j], grad) < 1e-9
+
+    def test_singularity_threshold_rotated(self):
+        # The threshold of test_singularity_threshold_is_relative on
+        # covariances that are not diagonal, alone and in a self-block.
+        r = _rotation(0.3)
+        b = Moments(np.ones((1, 2)), [np.eye(2)])
+        pairwise_bures_grads(Moments(np.zeros((1, 2)), [r @ np.diag([2.0, 1e-12]) @ r.T]), b)
+        for bad in (r @ np.diag([2.0, 1e-14]) @ r.T, np.zeros((2, 2)), -np.eye(2)):
+            m = Moments(np.zeros((2, 2)), [np.eye(2), bad])
+            with pytest.raises(NumericError):
+                pairwise_bures_grads(m, b)
+            with pytest.raises(NumericError):
+                pairwise_bures_grads(m, m)
+
+    def test_asymmetric_first_argument_rejected(self):
+        a = LabelDistribution([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
+        b = LabelDistribution([1.0, 0.0], np.eye(2))
+        with pytest.raises(NumericError):
+            pairwise_bures_sq([a], [b])
+
+    def test_psd_singular_second_argument(self):
+        # det S_b rounds below 0 here; the kernels take it as the exactly
+        # singular [[1, 1], [1, 1]], and a zero covariance as T = 0.
+        y = 1.0 + 2.2e-16
+        a = _well_conditioned(np.random.default_rng(61), 3)
+        rounded = Moments(np.ones((1, 2)), [[[1.0, y], [y, 1.0]]])
+        exact = Moments(np.ones((1, 2)), [np.ones((2, 2))])
+        got, want = pairwise_bures_grads(a, rounded), pairwise_bures_grads(a, exact)
+        for g, w in zip(got, want):
+            assert np.isfinite(g).all()
+            assert rel_err(g, w) < 1e-12
+        np.testing.assert_array_equal(pairwise_bures_sq(a, rounded), got[0])
+        zero = Moments(np.ones((1, 2)), [np.zeros((2, 2))])
+        values, _, gcs = pairwise_bures_grads(a, zero)
+        np.testing.assert_allclose(values[:, 0], np.sum((a.means - 1.0) ** 2, axis=1) + a.covs.trace(0, 1, 2))
+        np.testing.assert_array_equal(gcs[:, 0], np.broadcast_to(np.eye(2), (3, 2, 2)))
