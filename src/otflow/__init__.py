@@ -49,7 +49,6 @@ from .otdd import (
     otdd_grads,
 )
 from .transport import (
-    DiscreteMeasure,
     TransportPlan,
     exact_ot,
     ot_position_grad,
@@ -62,7 +61,6 @@ __all__ = [
     "ClusterAssignment",
     "ConvexityReport",
     "DatasetState",
-    "DiscreteMeasure",
     "EntropyTerm",
     "FlowConfig",
     "FlowGradients",

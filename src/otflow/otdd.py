@@ -22,10 +22,10 @@ from .gaussian import (
     psd_floor_value,
 )
 from .transport import (
+    _cost_product,
     default_reg,
     sinkhorn,
     sinkhorn_symmetric,
-    squared_euclidean_cost,
     validate_weights,
 )
 
@@ -217,20 +217,35 @@ def label_stats(state: DatasetState) -> Moments:
 def ground_cost_matrix(src: DatasetState, dst: DatasetState, label_block=None) -> np.ndarray:
     """Hybrid ground cost: squared feature distance plus squared Bures term.
 
-    Label-pair distances are computed once per distinct distribution pair
-    and broadcast to the full particle grid. ``label_block`` is that (p, q)
-    matrix of squared Bures distances between the moment rows when the
-    caller has it already; by default it is ``pairwise_bures_sq`` of them.
+    Label-pair distances are computed once per distinct distribution pair.
+    ``label_block`` is that (p, q) matrix of squared Bures distances between
+    the moment rows when the caller has it already; by default it is
+    ``pairwise_bures_sq`` of them.
+
+    The cost is one matrix product, clipped at 0 (``_cost_product``). The
+    label term rides in k = min(p, q) extra columns: one side takes its
+    rows of the block, the other a one-hot of its own row, so the product
+    adds exactly ``label_block[src.block[i], dst.block[j]]``. When k is at
+    least min(n, m), as for two per-particle (jd-vl) layouts, those columns
+    would make the product O(n m min(n, m)), and the block is gathered and
+    added instead.
     """
     if src.dim != dst.dim:
         raise DimensionMismatchError(
             f"feature dimension mismatch: {src.dim} vs {dst.dim}"
         )
-    cost = squared_euclidean_cost(src.features, dst.features)
     if label_block is None:
         label_block = pairwise_bures_sq(src.label_dists, dst.label_dists)
-    cost += label_block[src.block][:, dst.block]
-    return cost
+    p, q = label_block.shape
+    if min(p, q) >= min(src.n, dst.n):
+        cost = _cost_product(src.features, dst.features)
+        cost += label_block[src.block][:, dst.block]
+        return cost
+    if p <= q:
+        src_cols, dst_cols = np.eye(p)[src.block], label_block.T[dst.block]
+    else:
+        src_cols, dst_cols = label_block[src.block], np.eye(q)[dst.block]
+    return _cost_product(src.features, dst.features, src_cols, dst_cols)
 
 
 def _cost_and_bures(src: DatasetState, dst: DatasetState, grads: bool):
@@ -288,6 +303,7 @@ class Divergence:
         solver = (self._reg, self.max_iter, self.tol)
         plan_ab = sinkhorn(cost_ab, src.weights, self.target.weights, *solver, init=self._warm_ab)
         self._warm_ab = (plan_ab.dual_left, plan_ab.dual_right)
+        del cost_ab  # released before the self-term builds its own cost
         if not self.debias:
             return plan_ab, None, (bures_ab, None) if grads else None
         cost_aa, bures_aa = _cost_and_bures(src, src, grads)

@@ -26,28 +26,6 @@ DEFAULT_REG_FRACTION = 0.05
 
 
 @dataclass
-class DiscreteMeasure:
-    """Weighted point cloud sum_i w_i * delta(x_i)."""
-
-    points: np.ndarray   # (n, d)
-    weights: np.ndarray  # (n,), simplex
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if self.weights is None:
-            n = self.points.shape[0]
-            self.weights = np.full(n, 1.0 / n)
-        self.weights = np.asarray(self.weights, dtype=float)
-        validate_weights(self.weights)
-        if not np.all(np.isfinite(self.points)):
-            raise NumericError("measure points contain non-finite entries")
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass
 class TransportPlan:
     """Coupling between two discrete measures plus its dual potentials.
 
@@ -80,9 +58,17 @@ def validate_weights(w: np.ndarray, tol: float = 1e-9):
 
 
 def _validate_cost(cost: np.ndarray):
-    if not np.all(np.isfinite(cost)):
+    """Reject non-finite, then negative entries, from two reductions.
+
+    A NaN anywhere makes the minimum NaN. An empty cost passes, so the
+    weight checks that follow reject it.
+    """
+    if cost.size == 0:
+        return
+    lo, hi = cost.min(), cost.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise NumericError("cost matrix contains non-finite entries")
-    if np.any(cost < 0):
+    if lo < 0:
         raise NumericError("cost matrix must be nonnegative")
 
 
@@ -398,16 +384,37 @@ def exact_ot(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> TransportPlan:
     return TransportPlan(res.x.reshape(n, m), duals[:n], duals[n:], lin_cost, 0.0, lin_cost)
 
 
+def _cost_product(x, y, x_extra=None, y_extra=None) -> np.ndarray:
+    """||x_i - y_j||^2 + <x_extra_i, y_extra_j> for every pair, as one GEMM.
+
+    The product of the rows [x_i, ||x_i||^2, 1, x_extra_i] and
+    [-2 y_j, 1, ||y_j||^2, y_extra_j], clipped at 0 in place: the result is
+    the only (n, m) array made. Its cancellation error is
+    O(eps * (||x_i||^2 + ||y_j||^2)), as for any expansion of the square.
+    """
+    n, d = x.shape
+    k = 0 if x_extra is None else x_extra.shape[1]
+    left = np.empty((n, d + 2 + k))
+    right = np.empty((y.shape[0], d + 2 + k))
+    left[:, :d] = x
+    left[:, d] = np.einsum("ij,ij->i", x, x)
+    left[:, d + 1] = 1.0
+    np.multiply(y, -2.0, out=right[:, :d])
+    right[:, d] = 1.0
+    right[:, d + 1] = np.einsum("ij,ij->i", y, y)
+    if k:
+        left[:, d + 2:] = x_extra
+        right[:, d + 2:] = y_extra
+    cost = left @ right.T
+    return np.maximum(cost, 0.0, out=cost)
+
+
 def squared_euclidean_cost(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairwise ||x_i - y_j||^2, computed without forming difference tensors."""
+    """Pairwise ||x_i - y_j||^2 as one matrix product (see ``_cost_product``),
+    without forming difference tensors."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    sq = (
-        np.sum(x**2, axis=1)[:, None]
-        + np.sum(y**2, axis=1)[None, :]
-        - 2.0 * x @ y.T
-    )
-    return np.maximum(sq, 0.0)
+    return _cost_product(x, y)
 
 
 def squared_euclidean_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -439,17 +446,3 @@ def default_reg(cost: np.ndarray) -> float:
     """Default entropic regularization: a fixed fraction of the mean cost."""
     mean = float(np.mean(cost))
     return DEFAULT_REG_FRACTION * mean if mean > 0 else DEFAULT_REG_FRACTION
-
-
-def entropic_transport(
-    a: DiscreteMeasure,
-    b: DiscreteMeasure,
-    reg: float | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> TransportPlan:
-    """Entropic OT between two point clouds under squared Euclidean cost."""
-    cost = squared_euclidean_cost(a.points, b.points)
-    if reg is None:
-        reg = default_reg(cost)
-    return sinkhorn(cost, a.weights, b.weights, reg, max_iter, tol)

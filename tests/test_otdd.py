@@ -1,3 +1,4 @@
+import importlib
 import sys
 
 import numpy as np
@@ -7,7 +8,7 @@ from helpers import rand_state, rel_err
 from otflow.dynamics import FlowConfig, flow_step
 from otflow.errors import DimensionMismatchError
 from otflow.functionals import FunctionalSpec, TargetDistanceTerm
-from otflow.gaussian import PSD_FLOOR_ABS, LabelDistribution, Moments
+from otflow.gaussian import PSD_FLOOR_ABS, LabelDistribution, Moments, pairwise_bures_sq
 from otflow.optim import OptimizerState
 from otflow.otdd import (
     EVAL_MAX_ITER,
@@ -23,6 +24,7 @@ from otflow.otdd import (
     otdd_grads,
 )
 from otflow.transport import (
+    _cost_product,
     sinkhorn,
     sinkhorn_symmetric,
     squared_euclidean_cost,
@@ -141,6 +143,79 @@ class TestGroundCost:
                 feat = float(np.sum((a.features[i] - b.features[j]) ** 2))
                 lab = bures_w2_sq(a.dist_for(i), b.dist_for(j))
                 assert cost[i, j] == pytest.approx(feat + lab, rel=1e-9)
+
+    # (n, classes) of source and target, d, and whether each side is decoupled.
+    ORACLE_CASES = {
+        "p<q": ((7, 2), (9, 4), 2, False, False),
+        "p>q": ((9, 4), (7, 2), 2, False, False),
+        "d=1": ((8, 3), (6, 2), 1, False, False),
+        "d=3": ((6, 2), (10, 3), 3, False, False),
+        "per-particle source": ((12, 3), (10, 2), 2, True, False),
+        "per-particle target": ((10, 2), (12, 3), 2, False, True),
+        "per-particle both": ((8, 2), (11, 3), 2, True, True),
+        "1x1": ((1, 1), (1, 1), 2, False, False),
+        "1x1 d=3": ((1, 1), (1, 1), 3, False, False),
+    }
+
+    @staticmethod
+    def oracle(src, dst, label_block):
+        """Difference-tensor cost plus the gathered label block, and the
+        entrywise tolerance 1e-12 * (|ref| + ||x_i||^2 + ||y_j||^2)."""
+        diff = src.features[:, None, :] - dst.features[None, :, :]
+        ref = (diff**2).sum(axis=-1) + label_block[src.block][:, dst.block]
+        scale = (src.features**2).sum(axis=1)[:, None] + (dst.features**2).sum(axis=1)
+        return ref, 1e-12 * (np.abs(ref) + scale)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    @pytest.mark.parametrize("given_block", [False, True])
+    def test_matches_brute_force(self, case, given_block):
+        (n, p), (m, q), d, src_pp, dst_pp = case
+        rng = np.random.default_rng(30 + n + m + d)
+        src = rand_state(rng, n, p, d)
+        dst = rand_state(rng, m, q, d)
+        src.features += 4.0  # a common offset, so the expansion cancels
+        dst.features += 4.0
+        src = src.decoupled() if src_pp else src
+        dst = dst.decoupled() if dst_pp else dst
+        shape = (len(src.label_dists), len(dst.label_dists))
+        if given_block:
+            block = rng.uniform(0.0, 5.0, size=shape)
+            cost = ground_cost_matrix(src, dst, block)
+        else:
+            block = pairwise_bures_sq(src.label_dists, dst.label_dists)
+            cost = ground_cost_matrix(src, dst)
+        ref, tol = self.oracle(src, dst, block)
+        assert cost.shape == (src.n, dst.n)
+        assert np.all(cost >= 0)
+        assert np.all(np.abs(cost - ref) <= tol)
+
+    @pytest.mark.parametrize("n, k, d", [(9, 3, 2), (7, 2, 1), (1, 1, 3)])
+    def test_shared_rows_self_cost(self, n, k, d):
+        rng = np.random.default_rng(40 + n)
+        state = rand_state(rng, n, k, d)
+        for s in (state, state.decoupled()):
+            cost = ground_cost_matrix(s, s)
+            ref, tol = self.oracle(s, s, pairwise_bures_sq(s.label_dists, s.label_dists))
+            assert np.all(cost >= 0)
+            assert np.all(np.abs(cost - ref) <= tol)
+
+    @pytest.mark.parametrize(
+        "src_pp, dst_pp, width",
+        [(False, False, 2), (True, False, 3), (False, True, 2), (True, True, None)],
+    )
+    def test_label_columns_follow_the_size_rule(self, monkeypatch, src_pp, dst_pp, width):
+        """k = min(p, q) label columns ride in the product unless k >= min(n, m)."""
+        widths = []
+
+        def spy(x, y, x_extra=None, y_extra=None):
+            widths.append(None if x_extra is None else x_extra.shape[1])
+            return _cost_product(x, y, x_extra, y_extra)
+
+        monkeypatch.setattr(importlib.import_module("otflow.otdd"), "_cost_product", spy)
+        rng = np.random.default_rng(50)
+        src, dst = rand_state(rng, 10, 2, 2), rand_state(rng, 12, 3, 2)
+        ground_cost_matrix(src.decoupled() if src_pp else src, dst.decoupled() if dst_pp else dst)
+        assert widths == [width]
 
     def test_dimension_mismatch(self):
         a = DatasetState.from_features([[0.0, 0.0]] * 2, [0, 0])

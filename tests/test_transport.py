@@ -12,7 +12,6 @@ from otflow.errors import (
 import otflow.transport as transport
 from otflow.transport import (
     ANDERSON_MEMORY,
-    DiscreteMeasure,
     _fixed_point,
     exact_ot,
     ot_position_grad,
@@ -54,27 +53,59 @@ def brute_force_assignment(cost):
     return best
 
 
-class TestDiscreteMeasure:
-    def test_uniform_default(self):
-        m = DiscreteMeasure(np.zeros((4, 2)), None)
-        np.testing.assert_allclose(m.weights, 0.25)
+SOLVERS = {
+    "sinkhorn": lambda cost, a, b: sinkhorn(cost, a, b, reg=0.1),
+    "sinkhorn_symmetric": lambda cost, a, b: sinkhorn_symmetric(cost, a, reg=0.1),
+    "exact_ot": exact_ot,
+}
 
-    def test_bad_weights(self):
-        with pytest.raises(NumericError):
-            DiscreteMeasure(np.zeros((2, 1)), np.array([0.7, 0.7]))
-        with pytest.raises(NumericError):
-            DiscreteMeasure(np.zeros((2, 1)), np.array([1.5, -0.5]))
 
-    def test_entropic_transport_between_clouds(self):
-        from otflow.transport import entropic_transport
+class TestInputChecks:
+    @pytest.mark.parametrize("solver", SOLVERS.values(), ids=SOLVERS.keys())
+    @pytest.mark.parametrize("bad", [[0.7, 0.7], [1.5, -0.5], [np.nan, 0.5]])
+    def test_rejects_bad_weights(self, solver, bad):
+        cost = np.ones((2, 2))
+        with pytest.raises(NumericError, match="weights"):
+            solver(cost, np.array(bad), uniform(2))
 
-        rng = np.random.default_rng(20)
-        a = DiscreteMeasure(rng.standard_normal((6, 2)), None)
-        b = DiscreteMeasure(rng.standard_normal((8, 2)) + 1.0, None)
-        plan = entropic_transport(a, b)
-        ra, rb = plan.marginals()
-        assert np.abs(ra - a.weights).sum() < 1e-5
-        assert plan.cost >= 0
+    @pytest.mark.parametrize("solver", SOLVERS.values(), ids=SOLVERS.keys())
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"),
+         (-1e-12, "nonnegative")],
+    )
+    def test_rejects_bad_cost(self, solver, entry, message):
+        cost = np.ones((3, 3))
+        cost[1, 2] = entry
+        with pytest.raises(NumericError, match=message):
+            solver(cost, uniform(3), uniform(3))
+
+    @pytest.mark.parametrize("solver", SOLVERS.values(), ids=SOLVERS.keys())
+    def test_non_finite_is_reported_before_negative(self, solver):
+        cost = np.ones((3, 3))
+        cost[0, 0] = -1.0
+        cost[2, 2] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            solver(cost, uniform(3), uniform(3))
+
+    @pytest.mark.parametrize("solver", SOLVERS.values(), ids=SOLVERS.keys())
+    def test_empty_cost_fails_the_weight_check(self, solver):
+        with pytest.raises(NumericError, match="sum to 1"):
+            solver(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+
+
+class TestSquaredEuclideanCost:
+    @pytest.mark.parametrize("n, m, d, offset", [(1, 1, 1, 0.0), (7, 5, 1, 3.0), (6, 9, 3, 1e3)])
+    def test_matches_difference_tensor(self, n, m, d, offset):
+        rng = np.random.default_rng(21)
+        x = offset + rng.standard_normal((n, d))
+        y = offset + rng.standard_normal((m, d))
+        ref = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
+        scale = (x**2).sum(axis=1)[:, None] + (y**2).sum(axis=1)
+        cost = squared_euclidean_cost(x, y)
+        assert cost.shape == (n, m)
+        assert np.all(cost >= 0)
+        assert np.all(np.abs(cost - ref) <= 1e-12 * np.abs(ref) + 1e-12 * scale)
 
 
 class TestSinkhorn:
