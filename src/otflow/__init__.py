@@ -42,7 +42,6 @@ from .optim import OptimizerState, apply_step
 from .otdd import (
     DatasetState,
     FlowGradients,
-    Particle,
     ground_cost_matrix,
     label_stats,
     otdd,
@@ -70,7 +69,6 @@ __all__ = [
     "LabelDistribution",
     "Moments",
     "OptimizerState",
-    "Particle",
     "PotentialTerm",
     "Snapshot",
     "TargetDistanceTerm",

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import Moments, pairwise_bures_sq, spd_sqrt
+from .transport import _cost_product
 
 NOISE = -1
 
@@ -110,12 +111,7 @@ def kmeans_embedded(dists, k: int, seed: int = 0, max_iter: int = 200) -> Cluste
 
     assign = np.full(n, -1, dtype=int)
     for _ in range(max_iter):
-        d2 = (
-            np.sum(points**2, axis=1)[:, None]
-            + np.sum(centers**2, axis=1)[None, :]
-            - 2.0 * points @ centers.T
-        )
-        new_assign = np.argmin(d2, axis=1)
+        new_assign = np.argmin(_cost_product(points, centers), axis=1)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

@@ -3,9 +3,10 @@
 A functional is a weighted sum of terms: distance to a target dataset,
 potential energies integrated against the particle measure, pairwise
 interaction energies, and an entropy term whose effect is realized as
-Brownian noise by the dynamics engine. Every term exposes its value and
-per-particle gradients; gradients follow the per-unit-mass convention of
-FlowGradients so step sizes are comparable across particle counts.
+Brownian noise by the dynamics engine. A term is a ``weight``, a ``kind``
+and one method, ``value_and_grads(state, mode)``, which returns its value
+and per-particle gradients; gradients follow the per-unit-mass convention
+of FlowGradients so step sizes are comparable across particle counts.
 """
 
 from dataclasses import dataclass, field
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .otdd import DatasetState, Divergence, FlowGradients, _assemble_grads
-from .transport import DEFAULT_MAX_ITER, DEFAULT_TOL
+from .otdd import MODE_FD, DatasetState, Divergence, FlowGradients, _assemble_grads
+from .transport import DEFAULT_MAX_ITER, DEFAULT_TOL, _cost_product, _envelope_grad
 
 POTENTIAL_FORMS = (
     "quadratic",
@@ -41,6 +42,16 @@ def _as_array(params, key, default=None, dim=None):
     return out
 
 
+def _affine_norm(x, a, b):
+    """||A x_i - b|| for every row x_i, and its gradient (0 where the norm is 0)."""
+    u = x @ a.T - b
+    norms = np.linalg.norm(u, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)
+    grads = (u / safe[:, None]) @ a
+    grads[norms == 0] = 0.0
+    return norms, grads
+
+
 def _potential_pointwise(state: DatasetState, form: str, params: dict):
     """V(z_i) for every particle, plus the per-particle gradient dV/dx_i."""
     x = state.features
@@ -61,12 +72,7 @@ def _potential_pointwise(state: DatasetState, form: str, params: dict):
     elif form == "affine_norm":
         a = np.atleast_2d(_as_array(params, "matrix", dim=d))
         b = _as_array(params, "offset", np.zeros(a.shape[0]))
-        u = x @ a.T - b
-        norms = np.linalg.norm(u, axis=1)
-        vals = norms
-        safe = np.where(norms > 0, norms, 1.0)
-        grads = (u / safe[:, None]) @ a
-        grads[norms == 0] = 0.0
+        vals, grads = _affine_norm(x, a, b)
     elif form == "class_affine_norm":
         per_class = params["per_class"]
         vals = np.zeros(n)
@@ -79,13 +85,7 @@ def _potential_pointwise(state: DatasetState, form: str, params: dict):
             a = np.atleast_2d(np.asarray(sub["matrix"], dtype=float))
             b = np.asarray(sub.get("offset", np.zeros(a.shape[0])), dtype=float)
             mask = y == c
-            u = x[mask] @ a.T - b
-            norms = np.linalg.norm(u, axis=1)
-            vals[mask] = norms
-            safe = np.where(norms > 0, norms, 1.0)
-            g = (u / safe[:, None]) @ a
-            g[norms == 0] = 0.0
-            grads[mask] = g
+            vals[mask], grads[mask] = _affine_norm(x[mask], a, b)
     elif form == "hinge":
         # Printed form: V(z) = max{0, y (x.w - b)} with y in {-1, +1}; the
         # `negate` flag flips the sign convention without silently fixing it.
@@ -122,29 +122,26 @@ def eval_potential(state: DatasetState, form: str, params: dict) -> float:
 
 
 def _interaction_pointwise(state: DatasetState, form: str):
-    """Value and per-particle first-variation gradient of the pair energy."""
+    """Value and per-particle first-variation gradient of the pair energy
+    W(u) = w(||u||^2) on cross-class pairs: grad_i = sum_j p_j w'(.) 2 (x_i - x_j),
+    the factor 2 of the symmetric double sum cancelling its leading 1/2."""
     x = state.features
     y = state.labels
     p = state.weights
-    diff = x[:, None, :] - x[None, :, :]
-    sq = np.sum(diff**2, axis=2)
+    sq = _cost_product(x, x)
     cross = (y[:, None] != y[None, :]).astype(float)
     if form == "class_repulsion":
         w = np.exp(-sq) * cross
-        # grad of exp(-||u||^2) is -2 u exp(-||u||^2)
-        gw = -2.0 * diff * (np.exp(-sq) * cross)[:, :, None]
+        slope = -w
     elif form == "cross_class_spread":
         w = -sq * cross
-        gw = -2.0 * diff * cross[:, :, None]
+        slope = -cross
     else:
         raise ValueError(
             f"unknown interaction form {form!r} (available: {', '.join(INTERACTION_FORMS)})"
         )
     value = 0.5 * float(p @ w @ p)
-    # First variation of the symmetric double sum carries a factor 2 that
-    # cancels the leading 1/2: grad_i = sum_j p_j dW(x_i - x_j).
-    grads = np.einsum("j,ijd->id", p, gw)
-    return value, grads
+    return value, _envelope_grad(slope * p, x, x)
 
 
 def eval_interaction(state: DatasetState, form: str, params: dict | None = None) -> float:
@@ -164,9 +161,6 @@ class PotentialTerm:
         vals, grads = _potential_pointwise(state, self.form, self.params)
         return float(state.weights @ vals), FlowGradients(grads)
 
-    def value(self, state: DatasetState) -> float:
-        return eval_potential(state, self.form, self.params)
-
 
 @dataclass
 class InteractionTerm:
@@ -178,9 +172,6 @@ class InteractionTerm:
     def value_and_grads(self, state: DatasetState, mode: str):
         value, grads = _interaction_pointwise(state, self.form)
         return value, FlowGradients(grads)
-
-    def value(self, state: DatasetState) -> float:
-        return eval_interaction(state, self.form, self.params)
 
 
 @dataclass
@@ -197,9 +188,6 @@ class EntropyTerm:
 
     def value_and_grads(self, state: DatasetState, mode: str):
         return 0.0, FlowGradients(np.zeros_like(state.features))
-
-    def value(self, state: DatasetState) -> float:
-        return 0.0
 
 
 class TargetDistanceTerm(Divergence):
@@ -236,10 +224,6 @@ class TargetDistanceTerm(Divergence):
         # Subgradient 0 at the (nonsmooth) zero of the square root.
         grads.scale(0.5 / value if value > 1e-9 else 0.0)
         return value, grads
-
-    def value(self, state: DatasetState) -> float:
-        value_sq = self.solve(state)[0]
-        return value_sq if self.squared else float(np.sqrt(max(value_sq, 0.0)))
 
 
 @dataclass
@@ -288,8 +272,9 @@ def grad_functional(state: DatasetState, spec: FunctionalSpec, mode: str):
 
 
 def eval_terms(state: DatasetState, spec: FunctionalSpec):
-    """Weighted per-term values, in spec order (entropy reports 0)."""
+    """Weighted per-term values, in spec order (entropy reports 0), each
+    from the term's ``value_and_grads`` in fd."""
     return [
-        0.0 if t.weight == 0.0 else t.weight * t.value(state)
+        0.0 if t.weight == 0.0 else t.weight * t.value_and_grads(state, MODE_FD)[0]
         for t in spec.terms
     ]

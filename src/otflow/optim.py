@@ -6,7 +6,7 @@ optional per-block step sizes. Covariance blocks are projected back onto the
 PSD cone after every update.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,15 +50,9 @@ class OptimizerState:
                 )
 
     def clone(self) -> "OptimizerState":
-        return OptimizerState(
-            rule=self.rule,
-            step_size=self.step_size,
-            momentum=self.momentum,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            adam_eps=self.adam_eps,
-            adagrad_eps=self.adagrad_eps,
-            block_step_sizes=dict(self.block_step_sizes),
+        """Same rule and hyperparameters, with no accumulated state."""
+        return replace(
+            self, block_step_sizes=dict(self.block_step_sizes), buffers={}, step_count=0
         )
 
     def tau(self, block: str) -> float:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericError
 from .gaussian import (
-    LabelDistribution,
     Moments,
     pairwise_bures_grads,
     pairwise_bures_sq,
@@ -23,6 +22,7 @@ from .gaussian import (
 )
 from .transport import (
     _cost_product,
+    _envelope_grad,
     default_reg,
     sinkhorn,
     sinkhorn_symmetric,
@@ -41,14 +41,6 @@ MODES = (MODE_FD, MODE_JD_FL, MODE_JD_VL)
 # have a slowly decaying antisymmetric dual mode.
 EVAL_TOL = 1e-6
 EVAL_MAX_ITER = 20_000
-
-
-@dataclass(frozen=True)
-class Particle:
-    """One labeled sample z = (x, y)."""
-
-    features: np.ndarray
-    label: int
 
 
 @dataclass
@@ -87,12 +79,6 @@ class DatasetState:
         state.label_dists = label_stats(state)
         return state
 
-    @classmethod
-    def from_particles(cls, particles, weights=None) -> "DatasetState":
-        feats = np.stack([np.asarray(p.features, dtype=float) for p in particles])
-        labels = np.array([p.label for p in particles], dtype=int)
-        return cls.from_features(feats, labels, weights)
-
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -106,15 +92,8 @@ class DatasetState:
         """Whether every particle owns its moment row (jd-vl layout)."""
         return np.array_equal(self.block, np.arange(self.n))
 
-    @property
-    def particles(self):
-        return [Particle(self.features[i].copy(), int(self.labels[i])) for i in range(self.n)]
-
     def class_ids(self):
         return sorted(int(c) for c in np.unique(self.labels))
-
-    def dist_for(self, i: int) -> LabelDistribution:
-        return self.label_dists[self.block[i]]
 
     def validate(self):
         if not np.all(np.isfinite(self.features)):
@@ -350,11 +329,10 @@ def _row_masses(plan: np.ndarray, row_idx: np.ndarray, col_idx: np.ndarray, p: i
 
 def _feature_grad(plan_ab, src, dst, plan_aa=None):
     """d(value)/dx from the coupling(s), squared-Euclidean feature metric."""
-    pi = plan_ab.plan
-    g = 2.0 * (pi.sum(axis=1)[:, None] * src.features - pi @ dst.features)
+    g = _envelope_grad(plan_ab.plan, src.features, dst.features)
     if plan_aa is not None:
         sym = 0.5 * (plan_aa.plan + plan_aa.plan.T)
-        g -= 2.0 * (sym.sum(axis=1)[:, None] * src.features - sym @ src.features)
+        g -= _envelope_grad(sym, src.features, src.features)
     return g
 
 

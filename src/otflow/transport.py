@@ -409,6 +409,16 @@ def _cost_product(x, y, x_extra=None, y_extra=None) -> np.ndarray:
     return np.maximum(cost, 0.0, out=cost)
 
 
+def _envelope_grad(w, x, y) -> np.ndarray:
+    """Gradient of sum_ij w_ij ||x_i - y_j||^2 w.r.t. every x_i, w held fixed.
+
+    sum_j w_ij * 2 (x_i - y_j), as 2 (w.sum(1) x - w @ y): one matrix
+    product, O(n m) memory, no (n, m, d) difference tensor. The transport,
+    debiased self-term and pair-interaction gradients all take this form.
+    """
+    return 2.0 * (w.sum(axis=1)[:, None] * x - w @ y)
+
+
 def squared_euclidean_cost(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pairwise ||x_i - y_j||^2 as one matrix product (see ``_cost_product``),
     without forming difference tensors."""
@@ -417,29 +427,16 @@ def squared_euclidean_cost(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _cost_product(x, y)
 
 
-def squared_euclidean_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient tensor of the squared Euclidean cost: (n, m, d) with 2(x_i - y_j)."""
-    return 2.0 * (x[:, None, :] - y[None, :, :])
-
-
 def ot_position_grad(
-    plan: TransportPlan,
-    source_points: np.ndarray,
-    target_points: np.ndarray,
-    ground_grad=squared_euclidean_grad,
+    plan: TransportPlan, source_points: np.ndarray, target_points: np.ndarray
 ) -> np.ndarray:
-    """Envelope gradient of the transport value w.r.t. source positions.
-
-    With the plan held fixed at its optimum, d(value)/dx_i reduces to
-    sum_j plan_ij * grad_x c(x_i, x'_j). ``ground_grad`` maps the two point
-    arrays to the (n, m, d) tensor of per-pair cost gradients.
+    """Envelope gradient of the squared-Euclidean transport value w.r.t.
+    source positions: with the plan held fixed at its optimum,
+    d(value)/dx_i = sum_j plan_ij * 2 (x_i - y_j) (see ``_envelope_grad``).
     """
     source_points = np.atleast_2d(np.asarray(source_points, dtype=float))
     target_points = np.atleast_2d(np.asarray(target_points, dtype=float))
-    grads = np.asarray(ground_grad(source_points, target_points), dtype=float)
-    if not np.all(np.isfinite(grads)):
-        raise NumericError("ground-cost gradient callback returned non-finite values")
-    return np.einsum("ij,ijd->id", plan.plan, grads)
+    return _envelope_grad(plan.plan, source_points, target_points)
 
 
 def default_reg(cost: np.ndarray) -> float:

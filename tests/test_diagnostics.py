@@ -115,7 +115,7 @@ class TestDisplacementConvexity:
         tgt = matched_pair(8, n=10)[0]
         fresh = check_displacement_convexity(FunctionalSpec([TargetDistanceTerm(tgt)]), a, b)
         spec = FunctionalSpec([TargetDistanceTerm(tgt)])
-        spec.terms[0].value(DatasetState.from_features(a.features + 20.0, a.labels))
+        spec.terms[0].value_and_grads(DatasetState.from_features(a.features + 20.0, a.labels), "fd")
         after_far = check_displacement_convexity(spec, a, b)
         again = check_displacement_convexity(spec, a, b)
         assert after_far.samples == fresh.samples
@@ -141,8 +141,9 @@ class TestDisplacementConvexity:
             def __init__(self, base):
                 self.base = base
 
-            def value(self, state):
-                return feature_w2_sq(state, self.base)
+            def value_and_grads(self, state, mode):
+                # The convexity report reads values only.
+                return feature_w2_sq(state, self.base), None
 
         base = matched_pair(20, n=12)[0]
         spec = FunctionalSpec([ExactW2Term(base)])

@@ -12,6 +12,7 @@ from otflow.functionals import (
     TargetDistanceTerm,
     eval_interaction,
     eval_potential,
+    eval_terms,
     grad_functional,
 )
 from otflow.otdd import MODE_FD, DatasetState
@@ -210,6 +211,49 @@ class TestGradFunctional:
                 fd = (vp - vm) / (2 * h)
                 analytic = grads.d_features[i, l] * state.weights[i]
                 assert abs(fd - analytic) <= 1e-4 * max(abs(fd), 1e-3)
+
+    # w'(||u||^2) of each form: W(u) = w(||u||^2) on cross-class pairs.
+    SLOPES = {
+        "class_repulsion": lambda s: -np.exp(-s),
+        "cross_class_spread": lambda s: -1.0,
+    }
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("form", sorted(SLOPES))
+    def test_interaction_grads_match_double_loop(self, form, d):
+        # grad_i = sum_j p_j w'(||x_i - x_j||^2) 2 (x_i - x_j) over j of another class.
+        rng = np.random.default_rng(20 + d)
+        state = rand_state(rng, 11, 3, d, spread=1.0)
+        _, grads = InteractionTerm(form).value_and_grads(state, MODE_FD)
+        x, y, p = state.features, state.labels, state.weights
+        expected = np.zeros_like(x)
+        for i in range(state.n):
+            for j in range(state.n):
+                if y[i] != y[j]:
+                    u = x[i] - x[j]
+                    expected[i] += p[j] * self.SLOPES[form](u @ u) * 2.0 * u
+        np.testing.assert_allclose(grads.d_features, expected, rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("form", sorted(SLOPES))
+    def test_interaction_grads_vanish_in_one_class(self, form):
+        state = rand_state(np.random.default_rng(24), 9, 1, 2)
+        _, grads = InteractionTerm(form).value_and_grads(state, MODE_FD)
+        assert np.all(grads.d_features == 0.0)
+
+    def test_value_is_sum_of_term_values(self):
+        # Snapshots record eval_terms; the flow steps on grad_functional.
+        rng = np.random.default_rng(25)
+        state = rand_state(rng, 10, 2, 2)
+        spec = FunctionalSpec([
+            TargetDistanceTerm(rand_state(rng, 12, 3, 2), weight=0.8),
+            PotentialTerm("radial_shell", {"radius": 1.0}, weight=0.5),
+            InteractionTerm("class_repulsion", weight=1.5),
+            EntropyTerm(weight=0.1),
+        ])
+        spec.reset()
+        value, _ = grad_functional(state, spec, MODE_FD)
+        spec.reset()
+        assert value == sum(eval_terms(state, spec))
 
     def test_composite_with_target_matches_fd(self):
         rng = np.random.default_rng(9)

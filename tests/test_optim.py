@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,22 @@ class TestBlocks:
     def test_bad_block_step_sizes_rejected(self, sizes):
         with pytest.raises(ValueError, match="block"):
             OptimizerState(block_step_sizes=sizes)
+
+    @pytest.mark.parametrize("rule", ["momentum", "adam"])
+    def test_clone_drops_accumulated_state(self, rule):
+        state = rand_state(np.random.default_rng(11), 4, 2, 2)
+        opt = OptimizerState(
+            rule=rule, step_size=0.3, momentum=0.7, beta1=0.8, beta2=0.99,
+            adam_eps=1e-7, adagrad_eps=1e-9, block_step_sizes={"features": 0.2},
+        )
+        apply_step(state, feature_grads(state, np.ones((4, 2))), opt)
+        assert opt.step_count == 1 and opt.buffers
+        twin = opt.clone()
+        for f in fields(OptimizerState):
+            if f.name not in ("buffers", "step_count"):
+                assert getattr(twin, f.name) == getattr(opt, f.name), f.name
+        assert twin.block_step_sizes is not opt.block_step_sizes
+        assert twin.buffers == {} and twin.step_count == 0
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):

@@ -463,11 +463,21 @@ class TestPositionGrad:
                 fd = (value((x + e).ravel()) - value((x - e).ravel())) / (2 * h)
                 assert abs(fd - g[idx]) / max(abs(fd), np.abs(g).max(), 1e-8) < 1e-3
 
-    def test_rejects_nonfinite_callback(self):
-        x = np.zeros((2, 2))
-        plan = sinkhorn(squared_euclidean_cost(x, x), uniform(2), uniform(2), reg=0.1)
-        with pytest.raises(NumericError):
-            ot_position_grad(plan, x, x, ground_grad=lambda a, b: np.full((2, 2, 2), np.nan))
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_brute_force_sum(self, d):
+        # sum_j plan_ij * 2 (x_i - y_j), one pair at a time, on n != m.
+        rng = np.random.default_rng(14 + d)
+        n, m = 7, 5
+        x = rng.standard_normal((n, d))
+        y = rng.standard_normal((m, d)) + 0.5
+        plan = sinkhorn(squared_euclidean_cost(x, y), uniform(n), uniform(m), reg=0.5)
+        g = ot_position_grad(plan, x, y)
+        assert g.shape == (n, d)
+        expected = np.zeros((n, d))
+        for i in range(n):
+            for j in range(m):
+                expected[i] += plan.plan[i, j] * 2.0 * (x[i] - y[j])
+        np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-15)
 
     def test_debiased_gradient_vanishes_at_self(self):
         rng = np.random.default_rng(13)
