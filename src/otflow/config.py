@@ -1,26 +1,30 @@
-"""Run configuration: a single JSON file whose keys mirror the engine's
-field names, so configs double as experiment documentation."""
+"""Run configuration: a single JSON file whose keys are the keyword
+parameters of the library constructors, so configs double as experiment
+documentation and run exactly what they say. A null value leaves the library
+default in place; a key the engine would not read, or a value that does not
+fit its parameter's annotation, is a ConfigError."""
 
 import json
 import os
 from dataclasses import dataclass
+from inspect import Parameter, formatannotation, signature
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin
 
 from .datagen import GeneratorSpec, generate
+from .diagnostics import CONVEXITY_KEYS
 from .dynamics import FlowConfig
-from .errors import ConfigError
-from .functionals import (
-    EntropyTerm,
-    FunctionalSpec,
-    InteractionTerm,
-    PotentialTerm,
-    TargetDistanceTerm,
-)
+from .errors import ConfigError, NumericError
+from .functionals import TERM_KINDS, FunctionalSpec, TargetDistanceTerm
 from .io import load_dataset
 from .optim import OptimizerState
 from .otdd import DatasetState
+from .plots import PLOT_KEYS
 
 OUTPUT_DIR_ENV = "OTFLOW_OUTPUT_DIR"
+# Top-level keys that are not FlowConfig arguments.
+RUN_SECTIONS = ("source", "target", "functional", "optimizer", "output_dir", "plot", "convexity")
 
 
 @dataclass
@@ -30,7 +34,6 @@ class RunConfig:
     flow: FlowConfig
     output_dir: Path
     plot: dict
-    raw: dict
 
 
 def load_config_dict(path) -> dict:
@@ -48,104 +51,100 @@ def load_config_dict(path) -> dict:
     return cfg
 
 
-def dataset_from_entry(entry, what: str) -> DatasetState:
+def _check_keys(entry, keys, what: str) -> dict:
+    """``entry``, once it is an object whose keys are all in ``keys``."""
     if not isinstance(entry, dict):
         raise ConfigError(f"{what} must be an object")
-    if "generator" in entry:
-        gen = dict(entry["generator"])
-        try:
-            spec = GeneratorSpec(**gen)
-        except TypeError as exc:
-            raise ConfigError(f"{what} generator: {exc}") from exc
-        return generate(spec)
-    if "path" in entry:
-        return load_dataset(
-            entry["path"],
-            fmt=entry.get("format", "csv"),
-            labels_path=entry.get("labels_path"),
-            downscale=int(entry.get("downscale", 1)),
-            per_class_cap=entry.get("per_class_cap"),
-        )
-    raise ConfigError(f"{what} needs either a 'generator' or a 'path'")
+    for key in entry:
+        if key not in keys:
+            raise ConfigError(f"{what}: unknown key {key!r}")
+    return entry
 
 
-# Config keys read into each library constructor, with the cast applied to
-# the JSON value. Absent or null keys are not passed, so the library
-# defaults apply on both the config and the library path.
-TARGET_TERM_KEYS = {"reg": float, "debias": bool, "squared": bool, "max_iter": int, "tol": float}
-OPTIMIZER_KEYS = {
-    "rule": str, "step_size": float, "momentum": float, "beta1": float, "beta2": float,
-    "adam_eps": float, "adagrad_eps": float,
-    "block_step_sizes": lambda v: {k: float(x) for k, x in v.items()},
-}
-FLOW_KEYS = {
-    "mode": str, "steps": int, "noise_scale": float, "noise_schedule": str,
-    "noise_target": str, "relabel_every": int, "relabel_method": str,
-    "cluster_eps": float, "cluster_min_pts": int, "cluster_k": int, "seed": int,
-    "record_every": int,
-}
+def _fits(value, annotation) -> bool:
+    """Whether a JSON value fits a parameter annotation: an int fits a float,
+    a bool fits only a bool."""
+    if annotation is Parameter.empty:
+        return True
+    if get_origin(annotation) in (Union, UnionType):
+        return any(_fits(value, a) for a in get_args(annotation))
+    annotation = get_origin(annotation) or annotation
+    if isinstance(value, bool):
+        return annotation is bool
+    if annotation is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, annotation)
 
 
-def _given(entry: dict, keys: dict) -> dict:
-    """The keys of ``entry`` listed in ``keys`` that are set, cast."""
-    return {k: cast(entry[k]) for k, cast in keys.items() if entry.get(k) is not None}
-
-
-def term_from_entry(entry: dict, target: DatasetState | None):
-    kind = entry.get("kind")
-    weight = float(entry.get("weight", 1.0))
-    if kind == "target_distance":
-        if target is None:
-            raise ConfigError("functional has a target_distance term but no target dataset")
-        return TargetDistanceTerm(target, weight=weight, **_given(entry, TARGET_TERM_KEYS))
-    if kind == "potential":
-        return PotentialTerm(entry["form"], entry.get("params", {}), weight=weight)
-    if kind == "interaction":
-        return InteractionTerm(entry["form"], entry.get("params", {}), weight=weight)
-    if kind == "entropy":
-        return EntropyTerm(weight=weight)
-    raise ConfigError(f"unknown functional term kind {kind!r}")
-
-
-def optimizer_from_entry(entry: dict) -> OptimizerState:
+def _build(cls, what: str, entry, *args):
+    """``cls(*args, **entry)`` with null keys left out, so the library
+    defaults apply. The keyword parameters of ``cls`` are the schema: an
+    unknown key, a value that does not fit its annotation, or a value that
+    ``cls`` rejects is a ConfigError naming ``what``."""
+    params = signature(cls).parameters
+    kwargs = {k: v for k, v in _check_keys(entry, params, what).items() if v is not None}
+    for key, value in kwargs.items():
+        if not _fits(value, params[key].annotation):
+            wanted = formatannotation(params[key].annotation)
+            raise ConfigError(f"{what}: {key} must be {wanted}, not {value!r}")
     try:
-        return OptimizerState(**_given(entry or {}, OPTIMIZER_KEYS))
-    except ValueError as exc:
-        raise ConfigError(f"optimizer: {exc}") from exc
+        return cls(*args, **kwargs)
+    except (TypeError, ValueError, NumericError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def dataset_from_entry(entry, what: str) -> DatasetState:
+    if not isinstance(entry, dict) or ("generator" in entry) == ("path" in entry):
+        raise ConfigError(f"{what} must be an object with either a 'generator' or a 'path'")
+    if "generator" in entry:
+        _check_keys(entry, ("generator",), what)
+        return generate(_build(GeneratorSpec, f"{what} generator", entry["generator"]))
+    return _build(load_dataset, what, entry)
+
+
+def term_from_entry(entry, target: DatasetState | None, what: str):
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{what} must be an object")
+    args = dict(entry)
+    kind = args.pop("kind", None)
+    if kind not in TERM_KINDS:
+        raise ConfigError(f"{what}: unknown kind {kind!r} (available: {', '.join(TERM_KINDS)})")
+    if kind != "target_distance":
+        return _build(TERM_KINDS[kind], what, args)
+    if target is None:
+        raise ConfigError("functional has a target_distance term but no target dataset")
+    return _build(TargetDistanceTerm, what, args, target)
 
 
 def build_run(cfg: dict) -> RunConfig:
     """Materialize datasets, functional, and flow config; validates before
-    any flow compute happens."""
-    if "source" not in cfg:
+    any flow compute happens. Each entry goes to one callable: a generator to
+    GeneratorSpec, a path entry to load_dataset, a term to TERM_KINDS[kind],
+    ``optimizer`` to OptimizerState and the other top-level keys to FlowConfig."""
+    plot = _check_keys(cfg.get("plot") or {}, PLOT_KEYS, "plot")
+    _check_keys(cfg.get("convexity") or {}, CONVEXITY_KEYS, "convexity")
+    if cfg.get("source") is None:
         raise ConfigError("config needs a 'source' dataset")
     source = dataset_from_entry(cfg["source"], "source")
-
-    term_entries = (cfg.get("functional") or {}).get("terms")
-    if not term_entries:
-        raise ConfigError("config needs functional.terms with at least one term")
-    wants_target = any(t.get("kind") == "target_distance" for t in term_entries)
     target = None
-    if "target" in cfg and cfg["target"] is not None:
+    if cfg.get("target") is not None:
         target = dataset_from_entry(cfg["target"], "target")
-    if wants_target and target is None:
-        raise ConfigError("functional has a target_distance term but no target dataset")
 
-    try:
-        functional = FunctionalSpec([term_from_entry(t, target) for t in term_entries])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"functional: {exc}") from exc
+    entries = _check_keys(cfg.get("functional") or {}, ("terms",), "functional").get("terms")
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError("config needs functional.terms with at least one term")
+    terms = [term_from_entry(t, target, f"functional term {i}") for i, t in enumerate(entries)]
+    functional = _build(FunctionalSpec, "functional", {"terms": terms})
 
+    optimizer = _build(OptimizerState, "optimizer", cfg.get("optimizer") or {})
+    flow_args = {k: v for k, v in cfg.items() if k not in RUN_SECTIONS}
+    flow = _build(FlowConfig, "config", flow_args, functional, optimizer)
     try:
-        flow = FlowConfig(
-            functional=functional,
-            optimizer=optimizer_from_entry(cfg.get("optimizer", {})),
-            **_given(cfg, FLOW_KEYS),
-        )
         flow.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    out_dir = os.environ.get(OUTPUT_DIR_ENV) or cfg.get("output_dir", "otflow_out")
-    plot = cfg.get("plot") or {}
-    return RunConfig(source, target, flow, Path(out_dir), plot, cfg)
+    out_dir = cfg.get("output_dir") or "otflow_out"
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"output_dir must be a string, not {out_dir!r}")
+    return RunConfig(source, target, flow, Path(os.environ.get(OUTPUT_DIR_ENV) or out_dir), plot)

@@ -1,7 +1,7 @@
 """Seeded generators for the synthetic benchmark datasets: labeled Gaussian
 mixtures, the swiss roll, interleaved moons, and concentric rings."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class GeneratorSpec:
     radius: float = MIXTURE_RADIUS
     noise: float = 0.05
     seed: int = 0
-    extra: dict = field(default_factory=dict)
 
     def validate(self):
         if self.kind not in KINDS:

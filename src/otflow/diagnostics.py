@@ -75,6 +75,11 @@ def _generalized_interpolant(a, b, base, t):
     return DatasetState.from_features(feats, a.labels[s0].copy())
 
 
+# Keys of a run config's ``convexity`` section: ``lambda_claimed`` as below,
+# and ``use_target_base``, which passes the target dataset as ``base``.
+CONVEXITY_KEYS = ("lambda_claimed", "use_target_base")
+
+
 def check_displacement_convexity(
     functional: FunctionalSpec,
     a: DatasetState,

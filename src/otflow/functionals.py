@@ -17,14 +17,16 @@ from .errors import DimensionMismatchError
 from .otdd import MODE_FD, DatasetState, Divergence, FlowGradients, _assemble_grads
 from .transport import DEFAULT_MAX_ITER, DEFAULT_TOL, _cost_product, _envelope_grad
 
-POTENTIAL_FORMS = (
-    "quadratic",
-    "linear",
-    "affine_norm",
-    "class_affine_norm",
-    "hinge",
-    "radial_shell",
-)
+# Each potential form and the ``params`` keys it reads; ``class_affine_norm``
+# reads an ``affine_norm`` params object per class.
+POTENTIAL_FORMS = {
+    "quadratic": ("scale", "center"),
+    "linear": ("normal", "offset"),
+    "affine_norm": ("matrix", "offset"),
+    "class_affine_norm": ("per_class",),
+    "hinge": ("normal", "bias", "positive_label", "negate"),
+    "radial_shell": ("center", "radius"),
+}
 INTERACTION_FORMS = ("class_repulsion", "cross_class_spread")
 
 
@@ -99,7 +101,7 @@ def _potential_pointwise(state: DatasetState, form: str, params: dict):
         active = margin > 0
         vals = np.where(active, margin, 0.0)
         grads = np.where(active[:, None], sign[:, None] * w[None, :], 0.0)
-    elif form == "radial_shell":
+    else:  # radial_shell
         center = _as_array(params, "center", np.zeros(d), dim=d)
         radius = float(params.get("radius", 1.0))
         diff = x - center
@@ -108,17 +110,12 @@ def _potential_pointwise(state: DatasetState, form: str, params: dict):
         vals = np.where(active, norms - radius, 0.0)
         safe = np.where(norms > 0, norms, 1.0)
         grads = np.where(active[:, None], diff / safe[:, None], 0.0)
-    else:
-        raise ValueError(
-            f"unknown potential form {form!r} (available: {', '.join(POTENTIAL_FORMS)})"
-        )
     return vals, grads
 
 
 def eval_potential(state: DatasetState, form: str, params: dict) -> float:
     """Empirical expectation of a pointwise potential: sum_i p_i V(z_i)."""
-    vals, _ = _potential_pointwise(state, form, params)
-    return float(state.weights @ vals)
+    return PotentialTerm(form, params).value_and_grads(state, MODE_FD)[0]
 
 
 def _interaction_pointwise(state: DatasetState, form: str):
@@ -133,21 +130,29 @@ def _interaction_pointwise(state: DatasetState, form: str):
     if form == "class_repulsion":
         w = np.exp(-sq) * cross
         slope = -w
-    elif form == "cross_class_spread":
+    else:  # cross_class_spread
         w = -sq * cross
         slope = -cross
-    else:
-        raise ValueError(
-            f"unknown interaction form {form!r} (available: {', '.join(INTERACTION_FORMS)})"
-        )
     value = 0.5 * float(p @ w @ p)
     return value, _envelope_grad(slope * p, x, x)
 
 
-def eval_interaction(state: DatasetState, form: str, params: dict | None = None) -> float:
+def eval_interaction(state: DatasetState, form: str) -> float:
     """Pair energy 0.5 * sum_ij p_i p_j W(z_i - z_j); self-pairs included."""
-    value, _ = _interaction_pointwise(state, form)
-    return value
+    return InteractionTerm(form).value_and_grads(state, MODE_FD)[0]
+
+
+def _check_form(form: str, forms, what: str):
+    if form not in forms:
+        raise ValueError(f"unknown {what} form {form!r} (available: {', '.join(forms)})")
+
+
+def _check_params(params, form: str):
+    if not isinstance(params, dict):
+        raise ValueError(f"{form} potential params must be an object, not {params!r}")
+    unknown = [k for k in params if k not in POTENTIAL_FORMS[form]]
+    if unknown:
+        raise ValueError(f"{form} potential params take {POTENTIAL_FORMS[form]}, not {unknown[0]!r}")
 
 
 @dataclass
@@ -157,6 +162,16 @@ class PotentialTerm:
     weight: float = 1.0
     kind: str = field(default="potential", init=False)
 
+    def __post_init__(self):
+        _check_form(self.form, POTENTIAL_FORMS, "potential")
+        _check_params(self.params, self.form)
+        if self.form == "class_affine_norm":
+            per_class = self.params.get("per_class", {})
+            if not isinstance(per_class, dict):
+                raise ValueError("class_affine_norm per_class must map class ids to params")
+            for sub in per_class.values():
+                _check_params(sub, "affine_norm")
+
     def value_and_grads(self, state: DatasetState, mode: str):
         vals, grads = _potential_pointwise(state, self.form, self.params)
         return float(state.weights @ vals), FlowGradients(grads)
@@ -165,9 +180,11 @@ class PotentialTerm:
 @dataclass
 class InteractionTerm:
     form: str
-    params: dict = field(default_factory=dict)
     weight: float = 1.0
     kind: str = field(default="interaction", init=False)
+
+    def __post_init__(self):
+        _check_form(self.form, INTERACTION_FORMS, "interaction")
 
     def value_and_grads(self, state: DatasetState, mode: str):
         value, grads = _interaction_pointwise(state, self.form)
@@ -250,6 +267,10 @@ class FunctionalSpec:
         for t in self.terms:
             if isinstance(t, Divergence):
                 t.reset()
+
+
+# Term classes by the ``kind`` they report; a config's term entry names one.
+TERM_KINDS = {t.kind: t for t in (TargetDistanceTerm, PotentialTerm, InteractionTerm, EntropyTerm)}
 
 
 def grad_functional(state: DatasetState, spec: FunctionalSpec, mode: str):

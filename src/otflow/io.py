@@ -19,7 +19,7 @@ from .otdd import DatasetState
 
 def load_dataset(
     path,
-    fmt: str = "csv",
+    format: str = "csv",
     labels_path=None,
     downscale: int = 1,
     per_class_cap: int | None = None,
@@ -31,13 +31,13 @@ def load_dataset(
          ``labels_path``; pixels are flattened, scaled to [0, 1], optionally
          strided down by ``downscale`` and capped per class.
     """
-    if fmt == "csv":
+    if format == "csv":
         return _load_csv(path)
-    if fmt == "idx":
+    if format == "idx":
         if labels_path is None:
             raise ParseError(path, "idx format needs a labels file")
         return _load_idx(path, labels_path, downscale, per_class_cap)
-    raise ParseError(path, f"unknown dataset format {fmt!r}")
+    raise ParseError(path, f"unknown dataset format {format!r}")
 
 
 def _load_csv(path) -> DatasetState:

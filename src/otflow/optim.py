@@ -25,6 +25,8 @@ class OptimizerState:
     A single instance drives all blocks of a flow; ``block_step_sizes`` can
     override the shared step size per block family ("features", "means",
     "covs"), which the paper's single-tau scheme leaves shared by default.
+    The accumulators ``buffers`` and ``step_count`` start empty and are not
+    constructor arguments.
     """
 
     rule: str = "sgd"
@@ -35,8 +37,8 @@ class OptimizerState:
     adam_eps: float = 1e-8
     adagrad_eps: float = 1e-10
     block_step_sizes: dict = field(default_factory=dict)
-    buffers: dict = field(default_factory=dict)
-    step_count: int = 0
+    buffers: dict = field(default_factory=dict, init=False)
+    step_count: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.rule not in RULES:
@@ -51,9 +53,7 @@ class OptimizerState:
 
     def clone(self) -> "OptimizerState":
         """Same rule and hyperparameters, with no accumulated state."""
-        return replace(
-            self, block_step_sizes=dict(self.block_step_sizes), buffers={}, step_count=0
-        )
+        return replace(self, block_step_sizes=dict(self.block_step_sizes))
 
     def tau(self, block: str) -> float:
         return float(self.block_step_sizes.get(block, self.step_size))

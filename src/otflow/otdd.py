@@ -254,7 +254,9 @@ class Divergence:
     Solves share state, which ``reset()`` drops: a None ``reg`` is frozen
     from the first solve's ground cost, duals warm-start the next solve at
     the same particle count, and the target self-value is solved once, by
-    the first ``solve``. ``target`` is read per solve.
+    the first ``solve``. ``target`` is read per solve. A ``reg`` that is
+    given must be positive and finite, ``tol`` positive and ``max_iter`` at
+    least 1; construction raises NumericError otherwise.
     """
 
     target: DatasetState
@@ -264,6 +266,12 @@ class Divergence:
     tol: float = EVAL_TOL
 
     def __post_init__(self):
+        if self.reg is not None and not (np.isfinite(self.reg) and self.reg > 0):
+            raise NumericError(f"reg must be positive and finite (got {self.reg!r})")
+        if not self.tol > 0:
+            raise NumericError(f"tol must be positive (got {self.tol!r})")
+        if not self.max_iter >= 1:
+            raise NumericError(f"max_iter must be >= 1 (got {self.max_iter!r})")
         self.reset()
 
     def reset(self):

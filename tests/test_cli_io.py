@@ -92,7 +92,7 @@ class TestIdx:
         images = rng.integers(0, 256, size=(100, 8, 8), dtype=np.uint8)
         labels = rng.integers(0, 10, size=100, dtype=np.uint8)
         img, lbl = write_idx_pair(tmp_path, images, labels)
-        state = load_dataset(img, fmt="idx", labels_path=lbl)
+        state = load_dataset(img, format="idx", labels_path=lbl)
         assert state.n == 100 and state.dim == 64
         np.testing.assert_allclose(
             state.features, images.reshape(100, -1) / 255.0, atol=1e-12
@@ -104,7 +104,7 @@ class TestIdx:
         images = rng.integers(0, 256, size=(100, 4, 4), dtype=np.uint8)
         labels = (np.arange(100) % 10).astype(np.uint8)
         img, lbl = write_idx_pair(tmp_path, images, labels)
-        state = load_dataset(img, fmt="idx", labels_path=lbl, per_class_cap=5)
+        state = load_dataset(img, format="idx", labels_path=lbl, per_class_cap=5)
         assert state.n <= 50
         assert np.bincount(state.labels).max() <= 5
         assert set(state.labels.tolist()) == set(range(10))
@@ -114,7 +114,7 @@ class TestIdx:
         images = rng.integers(0, 256, size=(10, 8, 8), dtype=np.uint8)
         labels = np.zeros(10, dtype=np.uint8)
         img, lbl = write_idx_pair(tmp_path, images, labels)
-        state = load_dataset(img, fmt="idx", labels_path=lbl, downscale=2)
+        state = load_dataset(img, format="idx", labels_path=lbl, downscale=2)
         assert state.dim == 16
 
     def test_bad_magic(self, tmp_path):
@@ -123,14 +123,14 @@ class TestIdx:
         lbl = tmp_path / "lbl.idx"
         lbl.write_bytes(struct.pack(">ii", 2049, 1) + b"\x00")
         with pytest.raises(ParseError):
-            load_dataset(img, fmt="idx", labels_path=lbl)
+            load_dataset(img, format="idx", labels_path=lbl)
 
     def test_unreadable_labels_file_named(self, tmp_path):
         images = np.zeros((2, 2, 2), dtype=np.uint8)
         img, lbl = write_idx_pair(tmp_path, images, np.zeros(2, dtype=np.uint8))
         lbl.unlink()
         with pytest.raises(ParseError) as info:
-            load_dataset(img, fmt="idx", labels_path=lbl)
+            load_dataset(img, format="idx", labels_path=lbl)
         assert info.value.path == lbl
 
 

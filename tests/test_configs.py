@@ -1,13 +1,17 @@
-"""The shipped example configs must stay runnable end to end."""
+"""The shipped example configs must stay runnable end to end, and a config
+runs exactly what it says: a key the engine would not read is an error."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from otflow.cli import main
-from otflow.config import OUTPUT_DIR_ENV
+from otflow.config import OUTPUT_DIR_ENV, build_run
+from otflow.errors import ConfigError
+from otflow.functionals import POTENTIAL_FORMS
 from otflow.io import read_trajectory
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,3 +61,111 @@ def test_ou_diffusion_spreads_to_unit_variance(tmp_path, monkeypatch):
     final = np.asarray(records[-1]["features"])
     cov = np.cov(final.T, bias=True)
     assert np.abs(cov - np.eye(2)).max() < 0.25
+
+
+def ou_config(edit):
+    cfg = json.loads((CONFIG_DIR / "ou_diffusion.json").read_text())
+    edit(cfg)
+    return cfg
+
+
+def add_term(**term):
+    return lambda cfg: cfg["functional"]["terms"].append(term)
+
+
+def distance_term(**settings):
+    def edit(cfg):
+        cfg["target"] = {"generator": cfg["source"]["generator"]}
+        cfg["functional"]["terms"].append({"kind": "target_distance", **settings})
+
+    return edit
+
+
+def run_exit(cfg, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["run", str(path)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda cfg: cfg.update(stepz=5), "stepz"),
+        (lambda cfg: cfg["optimizer"].update(stepsize=9.0), "stepsize"),
+        (lambda cfg: cfg["functional"]["terms"][1]["params"].update(scael=3.0), "scael"),
+        (add_term(kind="interaction", form="class_repulsion", wieght=2), "wieght"),
+        (add_term(kind="interaction", form="class_repulsion", params={"bandwidth": 5}), "params"),
+    ],
+    ids=["stepz", "optimizer.stepsize", "potential.scael", "interaction.wieght",
+         "interaction.params"],
+)
+def test_typo_exits_2_naming_the_key(edit, key, tmp_path, monkeypatch, capsys):
+    code, err = run_exit(ou_config(edit), tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (distance_term(debias="false"), "debias"),
+        (lambda cfg: cfg.update(steps=2.5), "steps"),
+        (lambda cfg: cfg["optimizer"].update(step_size="0.1"), "step_size"),
+        (lambda cfg: cfg.update(seed=True), "seed"),
+        (lambda cfg: cfg["functional"]["terms"][1].update(form="quadratc"), "quadratc"),
+        (add_term(kind="interaction", form="class_repulsoin"), "class_repulsoin"),
+        (lambda cfg: cfg["source"]["generator"].update(extra={"twist": 1}), "extra"),
+        (lambda cfg: cfg["optimizer"].update(buffers={}), "buffers"),
+        (lambda cfg: cfg["optimizer"].update(step_count=7), "step_count"),
+        (lambda cfg: cfg["plot"].update(strid=2), "strid"),
+        (lambda cfg: cfg.update(convexity={"lambda": 1.0}), "lambda"),
+        (lambda cfg: cfg["functional"].update(term=[]), "term"),
+        (lambda cfg: cfg.update(source={"path": "data.csv", "labels_pth": "l.idx"}),
+         "labels_pth"),
+        (lambda cfg: cfg["source"].update(path="data.csv"), "generator"),
+        (distance_term(reg=-1.0), "reg"),
+        (distance_term(tol=0.0), "tol"),
+        (lambda cfg: cfg.update(output_dir=5), "output_dir"),
+    ],
+    ids=["debias-string", "steps-float", "step_size-string", "seed-bool", "potential-form",
+         "interaction-form", "generator.extra", "optimizer.buffers", "optimizer.step_count",
+         "plot.strid", "convexity.lambda", "functional.term", "path.labels_pth",
+         "generator-and-path", "reg-negative", "tol-zero", "output_dir-number"],
+)
+def test_rejected_at_build_time(edit, key, tmp_path, monkeypatch, capsys):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        build_run(ou_config(edit))
+    code, err = run_exit(ou_config(edit), tmp_path, monkeypatch, capsys)
+    assert code == 2 and key in err
+
+
+def test_null_takes_the_library_default():
+    absent = build_run(ou_config(lambda cfg: None))
+    nulled = build_run(ou_config(lambda cfg: cfg.update(
+        relabel_every=None, optimizer={**cfg["optimizer"], "momentum": None})))
+    assert nulled.flow.relabel_every == absent.flow.relabel_every == 10
+    assert nulled.flow.optimizer == absent.flow.optimizer
+
+
+def readme_config():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    return json.loads(blocks[0])
+
+
+def test_readme_config_builds():
+    run_cfg = build_run(readme_config())
+    assert [t.kind for t in run_cfg.flow.functional.terms] == ["target_distance", "interaction"]
+    assert run_cfg.flow.steps == 300
+
+
+def test_readme_lists_each_potential_form_with_its_params():
+    readme = (ROOT / "README.md").read_text()
+    for form, keys in POTENTIAL_FORMS.items():
+        line = next((ln for ln in readme.splitlines() if ln.startswith(f"- `{form}`:")), None)
+        assert line is not None, form
+        assert re.findall(r"`(\w+)`", line)[1:] == list(keys), form

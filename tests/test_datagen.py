@@ -103,6 +103,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             generate(GeneratorSpec(n=2, k=5))
 
+    def test_no_extra_knob(self):
+        with pytest.raises(TypeError, match="extra"):
+            GeneratorSpec(n=10, k=2, extra={"twist": 1.0})
+
     def test_bad_geometry(self):
         with pytest.raises(ConfigError):
             generate(GeneratorSpec(n=10, k=2, sigma=-1.0))

@@ -9,6 +9,7 @@ from otflow.functionals import (
     FunctionalSpec,
     InteractionTerm,
     PotentialTerm,
+    POTENTIAL_FORMS,
     TargetDistanceTerm,
     eval_interaction,
     eval_potential,
@@ -72,6 +73,54 @@ class TestPotential:
         with pytest.raises(ValueError):
             eval_potential(state, "mystery", {})
 
+    @pytest.mark.parametrize(
+        "form, params, named",
+        [
+            ("quadratic", {"scael": 3.0}, "scael"),
+            ("radial_shell", {"center": [0.0, 0.0], "raduis": 1.0}, "raduis"),
+            ("hinge", {"normal": [1.0, 0.0], "offset": 0.1}, "offset"),
+            ("class_affine_norm", {"per_class": {"0": {"matrix": [[1.0]], "ofset": [0.0]}}},
+             "ofset"),
+            ("class_affine_norm", {"per_class": [[1.0]]}, "per_class"),
+            ("quadratc", {}, "quadratc"),
+        ],
+    )
+    def test_term_rejects_what_its_form_does_not_read(self, form, params, named):
+        with pytest.raises(ValueError, match=named):
+            PotentialTerm(form, params)
+
+    def test_form_params_are_the_keys_it_reads(self):
+        class Recording(dict):
+            def __init__(self, items):
+                super().__init__(items)
+                self.read = set()
+
+            def __contains__(self, key):
+                self.read.add(key)
+                return super().__contains__(key)
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.read.add(key)
+                return super().get(key, default)
+
+        every_key = {
+            "quadratic": {"scale": 2.0, "center": [0.0, 0.0]},
+            "linear": {"normal": [1.0, 0.0], "offset": 0.1},
+            "affine_norm": {"matrix": [[1.0, 0.0]], "offset": [0.5]},
+            "class_affine_norm": {"per_class": {"0": {"matrix": [[1.0, 0.0]]}}},
+            "hinge": {"normal": [1.0, 0.0], "bias": 0.1, "positive_label": 0, "negate": True},
+            "radial_shell": {"center": [0.0, 0.0], "radius": 0.5},
+        }
+        assert every_key.keys() == POTENTIAL_FORMS.keys()
+        for form, params in every_key.items():
+            params = Recording(params)
+            eval_potential(circle_state(4), form, params)
+            assert params.read == set(POTENTIAL_FORMS[form]), form
+
     def test_shape_mismatch_rejected(self):
         state = circle_state(4)  # 2-D features
         with pytest.raises(ValueError):
@@ -81,6 +130,12 @@ class TestPotential:
 
 
 class TestInteraction:
+    def test_unknown_form_rejected_when_built(self):
+        with pytest.raises(ValueError, match="repulsoin"):
+            InteractionTerm("class_repulsoin")
+        with pytest.raises(ValueError, match="mystery"):
+            eval_interaction(circle_state(4), "mystery")
+
     def test_single_class_repulsion_zero(self):
         rng = np.random.default_rng(1)
         state = rand_state(rng, 12, 1, 2)

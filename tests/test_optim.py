@@ -171,6 +171,11 @@ class TestBlocks:
         assert twin.block_step_sizes is not opt.block_step_sizes
         assert twin.buffers == {} and twin.step_count == 0
 
+    @pytest.mark.parametrize("internal", ["buffers", "step_count"])
+    def test_accumulators_are_not_settings(self, internal):
+        with pytest.raises(TypeError, match=internal):
+            OptimizerState(**{internal: {} if internal == "buffers" else 3})
+
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
             OptimizerState(rule="bfgs")

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import rand_state, rel_err
 from otflow.dynamics import FlowConfig, flow_step
-from otflow.errors import DimensionMismatchError
+from otflow.errors import DimensionMismatchError, NumericError
 from otflow.functionals import FunctionalSpec, TargetDistanceTerm
 from otflow.gaussian import PSD_FLOOR_ABS, LabelDistribution, Moments, pairwise_bures_sq
 from otflow.optim import OptimizerState
@@ -17,6 +17,7 @@ from otflow.otdd import (
     MODE_JD_FL,
     MODE_JD_VL,
     DatasetState,
+    Divergence,
     FlowGradients,
     _row_masses,
     ground_cost_matrix,
@@ -255,6 +256,19 @@ class TestOtdd:
         ra, rb = plan.marginals()
         assert np.abs(ra - a.weights).sum() < 1e-5
         assert np.abs(rb - b.weights).sum() < 1e-5
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"reg": -1.0}, {"reg": 0.0}, {"reg": float("nan")}, {"tol": 0.0},
+         {"tol": float("nan")}, {"max_iter": 0}],
+        ids=lambda s: "-".join(f"{k}={v}" for k, v in s.items()),
+    )
+    def test_divergence_rejects_bad_settings_when_built(self, setting):
+        target = rand_state(np.random.default_rng(11), 6, 2, 2)
+        with pytest.raises(NumericError, match=next(iter(setting))):
+            Divergence(target, **setting)
+        with pytest.raises(NumericError, match=next(iter(setting))):
+            TargetDistanceTerm(target, **setting)
 
 
 class TestOtddGrads:
