@@ -55,7 +55,7 @@ def _write_outputs(run_cfg, trajectory, out_dir: Path, status: str, elapsed: flo
             export_frames(
                 snapshot_frames(trajectory),
                 out_dir / "frames",
-                stride=int(plot.get("stride", 1)),
+                stride=plot.get("stride", 1),
                 axes=axes,
                 target=target,
                 colors=plot.get("colors"),
@@ -93,17 +93,16 @@ def cmd_distance(args) -> int:
 
 
 def cmd_check_convexity(args) -> int:
-    cfg = load_config_dict(args.config)
-    run_cfg = build_run(cfg)
+    run_cfg = build_run(load_config_dict(args.config))
     if run_cfg.target is None:
         raise ConfigError("check-convexity needs both a source and a target dataset")
-    conv = cfg.get("convexity") or {}
+    conv = run_cfg.convexity
     base = run_cfg.target if conv.get("use_target_base", False) else None
     report = check_displacement_convexity(
         run_cfg.flow.functional,
         run_cfg.source,
         run_cfg.target,
-        lambda_claimed=float(conv.get("lambda_claimed", 0.0)),
+        lambda_claimed=conv.get("lambda_claimed", 0.0),
         base=base,
     )
     run_cfg.output_dir.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,7 @@ from .functionals import TERM_KINDS, FunctionalSpec, TargetDistanceTerm
 from .io import load_dataset
 from .optim import OptimizerState
 from .otdd import DatasetState
-from .plots import PLOT_KEYS
+from .plots import PLOT_KEYS, _axes_for
 
 OUTPUT_DIR_ENV = "OTFLOW_OUTPUT_DIR"
 # Top-level keys that are not FlowConfig arguments.
@@ -34,6 +34,7 @@ class RunConfig:
     flow: FlowConfig
     output_dir: Path
     plot: dict
+    convexity: dict
 
 
 def load_config_dict(path) -> dict:
@@ -63,11 +64,14 @@ def _check_keys(entry, keys, what: str) -> dict:
 
 def _fits(value, annotation) -> bool:
     """Whether a JSON value fits a parameter annotation: an int fits a float,
-    a bool fits only a bool."""
+    a bool fits only a bool, and a list[T] is a list whose items fit T."""
     if annotation is Parameter.empty:
         return True
     if get_origin(annotation) in (Union, UnionType):
         return any(_fits(value, a) for a in get_args(annotation))
+    if get_origin(annotation) is list:
+        (item,) = get_args(annotation)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
     annotation = get_origin(annotation) or annotation
     if isinstance(value, bool):
         return annotation is bool
@@ -76,17 +80,23 @@ def _fits(value, annotation) -> bool:
     return isinstance(value, annotation)
 
 
-def _build(cls, what: str, entry, *args):
-    """``cls(*args, **entry)`` with null keys left out, so the library
-    defaults apply. The keyword parameters of ``cls`` are the schema: an
-    unknown key, a value that does not fit its annotation, or a value that
-    ``cls`` rejects is a ConfigError naming ``what``."""
-    params = signature(cls).parameters
-    kwargs = {k: v for k, v in _check_keys(entry, params, what).items() if v is not None}
-    for key, value in kwargs.items():
-        if not _fits(value, params[key].annotation):
-            wanted = formatannotation(params[key].annotation)
+def _values(entry, annotations: dict, what: str) -> dict:
+    """The non-null values of ``entry``, so that null keys take the library
+    defaults. A key that is not in ``annotations``, or a value that does not
+    fit its annotation there, is a ConfigError naming ``what``."""
+    values = {k: v for k, v in _check_keys(entry, annotations, what).items() if v is not None}
+    for key, value in values.items():
+        if not _fits(value, annotations[key]):
+            wanted = formatannotation(annotations[key])
             raise ConfigError(f"{what}: {key} must be {wanted}, not {value!r}")
+    return values
+
+
+def _build(cls, what: str, entry, *args):
+    """``cls(*args, **entry)``, with the keyword parameters of ``cls`` as the
+    schema of ``_values``; a value that ``cls`` rejects is a ConfigError too."""
+    params = signature(cls).parameters
+    kwargs = _values(entry, {k: p.annotation for k, p in params.items()}, what)
     try:
         return cls(*args, **kwargs)
     except (TypeError, ValueError, NumericError) as exc:
@@ -121,11 +131,15 @@ def build_run(cfg: dict) -> RunConfig:
     any flow compute happens. Each entry goes to one callable: a generator to
     GeneratorSpec, a path entry to load_dataset, a term to TERM_KINDS[kind],
     ``optimizer`` to OptimizerState and the other top-level keys to FlowConfig."""
-    plot = _check_keys(cfg.get("plot") or {}, PLOT_KEYS, "plot")
-    _check_keys(cfg.get("convexity") or {}, CONVEXITY_KEYS, "convexity")
+    plot = _values(cfg.get("plot") or {}, PLOT_KEYS, "plot")
+    convexity = _values(cfg.get("convexity") or {}, CONVEXITY_KEYS, "convexity")
+    if plot.get("stride", 1) < 1:
+        raise ConfigError(f"plot: stride must be >= 1, not {plot['stride']}")
     if cfg.get("source") is None:
         raise ConfigError("config needs a 'source' dataset")
     source = dataset_from_entry(cfg["source"], "source")
+    if "axes" in plot:
+        _axes_for(source.dim, plot["axes"])
     target = None
     if cfg.get("target") is not None:
         target = dataset_from_entry(cfg["target"], "target")
@@ -147,4 +161,5 @@ def build_run(cfg: dict) -> RunConfig:
     out_dir = cfg.get("output_dir") or "otflow_out"
     if not isinstance(out_dir, str):
         raise ConfigError(f"output_dir must be a string, not {out_dir!r}")
-    return RunConfig(source, target, flow, Path(os.environ.get(OUTPUT_DIR_ENV) or out_dir), plot)
+    out_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or out_dir)
+    return RunConfig(source, target, flow, out_dir, plot, convexity)

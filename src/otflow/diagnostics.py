@@ -75,9 +75,10 @@ def _generalized_interpolant(a, b, base, t):
     return DatasetState.from_features(feats, a.labels[s0].copy())
 
 
-# Keys of a run config's ``convexity`` section: ``lambda_claimed`` as below,
-# and ``use_target_base``, which passes the target dataset as ``base``.
-CONVEXITY_KEYS = ("lambda_claimed", "use_target_base")
+# Keys of a run config's ``convexity`` section and the types of their values:
+# ``lambda_claimed`` as below, and ``use_target_base``, which passes the
+# target dataset as ``base``.
+CONVEXITY_KEYS = {"lambda_claimed": float, "use_target_base": bool}
 
 
 def check_displacement_convexity(

@@ -123,7 +123,9 @@ def relabel(state: DatasetState, config: FlowConfig, rng) -> int:
 
 
 def flow_step(state: DatasetState, config: FlowConfig, opt: OptimizerState, rng, step: int = 0):
-    """Advance the state by one step. Returns (new_state, diagnostics).
+    """Advance the state by one step. Returns (new_state, diagnostics); the
+    diagnostics carry the weighted ``term_values`` of the state when the
+    step evaluates the state itself, and None when it adds noise.
 
     With ``noise_scale > 0`` the gradient is evaluated at a Gaussian
     perturbation of the features (Euler-Maruyama style); ``noise_target``
@@ -137,16 +139,12 @@ def flow_step(state: DatasetState, config: FlowConfig, opt: OptimizerState, rng,
 
     eval_state = state
     if beta > 0.0:
-        noise = rng.standard_normal(state.features.shape)
+        eval_state = state.copy()
+        eval_state.features = state.features + beta * rng.standard_normal(state.features.shape)
         if config.noise_target == "state":
-            state = state.copy()
-            state.features = state.features + beta * noise
-            eval_state = state
-        else:
-            eval_state = state.copy()
-            eval_state.features = state.features + beta * noise
+            state = eval_state
 
-    value, grads = grad_functional(eval_state, config.functional, config.mode)
+    terms, grads = grad_functional(eval_state, config.functional, config.mode)
 
     w_entropy = config.functional.entropy_weight()
     if w_entropy > 0.0:
@@ -169,7 +167,8 @@ def flow_step(state: DatasetState, config: FlowConfig, opt: OptimizerState, rng,
     if config.mode == MODE_FD:
         new_state.label_dists = label_stats(new_state)
 
-    diagnostics = {"objective": value, "beta": beta, "step": step}
+    at_state = terms if beta == 0.0 else None
+    diagnostics = {"objective": sum(terms), "term_values": at_state, "beta": beta, "step": step}
 
     if config.mode == MODE_JD_VL and config.relabel_every > 0 and (step + 1) % config.relabel_every == 0:
         diagnostics["clusters"] = relabel(new_state, config, rng)
@@ -182,7 +181,9 @@ def run_flow(initial: DatasetState, config: FlowConfig) -> Trajectory:
     Deterministic for a fixed config and seed: the functional's solver
     state is reset first, so no earlier run leaks into this one. Snapshots
     deep-copy the state, so recorded trajectories are immutable afterwards.
-    On divergence the partial trajectory is attached to the raised error.
+    A snapshot takes its term values from the step that starts at it, and
+    ``eval_terms`` evaluates only the final state and noisy or diverging
+    steps. On divergence the partial trajectory is attached to the error.
     """
     config.validate()
     config.functional.reset()
@@ -196,22 +197,23 @@ def run_flow(initial: DatasetState, config: FlowConfig) -> Trajectory:
     )
     t_start = time.perf_counter()
 
-    def record(step, current):
-        terms = eval_terms(current, config.functional)
-        traj.snapshots.append(
-            Snapshot(step, current.copy(), float(sum(terms)), terms,
-                     time.perf_counter() - t_start)
-        )
+    def record(step, current, terms=None):
+        terms = eval_terms(current, config.functional) if terms is None else terms
+        now = time.perf_counter() - t_start
+        traj.snapshots.append(Snapshot(step, current.copy(), float(sum(terms)), terms, now))
 
-    try:
-        for t in range(config.steps):
+    for t in range(config.steps):
+        try:
+            new_state, diag = flow_step(state, config, opt, rng, t)
+        except FlowDivergenceError as exc:
             if t % config.record_every == 0:
                 record(t, state)
-            state, diag = flow_step(state, config, opt, rng, t)
-            traj.objective_trace.append(float(diag["objective"]))
-    except FlowDivergenceError as exc:
-        exc.trajectory = traj
-        raise
+            exc.trajectory = traj
+            raise
+        if t % config.record_every == 0:
+            record(t, state, diag["term_values"])
+        state = new_state
+        traj.objective_trace.append(float(diag["objective"]))
 
     if config.mode == MODE_JD_VL:
         relabel(state, config, rng)

@@ -274,28 +274,23 @@ TERM_KINDS = {t.kind: t for t in (TargetDistanceTerm, PotentialTerm, Interaction
 
 
 def grad_functional(state: DatasetState, spec: FunctionalSpec, mode: str):
-    """Weighted value and gradients of the functional at a state.
-
-    Zero-weight terms are skipped entirely (no transport solves). Returns
-    (value, FlowGradients); the entropy term contributes nothing here.
-    """
+    """Weighted term values, in spec order, and summed gradients at a state:
+    (term_values, FlowGradients), the objective being ``sum(term_values)``.
+    The entropy term reports 0; a zero-weight term is skipped entirely (no
+    transport solves) and reports 0.0."""
     if state.dim == 0:
         raise DimensionMismatchError("state has no features")
-    total = 0.0
-    grads = FlowGradients.zeros(state, mode)
+    values, grads = [], FlowGradients.zeros(state, mode)
     for term in spec.terms:
         if term.weight == 0.0:
+            values.append(0.0)
             continue
         v, g = term.value_and_grads(state, mode)
-        total += term.weight * v
+        values.append(term.weight * v)
         grads.axpy(term.weight, g)
-    return total, grads
+    return values, grads
 
 
 def eval_terms(state: DatasetState, spec: FunctionalSpec):
-    """Weighted per-term values, in spec order (entropy reports 0), each
-    from the term's ``value_and_grads`` in fd."""
-    return [
-        0.0 if t.weight == 0.0 else t.weight * t.value_and_grads(state, MODE_FD)[0]
-        for t in spec.terms
-    ]
+    """The term values of ``grad_functional`` in fd, for a state no flow step evaluates."""
+    return grad_functional(state, spec, MODE_FD)[0]

@@ -89,9 +89,10 @@ def render_frame(features, labels, lo, hi, ax, target=None, title="", palette=No
     return "\n".join(parts) + "\n"
 
 
-# Keys of a run config's ``plot`` section: ``enabled`` (default true) turns
-# frame export on or off, and the rest are export_frames arguments.
-PLOT_KEYS = ("enabled", "stride", "axes", "colors")
+# Keys of a run config's ``plot`` section and the types of their values:
+# ``enabled`` (default true) turns frame export on or off, and the rest are
+# export_frames arguments.
+PLOT_KEYS = {"enabled": bool, "stride": int, "axes": list[int], "colors": list[str]}
 
 
 def export_frames(frames, out_dir, stride: int = 1, axes=None, target=None, colors=None) -> list:

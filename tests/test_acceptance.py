@@ -284,8 +284,8 @@ def test_03_gradient_suite():
             i = int(loc.integers(8)); l = int(loc.integers(2))
             sp = state.copy(); sp.features[i, l] += h
             sm = state.copy(); sm.features[i, l] -= h
-            vp, _ = of.grad_functional(sp, spec, MODE_FD)
-            vm, _ = of.grad_functional(sm, spec, MODE_FD)
+            vp = sum(of.grad_functional(sp, spec, MODE_FD)[0])
+            vm = sum(of.grad_functional(sm, spec, MODE_FD)[0])
             fd = (vp - vm) / (2 * h)
             an = grads.d_features[i, l] * state.weights[i]
             worst_forms = max(worst_forms, abs(fd - an) / max(abs(fd), 1.0))

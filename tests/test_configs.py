@@ -142,6 +142,41 @@ def test_rejected_at_build_time(edit, key, tmp_path, monkeypatch, capsys):
     assert code == 2 and key in err
 
 
+@pytest.mark.parametrize(
+    "section, values, key",
+    [
+        ("plot", {"axes": [0, 5]}, "axis pair [0, 5]"),
+        ("plot", {"axes": [0, 1.0]}, "axes"),
+        ("plot", {"stride": 2.5}, "stride"),
+        ("plot", {"stride": 0}, "stride"),
+        ("plot", {"stride": True}, "stride"),
+        ("plot", {"enabled": "false"}, "enabled"),
+        ("plot", {"colors": "red"}, "colors"),
+        ("convexity", {"lambda_claimed": "1.0"}, "lambda_claimed"),
+        ("convexity", {"use_target_base": 1}, "use_target_base"),
+    ],
+    ids=["axes-out-of-range", "axes-float", "stride-float", "stride-zero", "stride-bool",
+         "enabled-string", "colors-string", "lambda-string", "base-number"],
+)
+def test_plot_and_convexity_values_rejected_before_the_flow(
+    section, values, key, tmp_path, monkeypatch, capsys
+):
+    cfg = ou_config(lambda cfg: cfg.update({section: values}))
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        build_run(cfg)
+    code, err = run_exit(cfg, tmp_path, monkeypatch, capsys)
+    assert code == 2 and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_plot_and_convexity_values_pass_as_given():
+    plot = {"enabled": False, "stride": None, "axes": [1, 0], "colors": ["#000000"]}
+    run_cfg = build_run(ou_config(lambda cfg: cfg.update(
+        plot=plot, convexity={"lambda_claimed": 1, "use_target_base": None})))
+    assert run_cfg.plot == {"enabled": False, "axes": [1, 0], "colors": ["#000000"]}
+    assert run_cfg.convexity == {"lambda_claimed": 1}
+
+
 def test_null_takes_the_library_default():
     absent = build_run(ou_config(lambda cfg: None))
     nulled = build_run(ou_config(lambda cfg: cfg.update(

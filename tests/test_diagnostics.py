@@ -16,7 +16,7 @@ from otflow.errors import DimensionMismatchError, SizeLimitError
 from otflow.functionals import FunctionalSpec, PotentialTerm, TargetDistanceTerm
 from otflow.gaussian import Moments
 from otflow.optim import OptimizerState
-from otflow.otdd import DatasetState
+from otflow.otdd import DatasetState, FlowGradients
 from otflow.transport import exact_ot, squared_euclidean_cost
 
 
@@ -142,8 +142,8 @@ class TestDisplacementConvexity:
                 self.base = base
 
             def value_and_grads(self, state, mode):
-                # The convexity report reads values only.
-                return feature_w2_sq(state, self.base), None
+                # The convexity report reads the values; the gradients fill the pair.
+                return feature_w2_sq(state, self.base), FlowGradients.zeros(state, mode)
 
         base = matched_pair(20, n=12)[0]
         spec = FunctionalSpec([ExactW2Term(base)])

@@ -10,6 +10,7 @@ from otflow.functionals import (
     FunctionalSpec,
     PotentialTerm,
     TargetDistanceTerm,
+    eval_terms,
 )
 from otflow.optim import OptimizerState
 from otflow.otdd import MODE_FD, MODE_JD_FL, MODE_JD_VL, DatasetState
@@ -52,6 +53,21 @@ class TestFlowStep:
         np.testing.assert_allclose(new.label_dists.means, expected.means, atol=1e-9)
         np.testing.assert_allclose(new.label_dists.covs, expected.covs, atol=1e-9)
 
+    def test_passes_term_values_only_at_the_state(self):
+        rng = np.random.default_rng(13)
+        state = rand_state(rng, 10, 2, 2)
+        spec = FunctionalSpec([
+            PotentialTerm("quadratic"), PotentialTerm("linear", {"normal": [1.0, 0.0]}, weight=0.0),
+        ])
+        config = FlowConfig(functional=spec, optimizer=sgd(0.1))
+        _, diag = flow_step(state, config, config.optimizer.clone(), np.random.default_rng(0))
+        assert diag["term_values"] == eval_terms(state, spec)
+        assert diag["term_values"][1] == 0.0
+        assert diag["objective"] == sum(diag["term_values"])
+        config.noise_scale = 0.5
+        _, diag = flow_step(state, config, config.optimizer.clone(), np.random.default_rng(0))
+        assert diag["term_values"] is None
+
     def test_mode_shape_mismatch(self):
         rng = np.random.default_rng(3)
         state = rand_state(rng, 6, 2, 2)
@@ -77,6 +93,23 @@ class TestRunFlow:
         )
         traj = run_flow(state, config)
         assert [s.step for s in traj.snapshots] == [0, 3, 6, 7]
+
+    @pytest.mark.parametrize("mode", [MODE_FD, MODE_JD_FL, MODE_JD_VL])
+    def test_snapshot_objective_is_its_steps_objective(self, mode):
+        src = generate(GeneratorSpec(n=24, k=3, seed=3, sigma=0.4))
+        tgt = generate(GeneratorSpec(n=30, k=3, seed=4, radius=4.0, sigma=0.4))
+        spec = FunctionalSpec([
+            TargetDistanceTerm(tgt), PotentialTerm("radial_shell", {"radius": 2.0}, weight=0.5),
+        ])
+        config = FlowConfig(
+            functional=spec, optimizer=sgd(0.1), steps=12, mode=mode, record_every=3,
+            relabel_every=4, cluster_eps=1.5,
+        )
+        traj = run_flow(src, config)
+        assert [s.step for s in traj.snapshots] == [0, 3, 6, 9, 12]
+        for snap in traj.snapshots:
+            assert snap.objective == traj.objective_trace[snap.step]
+            assert snap.objective == sum(snap.term_values)
 
     def test_deterministic_traces(self):
         rng = np.random.default_rng(6)
@@ -228,7 +261,9 @@ class TestRunFlow:
         with pytest.raises(FlowDivergenceError) as exc:
             run_flow(state, config)
         assert exc.value.trajectory is not None
-        assert len(exc.value.trajectory.snapshots) >= 1
+        # The diverging step records its starting state too.
+        steps = [s.step for s in exc.value.trajectory.snapshots]
+        assert steps == list(range(exc.value.step + 1))
 
     def test_objective_mostly_nonincreasing_with_sgd(self):
         src = generate(GeneratorSpec(n=40, k=3, seed=3, sigma=0.4))

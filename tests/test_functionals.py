@@ -190,7 +190,8 @@ class TestGradFunctional:
         rng = np.random.default_rng(3)
         state = rand_state(rng, 10, 2, 2)
         spec = FunctionalSpec([PotentialTerm("quadratic", {"scale": 2.0})])
-        value, grads = grad_functional(state, spec, MODE_FD)
+        terms, grads = grad_functional(state, spec, MODE_FD)
+        value = sum(terms)
         np.testing.assert_allclose(grads.d_features, 2.0 * state.features, atol=1e-12)
         assert value == pytest.approx(float(state.weights @ np.sum(state.features**2, axis=1)))
 
@@ -202,7 +203,8 @@ class TestGradFunctional:
             TargetDistanceTerm(tgt, weight=0.0),
             PotentialTerm("quadratic", weight=0.0),
         ])
-        value, grads = grad_functional(state, spec, MODE_FD)
+        terms, grads = grad_functional(state, spec, MODE_FD)
+        value = sum(terms)
         assert value == 0.0
         assert np.all(grads.d_features == 0.0)
 
@@ -211,9 +213,12 @@ class TestGradFunctional:
         state = rand_state(rng, 12, 2, 2)
         t1 = PotentialTerm("quadratic", {"scale": 1.0}, weight=0.7)
         t2 = InteractionTerm("class_repulsion", weight=1.3)
-        v1, g1 = grad_functional(state, FunctionalSpec([t1]), MODE_FD)
-        v2, g2 = grad_functional(state, FunctionalSpec([t2]), MODE_FD)
-        v, g = grad_functional(state, FunctionalSpec([t1, t2]), MODE_FD)
+        terms, g1 = grad_functional(state, FunctionalSpec([t1]), MODE_FD)
+        v1 = sum(terms)
+        terms, g2 = grad_functional(state, FunctionalSpec([t2]), MODE_FD)
+        v2 = sum(terms)
+        terms, g = grad_functional(state, FunctionalSpec([t1, t2]), MODE_FD)
+        v = sum(terms)
         assert v == pytest.approx(v1 + v2, abs=1e-12)
         np.testing.assert_allclose(g.d_features, g1.d_features + g2.d_features, atol=1e-12)
 
@@ -221,7 +226,8 @@ class TestGradFunctional:
         rng = np.random.default_rng(6)
         state = rand_state(rng, 6, 2, 2)
         spec = FunctionalSpec([EntropyTerm(weight=2.0)])
-        value, grads = grad_functional(state, spec, MODE_FD)
+        terms, grads = grad_functional(state, spec, MODE_FD)
+        value = sum(terms)
         assert value == 0.0
         assert np.all(grads.d_features == 0.0)
         assert spec.entropy_weight() == 2.0
@@ -245,8 +251,8 @@ class TestGradFunctional:
         for i, l in [(0, 0), (4, 1), (8, 0)]:
             sp = state.copy(); sp.features[i, l] += h
             sm = state.copy(); sm.features[i, l] -= h
-            vp, _ = grad_functional(sp, spec, MODE_FD)
-            vm, _ = grad_functional(sm, spec, MODE_FD)
+            vp = sum(grad_functional(sp, spec, MODE_FD)[0])
+            vm = sum(grad_functional(sm, spec, MODE_FD)[0])
             fd = (vp - vm) / (2 * h)
             analytic = grads.d_features[i, l] * state.weights[i]
             assert abs(fd - analytic) <= 1e-4 * max(abs(fd), 1.0)
@@ -261,8 +267,8 @@ class TestGradFunctional:
             for i, l in [(0, 0), (5, 1)]:
                 sp = state.copy(); sp.features[i, l] += h
                 sm = state.copy(); sm.features[i, l] -= h
-                vp, _ = grad_functional(sp, spec, MODE_FD)
-                vm, _ = grad_functional(sm, spec, MODE_FD)
+                vp = sum(grad_functional(sp, spec, MODE_FD)[0])
+                vm = sum(grad_functional(sm, spec, MODE_FD)[0])
                 fd = (vp - vm) / (2 * h)
                 analytic = grads.d_features[i, l] * state.weights[i]
                 assert abs(fd - analytic) <= 1e-4 * max(abs(fd), 1e-3)
@@ -296,7 +302,8 @@ class TestGradFunctional:
         assert np.all(grads.d_features == 0.0)
 
     def test_value_is_sum_of_term_values(self):
-        # Snapshots record eval_terms; the flow steps on grad_functional.
+        # A step's objective is the sum of grad_functional's term values;
+        # eval_terms gives the same values in fd, for states no step evaluates.
         rng = np.random.default_rng(25)
         state = rand_state(rng, 10, 2, 2)
         spec = FunctionalSpec([
@@ -306,7 +313,7 @@ class TestGradFunctional:
             EntropyTerm(weight=0.1),
         ])
         spec.reset()
-        value, _ = grad_functional(state, spec, MODE_FD)
+        value = sum(grad_functional(state, spec, MODE_FD)[0])
         spec.reset()
         assert value == sum(eval_terms(state, spec))
 
@@ -316,14 +323,15 @@ class TestGradFunctional:
         tgt = rand_state(rng, 9, 2, 2)
         term = TargetDistanceTerm(tgt, tol=1e-9, max_iter=300_000)
         spec = FunctionalSpec([term, InteractionTerm("class_repulsion", weight=0.5)])
-        value, grads = grad_functional(state, spec, MODE_FD)
+        terms, grads = grad_functional(state, spec, MODE_FD)
+        value = sum(terms)
         h = 1e-5
         scale = float(np.abs(grads.d_features).max()) * state.weights[0]
         for i, l in [(1, 0), (6, 1)]:
             sp = state.copy(); sp.features[i, l] += h
             sm = state.copy(); sm.features[i, l] -= h
-            vp, _ = grad_functional(sp, spec, MODE_FD)
-            vm, _ = grad_functional(sm, spec, MODE_FD)
+            vp = sum(grad_functional(sp, spec, MODE_FD)[0])
+            vm = sum(grad_functional(sm, spec, MODE_FD)[0])
             fd = (vp - vm) / (2 * h)
             analytic = grads.d_features[i, l] * state.weights[i]
             assert abs(fd - analytic) / max(abs(fd), scale) < 1e-3
