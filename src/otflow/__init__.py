@@ -25,8 +25,6 @@ from .functionals import (
     InteractionTerm,
     PotentialTerm,
     TargetDistanceTerm,
-    eval_interaction,
-    eval_potential,
     grad_functional,
 )
 from .gaussian import (
@@ -45,14 +43,12 @@ from .otdd import (
     ground_cost_matrix,
     label_stats,
     otdd,
-    otdd_grads,
 )
 from .transport import (
     TransportPlan,
     exact_ot,
     ot_position_grad,
     sinkhorn,
-    sinkhorn_divergence,
     sinkhorn_symmetric,
 )
 
@@ -81,8 +77,6 @@ __all__ = [
     "check_flow_contraction",
     "dbscan_bures",
     "displacement_interpolant",
-    "eval_interaction",
-    "eval_potential",
     "exact_ot",
     "flow_step",
     "generate",
@@ -94,13 +88,11 @@ __all__ = [
     "oracle_accuracy_proxy",
     "ot_position_grad",
     "otdd",
-    "otdd_grads",
     "project_psd",
     "read_trajectory",
     "run_flow",
     "save_dataset",
     "sinkhorn",
-    "sinkhorn_divergence",
     "sinkhorn_symmetric",
     "spd_sqrt",
     "write_trajectory",

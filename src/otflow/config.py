@@ -154,7 +154,7 @@ def build_run(cfg: dict) -> RunConfig:
     flow_args = {k: v for k, v in cfg.items() if k not in RUN_SECTIONS}
     flow = _build(FlowConfig, "config", flow_args, functional, optimizer)
     try:
-        flow.validate()
+        flow.validate(source.n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

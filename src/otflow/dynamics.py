@@ -41,7 +41,9 @@ class FlowConfig:
     seed: int = 0
     record_every: int = 10
 
-    def validate(self):
+    def validate(self, n: int | None = None):
+        """Reject settings the engine cannot run; ``n``, the source particle
+        count when known, bounds the k-means cluster count."""
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.steps < 1:
@@ -58,6 +60,8 @@ class FlowConfig:
             raise ValueError(f"unknown relabel_method {self.relabel_method!r}")
         if self.relabel_method == "kmeans" and (self.cluster_k is None or self.cluster_k < 1):
             raise ValueError("kmeans relabeling needs cluster_k >= 1")
+        if self.relabel_method == "kmeans" and n is not None and self.cluster_k > n:
+            raise ValueError(f"kmeans cluster_k {self.cluster_k} exceeds the {n} particles")
         if self.functional.entropy_weight() > 0.0 and self.optimizer.rule != "sgd":
             raise ValueError(
                 f"an entropy term needs the sgd rule, not {self.optimizer.rule!r}: "
@@ -185,7 +189,7 @@ def run_flow(initial: DatasetState, config: FlowConfig) -> Trajectory:
     ``eval_terms`` evaluates only the final state and noisy or diverging
     steps. On divergence the partial trajectory is attached to the error.
     """
-    config.validate()
+    config.validate(initial.n)
     config.functional.reset()
     state = initial.decoupled() if config.mode == MODE_JD_VL else initial.copy()
     state.validate()

@@ -17,26 +17,21 @@ from .errors import DimensionMismatchError
 from .otdd import MODE_FD, DatasetState, Divergence, FlowGradients, _assemble_grads
 from .transport import DEFAULT_MAX_ITER, DEFAULT_TOL, _cost_product, _envelope_grad
 
-# Each potential form and the ``params`` keys it reads; ``class_affine_norm``
-# reads an ``affine_norm`` params object per class.
+# Each potential form and the ``params`` keys it reads, True for a key it
+# requires; ``class_affine_norm`` reads ``affine_norm`` params per class.
 POTENTIAL_FORMS = {
-    "quadratic": ("scale", "center"),
-    "linear": ("normal", "offset"),
-    "affine_norm": ("matrix", "offset"),
-    "class_affine_norm": ("per_class",),
-    "hinge": ("normal", "bias", "positive_label", "negate"),
-    "radial_shell": ("center", "radius"),
+    "quadratic": {"scale": False, "center": False},
+    "linear": {"normal": True, "offset": False},
+    "affine_norm": {"matrix": True, "offset": False},
+    "class_affine_norm": {"per_class": True},
+    "hinge": {"normal": True, "bias": False, "positive_label": False, "negate": False},
+    "radial_shell": {"center": False, "radius": False},
 }
 INTERACTION_FORMS = ("class_repulsion", "cross_class_spread")
 
 
 def _as_array(params, key, default=None, dim=None):
-    if key in params:
-        out = np.asarray(params[key], dtype=float)
-    elif default is not None:
-        out = default
-    else:
-        raise ValueError(f"potential params missing {key!r}")
+    out = np.asarray(params[key], dtype=float) if key in params else default
     if dim is not None and out.shape[-1] != dim:
         raise ValueError(
             f"potential param {key!r} has dimension {out.shape[-1]}, expected {dim}"
@@ -113,11 +108,6 @@ def _potential_pointwise(state: DatasetState, form: str, params: dict):
     return vals, grads
 
 
-def eval_potential(state: DatasetState, form: str, params: dict) -> float:
-    """Empirical expectation of a pointwise potential: sum_i p_i V(z_i)."""
-    return PotentialTerm(form, params).value_and_grads(state, MODE_FD)[0]
-
-
 def _interaction_pointwise(state: DatasetState, form: str):
     """Value and per-particle first-variation gradient of the pair energy
     W(u) = w(||u||^2) on cross-class pairs: grad_i = sum_j p_j w'(.) 2 (x_i - x_j),
@@ -137,11 +127,6 @@ def _interaction_pointwise(state: DatasetState, form: str):
     return value, _envelope_grad(slope * p, x, x)
 
 
-def eval_interaction(state: DatasetState, form: str) -> float:
-    """Pair energy 0.5 * sum_ij p_i p_j W(z_i - z_j); self-pairs included."""
-    return InteractionTerm(form).value_and_grads(state, MODE_FD)[0]
-
-
 def _check_form(form: str, forms, what: str):
     if form not in forms:
         raise ValueError(f"unknown {what} form {form!r} (available: {', '.join(forms)})")
@@ -150,9 +135,13 @@ def _check_form(form: str, forms, what: str):
 def _check_params(params, form: str):
     if not isinstance(params, dict):
         raise ValueError(f"{form} potential params must be an object, not {params!r}")
-    unknown = [k for k in params if k not in POTENTIAL_FORMS[form]]
+    keys = POTENTIAL_FORMS[form]
+    unknown = [k for k in params if k not in keys]
     if unknown:
-        raise ValueError(f"{form} potential params take {POTENTIAL_FORMS[form]}, not {unknown[0]!r}")
+        raise ValueError(f"{form} potential params take {tuple(keys)}, not {unknown[0]!r}")
+    missing = [k for k, required in keys.items() if required and k not in params]
+    if missing:
+        raise ValueError(f"{form} potential params need {missing[0]!r}")
 
 
 @dataclass
@@ -166,7 +155,7 @@ class PotentialTerm:
         _check_form(self.form, POTENTIAL_FORMS, "potential")
         _check_params(self.params, self.form)
         if self.form == "class_affine_norm":
-            per_class = self.params.get("per_class", {})
+            per_class = self.params["per_class"]
             if not isinstance(per_class, dict):
                 raise ValueError("class_affine_norm per_class must map class ids to params")
             for sub in per_class.values():

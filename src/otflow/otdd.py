@@ -241,16 +241,16 @@ def _cost_and_bures(src: DatasetState, dst: DatasetState, grads: bool):
 class Divergence:
     """Squared entropic OT dataset distance from a source state to ``target``.
 
-    ``solve(src)`` returns (value_sq, plan_ab, plan_aa, bures). With
+    ``solve(src, mode)`` returns (value_sq, plan_ab, plan_aa, bures). With
     ``debias`` the value is the Sinkhorn divergence OT(src, target) -
     (OT(src, src) + OT(target, target)) / 2 of the dual values, zero at
     src == target; without it, OT(src, target) alone and plan_aa None.
-    ``couplings(src)`` returns (plan_ab, plan_aa, bures) only, without
-    solving the target self-term. Given a mode that moves moments (jd-fl,
-    jd-vl), both build the source-target and source self label blocks with
-    ``pairwise_bures_grads`` and return them as ``bures`` = (ab, aa), aa
-    None without debias, for ``_assemble_grads``; otherwise ``bures`` is
-    None and the label costs are values only.
+    Given a mode that moves moments (jd-fl, jd-vl), it builds the
+    source-target and source self label blocks with ``pairwise_bures_grads``
+    and returns them as ``bures`` = (ab, aa), aa None without debias, for
+    ``_assemble_grads``; in fd ``bures`` is None and the label costs are
+    values only. An unknown mode raises ValueError, and jd-vl needs the
+    per-particle layout.
     Solves share state, which ``reset()`` drops: a None ``reg`` is frozen
     from the first solve's ground cost, duals warm-start the next solve at
     the same particle count, and the target self-value is solved once, by
@@ -280,7 +280,10 @@ class Divergence:
         self._warm_ab = None
         self._warm_aa = None
 
-    def couplings(self, src: DatasetState, mode: str = MODE_FD):
+    def solve(self, src: DatasetState, mode: str = MODE_FD):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        require_layout(src, mode)
         grads = mode != MODE_FD
         cost_ab, bures_ab = _cost_and_bures(src, self.target, grads)
         if self._reg is None:
@@ -290,25 +293,18 @@ class Divergence:
         solver = (self._reg, self.max_iter, self.tol)
         plan_ab = sinkhorn(cost_ab, src.weights, self.target.weights, *solver, init=self._warm_ab)
         self._warm_ab = (plan_ab.dual_left, plan_ab.dual_right)
-        del cost_ab  # released before the self-term builds its own cost
+        del cost_ab  # each cost is released before the next one is built
         if not self.debias:
-            return plan_ab, None, (bures_ab, None) if grads else None
+            return plan_ab.soft_cost, plan_ab, None, (bures_ab, None) if grads else None
         cost_aa, bures_aa = _cost_and_bures(src, src, grads)
         plan_aa = sinkhorn_symmetric(cost_aa, src.weights, *solver, init=self._warm_aa)
         self._warm_aa = plan_aa.dual_left
-        return plan_ab, plan_aa, (bures_ab, bures_aa) if grads else None
-
-    def solve(self, src: DatasetState, mode: str = MODE_FD):
-        plan_ab, plan_aa, bures = self.couplings(src, mode)
-        if plan_aa is None:
-            return plan_ab.soft_cost, plan_ab, None, bures
+        del cost_aa
         if self._bb_soft is None:
             cost_bb = ground_cost_matrix(self.target, self.target)
-            self._bb_soft = sinkhorn_symmetric(
-                cost_bb, self.target.weights, self._reg, self.max_iter, self.tol
-            ).soft_cost
+            self._bb_soft = sinkhorn_symmetric(cost_bb, self.target.weights, *solver).soft_cost
         value_sq = plan_ab.soft_cost - 0.5 * (plan_aa.soft_cost + self._bb_soft)
-        return value_sq, plan_ab, plan_aa, bures
+        return value_sq, plan_ab, plan_aa, (bures_ab, bures_aa) if grads else None
 
 
 def otdd(
@@ -349,7 +345,7 @@ def _assemble_grads(src, dst, plan_ab, plan_aa, bures) -> FlowGradients:
 
     ``plan_aa`` is the source self-coupling of the debiased divergence, or
     None for the raw entropic value. ``bures`` is the (ab, aa) pair of
-    label blocks that ``Divergence.couplings`` built the costs from, or
+    label blocks that ``Divergence.solve`` built the costs from, or
     None in fd, where only features get gradients. All outputs use the
     per-unit-mass convention of FlowGradients: each moment row is divided
     by the mass of the particles that share it.
@@ -374,28 +370,3 @@ def _assemble_grads(src, dst, plan_ab, plan_aa, bures) -> FlowGradients:
 
     row_mass = np.bincount(src.block, weights=src.weights, minlength=p)
     return FlowGradients(d_feat, d_mean / row_mass[:, None], d_cov / row_mass[:, None, None])
-
-
-def otdd_grads(
-    src: DatasetState,
-    dst: DatasetState,
-    mode: str,
-    reg: float | None = None,
-    debias: bool = True,
-    max_iter: int = EVAL_MAX_ITER,
-    tol: float = EVAL_TOL,
-) -> FlowGradients:
-    """Gradients of the squared distance ``otdd(src, dst, reg, debias)[0]**2``
-    w.r.t. the source, from the couplings of one cold ``Divergence(dst)``;
-    the target self-term, which has no source gradient, is not solved.
-
-    Feature gradients are produced in every mode; in jd-fl and jd-vl
-    moment gradients appear per row of ``src.label_dists``, assembled by
-    chaining the coupling mass through the analytic Bures gradients. jd-vl
-    needs the per-particle layout.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    require_layout(src, mode)
-    plan_ab, plan_aa, bures = Divergence(dst, reg, debias, max_iter, tol).couplings(src, mode)
-    return _assemble_grads(src, dst, plan_ab, plan_aa, bures)

@@ -1,8 +1,8 @@
 """Entropic-regularized optimal transport between discrete measures.
 
-Sinkhorn for the regularized problem, an exact small-instance solver (one
-LP) used as oracle, debiased divergence values, and envelope-form gradients
-of the transport value w.r.t. point positions.
+Sinkhorn for the regularized problem, with a symmetric variant for self
+couplings, an exact small-instance solver (one LP) used as oracle, and
+envelope-form gradients of the transport value w.r.t. point positions.
 
 Both Sinkhorn solvers iterate the log-potentials but run each round in the
 scaling domain (Cuturi 2013): a matrix-vector product with the kernel
@@ -328,28 +328,6 @@ def sinkhorn_symmetric(
 
     u, _, err, it = _fixed_point(averaged_round, frame.start(init), max_iter, tol)
     return frame.plan(u, u, err, it)
-
-
-def sinkhorn_divergence(
-    cost_ab: np.ndarray,
-    cost_aa: np.ndarray,
-    cost_bb: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    reg: float,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-):
-    """Debiased entropic OT: OT(a,b) - (OT(a,a) + OT(b,b)) / 2.
-
-    Uses the converged dual values, so the divergence of a measure with
-    itself is exactly zero. Returns (value, plan_ab, plan_aa, plan_bb).
-    """
-    plan_ab = sinkhorn(cost_ab, a, b, reg, max_iter, tol)
-    plan_aa = sinkhorn_symmetric(cost_aa, a, reg, max_iter, tol)
-    plan_bb = sinkhorn_symmetric(cost_bb, b, reg, max_iter, tol)
-    value = plan_ab.soft_cost - 0.5 * (plan_aa.soft_cost + plan_bb.soft_cost)
-    return value, plan_ab, plan_aa, plan_bb
 
 
 def exact_ot(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> TransportPlan:

@@ -36,11 +36,9 @@ from otflow.otdd import (
     DatasetState,
     ground_cost_matrix,
     otdd,
-    otdd_grads,
 )
 from otflow.transport import (
     sinkhorn,
-    sinkhorn_divergence,
     sinkhorn_symmetric,
     squared_euclidean_cost,
 )
@@ -116,11 +114,10 @@ def test_02_bures_closed_form():
         for _ in range(batches):
             xa = a.mean + rng.standard_normal((m, d)) @ la.T
             xb = b.mean + rng.standard_normal((m, d)) @ lb.T
-            est, *_ = sinkhorn_divergence(
-                squared_euclidean_cost(xa, xb),
-                squared_euclidean_cost(xa, xa),
-                squared_euclidean_cost(xb, xb),
-                u, u, reg=reg, tol=1e-5, max_iter=3000,
+            solver = dict(reg=reg, tol=1e-5, max_iter=3000)
+            est = sinkhorn(squared_euclidean_cost(xa, xb), u, u, **solver).soft_cost - 0.5 * (
+                sinkhorn_symmetric(squared_euclidean_cost(xa, xa), u, **solver).soft_cost
+                + sinkhorn_symmetric(squared_euclidean_cost(xb, xb), u, **solver).soft_cost
             )
             ests.append(est)
         worst = max(worst, abs(float(np.mean(ests)) - closed) / closed)
@@ -135,7 +132,7 @@ def test_02_bures_closed_form():
 def _fd_feature_check(src, dst, mode, reg, rng):
     """Relative FD error of otdd gradients on a random instance."""
     solver = dict(tol=1e-9, max_iter=300_000)
-    grads = otdd_grads(src, dst, mode, reg=reg, **solver)
+    grads = TargetDistanceTerm(dst, reg=reg, **solver).value_and_grads(src, mode)[1]
 
     def value(state):
         pab = sinkhorn(ground_cost_matrix(state, dst), state.weights, dst.weights, reg, **{

@@ -424,3 +424,10 @@ class TestEntryPoint:
         proc = _child_python("-c", "import sys, otflow; print('scipy.optimize' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_public_names_sorted_unique_and_bound(self):
+        names = otflow.__all__
+        assert names == sorted(names)
+        assert len(set(names)) == len(names)
+        for name in names:
+            assert hasattr(otflow, name), name

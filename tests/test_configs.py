@@ -169,6 +169,29 @@ def test_plot_and_convexity_values_rejected_before_the_flow(
     assert not (tmp_path / "out").exists()
 
 
+def small_jdvl(cfg):
+    cfg["source"]["generator"].update(n=20, k=2)
+    cfg.update(mode="jd-vl", steps=4, relabel_method="kmeans", cluster_k=50, relabel_every=2)
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (add_term(kind="potential", form="linear", params={}), "normal"),
+        (add_term(kind="potential", form="class_affine_norm",
+                  params={"per_class": {"0": {"offset": [0.0, 0.0]}}}), "matrix"),
+        (small_jdvl, "cluster_k 50"),
+    ],
+    ids=["linear-normal", "class_affine_norm-matrix", "kmeans-cluster_k"],
+)
+def test_runtime_faults_exit_2_before_the_flow(edit, key, tmp_path, monkeypatch, capsys):
+    with pytest.raises(ConfigError, match=key):
+        build_run(ou_config(edit))
+    code, err = run_exit(ou_config(edit), tmp_path, monkeypatch, capsys)
+    assert code == 2 and key in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_plot_and_convexity_values_pass_as_given():
     plot = {"enabled": False, "stride": None, "axes": [1, 0], "colors": ["#000000"]}
     run_cfg = build_run(ou_config(lambda cfg: cfg.update(

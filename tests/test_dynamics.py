@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import otflow.dynamics as dynamics
 from helpers import rand_state
 from otflow.datagen import GeneratorSpec, generate
 from otflow.dynamics import FlowConfig, flow_step, run_flow
@@ -292,6 +293,21 @@ class TestRunFlow:
                 FlowConfig(
                     functional=spec, optimizer=sgd(0.1), relabel_method="kmeans", cluster_k=k
                 ).validate()
+
+    def test_kmeans_cluster_count_bounded_by_particles(self, monkeypatch):
+        spec = quadratic_spec()
+        state = rand_state(np.random.default_rng(0), 20, 2, 2)
+        config = FlowConfig(
+            functional=spec, optimizer=sgd(0.1), mode=MODE_JD_VL, steps=4, relabel_every=2,
+            relabel_method="kmeans", cluster_k=21,
+        )
+        steps = []
+        monkeypatch.setattr(dynamics, "flow_step", lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match="cluster_k 21 exceeds the 20 particles"):
+            run_flow(state, config)
+        assert steps == []
+        config.cluster_k = 20
+        config.validate(state.n)
 
     def test_entropy_needs_sgd_rule(self):
         spec = FunctionalSpec([EntropyTerm(weight=1.0), PotentialTerm("quadratic")])

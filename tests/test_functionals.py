@@ -11,12 +11,14 @@ from otflow.functionals import (
     PotentialTerm,
     POTENTIAL_FORMS,
     TargetDistanceTerm,
-    eval_interaction,
-    eval_potential,
     eval_terms,
     grad_functional,
 )
 from otflow.otdd import MODE_FD, DatasetState
+
+
+def value(term, state):
+    return term.value_and_grads(state, MODE_FD)[0]
 
 
 def circle_state(n=8):
@@ -28,7 +30,8 @@ def circle_state(n=8):
 class TestPotential:
     def test_affine_norm_unit_circle(self):
         state = circle_state()
-        val = eval_potential(state, "affine_norm", {"matrix": np.eye(2), "offset": [0.0, 0.0]})
+        term = PotentialTerm("affine_norm", {"matrix": np.eye(2), "offset": [0.0, 0.0]})
+        val = value(term, state)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_hinge_inactive_region(self):
@@ -37,21 +40,21 @@ class TestPotential:
         labels = np.array([1, 1, 0])
         state = DatasetState.from_features(feats, labels)
         params = {"normal": [1.0, 0.0], "bias": 0.0, "positive_label": 1}
-        assert eval_potential(state, "hinge", params) == 0.0
+        assert value(PotentialTerm("hinge", params), state) == 0.0
 
     def test_hinge_negate_flag_flips(self):
         feats = np.array([[1.0, 0.0]])
         state = DatasetState.from_features(feats, [1])
         params = {"normal": [1.0, 0.0], "bias": 0.0, "positive_label": 1}
-        assert eval_potential(state, "hinge", params) == pytest.approx(1.0)
-        assert eval_potential(state, "hinge", {**params, "negate": True}) == 0.0
+        assert value(PotentialTerm("hinge", params), state) == pytest.approx(1.0)
+        assert value(PotentialTerm("hinge", {**params, "negate": True}), state) == 0.0
 
     def test_radial_shell_direct_summation(self):
         rng = np.random.default_rng(0)
         state = rand_state(rng, 30, 2, 2)
         center = np.array([0.5, -0.5])
         radius = 1.5
-        val = eval_potential(state, "radial_shell", {"center": center, "radius": radius})
+        val = value(PotentialTerm("radial_shell", {"center": center, "radius": radius}), state)
         direct = sum(
             w * max(0.0, np.linalg.norm(x - center) - radius)
             for x, w in zip(state.features, state.weights)
@@ -65,13 +68,12 @@ class TestPotential:
             "0": {"matrix": np.eye(2).tolist(), "offset": [0.0, 0.0]},
             "1": {"matrix": (2 * np.eye(2)).tolist(), "offset": [0.0, 0.0]},
         }}
-        val = eval_potential(state, "class_affine_norm", params)
+        val = value(PotentialTerm("class_affine_norm", params), state)
         assert val == pytest.approx(0.5 * 1.0 + 0.5 * 4.0, rel=1e-12)
 
     def test_unknown_form(self):
-        state = circle_state(4)
         with pytest.raises(ValueError):
-            eval_potential(state, "mystery", {})
+            PotentialTerm("mystery", {})
 
     @pytest.mark.parametrize(
         "form, params, named",
@@ -87,6 +89,21 @@ class TestPotential:
     )
     def test_term_rejects_what_its_form_does_not_read(self, form, params, named):
         with pytest.raises(ValueError, match=named):
+            PotentialTerm(form, params)
+
+    @pytest.mark.parametrize(
+        "form, params, named",
+        [
+            ("linear", {"offset": 0.1}, "normal"),
+            ("hinge", {"bias": 0.1}, "normal"),
+            ("affine_norm", {"offset": [0.0]}, "matrix"),
+            ("class_affine_norm", {}, "per_class"),
+            ("class_affine_norm", {"per_class": {"0": {"offset": [0.0]}}}, "matrix"),
+        ],
+        ids=["linear", "hinge", "affine_norm", "class_affine_norm", "class_entry"],
+    )
+    def test_term_requires_the_keys_its_form_needs(self, form, params, named):
+        with pytest.raises(ValueError, match=f"need {named!r}"):
             PotentialTerm(form, params)
 
     def test_form_params_are_the_keys_it_reads(self):
@@ -118,15 +135,15 @@ class TestPotential:
         assert every_key.keys() == POTENTIAL_FORMS.keys()
         for form, params in every_key.items():
             params = Recording(params)
-            eval_potential(circle_state(4), form, params)
+            value(PotentialTerm(form, params), circle_state(4))
             assert params.read == set(POTENTIAL_FORMS[form]), form
 
     def test_shape_mismatch_rejected(self):
         state = circle_state(4)  # 2-D features
         with pytest.raises(ValueError):
-            eval_potential(state, "linear", {"normal": [1.0, 2.0, 3.0]})
+            value(PotentialTerm("linear", {"normal": [1.0, 2.0, 3.0]}), state)
         with pytest.raises(ValueError):
-            eval_potential(state, "quadratic", {"center": [0.0]})
+            value(PotentialTerm("quadratic", {"center": [0.0]}), state)
 
 
 class TestInteraction:
@@ -134,17 +151,17 @@ class TestInteraction:
         with pytest.raises(ValueError, match="repulsoin"):
             InteractionTerm("class_repulsoin")
         with pytest.raises(ValueError, match="mystery"):
-            eval_interaction(circle_state(4), "mystery")
+            InteractionTerm("mystery")
 
     def test_single_class_repulsion_zero(self):
         rng = np.random.default_rng(1)
         state = rand_state(rng, 12, 1, 2)
-        assert eval_interaction(state, "class_repulsion") == 0.0
+        assert value(InteractionTerm("class_repulsion"), state) == 0.0
 
     def test_two_particle_value(self):
         feats = np.array([[0.0, 0.0], [1.0, 0.0]])
         state = DatasetState.from_features(feats, [0, 1])
-        val = eval_interaction(state, "class_repulsion")
+        val = value(InteractionTerm("class_repulsion"), state)
         # 0.5 * 2 * p0 * p1 * exp(-r^2), r = 1
         assert val == pytest.approx(0.25 * np.exp(-1.0), rel=1e-12)
 
@@ -155,7 +172,7 @@ class TestInteraction:
             ("class_repulsion", lambda u: np.exp(-np.sum(u**2))),
             ("cross_class_spread", lambda u: -np.sum(u**2)),
         ]:
-            val = eval_interaction(state, form)
+            val = value(InteractionTerm(form), state)
             direct = 0.0
             for i in range(state.n):
                 for j in range(state.n):
@@ -172,17 +189,17 @@ class TestInteraction:
         state = rand_state(rng, 15, 3, 2)
         perm = rng.permutation(15)
         shuffled = DatasetState.from_features(state.features[perm], state.labels[perm])
-        assert eval_interaction(state, "class_repulsion") == pytest.approx(
-            eval_interaction(shuffled, "class_repulsion"), rel=1e-10
+        assert value(InteractionTerm("class_repulsion"), state) == pytest.approx(
+            value(InteractionTerm("class_repulsion"), shuffled), rel=1e-10
         )
 
     def test_value_drops_as_cross_pair_separates(self):
         feats = np.array([[0.0, 0.0], [0.5, 0.0], [3.0, 3.0]])
         state = DatasetState.from_features(feats, [0, 1, 0])
-        base = eval_interaction(state, "class_repulsion")
+        base = value(InteractionTerm("class_repulsion"), state)
         moved = state.copy()
         moved.features[1, 0] += 0.5  # move along the connecting line
-        assert eval_interaction(moved, "class_repulsion") < base
+        assert value(InteractionTerm("class_repulsion"), moved) < base
 
 
 class TestGradFunctional:

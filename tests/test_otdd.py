@@ -22,16 +22,17 @@ from otflow.otdd import (
     _row_masses,
     ground_cost_matrix,
     otdd,
-    otdd_grads,
 )
 from otflow.transport import (
     _cost_product,
+    default_reg,
     sinkhorn,
     sinkhorn_symmetric,
     squared_euclidean_cost,
 )
 
 FD_TOL = dict(tol=1e-9, max_iter=300_000)
+EVAL = dict(tol=EVAL_TOL, max_iter=EVAL_MAX_ITER)
 
 
 def inflate_covs(state, ridge=0.25):
@@ -275,7 +276,8 @@ class TestOtddGrads:
     def test_self_gradients_vanish(self):
         rng = np.random.default_rng(11)
         state = rand_state(rng, 10, 2, 2)
-        grads = otdd_grads(state, state, MODE_FD, tol=1e-8)
+        term = TargetDistanceTerm(state, max_iter=EVAL_MAX_ITER, tol=1e-8)
+        grads = term.value_and_grads(state, MODE_FD)[1]
         scale = float(np.abs(state.features).max())
         assert np.abs(grads.d_features).max() <= 1e-4 * scale
 
@@ -283,14 +285,14 @@ class TestOtddGrads:
         shared = Moments.of([LabelDistribution(np.zeros(2), np.eye(2))])
         a = DatasetState(np.array([[1.0, 1.0]]), np.array([0]), np.array([1.0]), shared, [0])
         b = DatasetState(np.array([[0.0, 0.0]]), np.array([0]), np.array([1.0]), shared.copy(), [0])
-        grads = otdd_grads(a, b, MODE_FD, reg=0.1, debias=False)
+        grads = TargetDistanceTerm(b, reg=0.1, debias=False, **EVAL).value_and_grads(a, MODE_FD)[1]
         np.testing.assert_allclose(grads.d_features, [[2.0, 2.0]], atol=1e-8)
 
     def test_fd_mode_has_no_moment_grads(self):
         rng = np.random.default_rng(12)
         a = rand_state(rng, 10, 2, 2)
         b = rand_state(rng, 10, 2, 2)
-        grads = otdd_grads(a, b, MODE_FD)
+        grads = TargetDistanceTerm(b, **EVAL).value_and_grads(a, MODE_FD)[1]
         assert grads.d_means is None and grads.d_covs is None
 
     def test_mode_shape_mismatch(self):
@@ -298,7 +300,7 @@ class TestOtddGrads:
         a = rand_state(rng, 6, 2, 2)
         b = rand_state(rng, 6, 2, 2)
         with pytest.raises(DimensionMismatchError):
-            otdd_grads(a, b, MODE_JD_VL)
+            TargetDistanceTerm(b, **EVAL).value_and_grads(a, MODE_JD_VL)
 
     @pytest.mark.parametrize("debias", [True, False])
     def test_feature_grads_match_fd(self, debias):
@@ -306,7 +308,8 @@ class TestOtddGrads:
         src = rand_state(rng, 8, 2, 2)
         dst = rand_state(rng, 9, 2, 2)
         reg = 0.1 * float(ground_cost_matrix(src, dst).mean())
-        grads = otdd_grads(src, dst, MODE_FD, reg=reg, debias=debias, tol=1e-9, max_iter=300_000)
+        term = TargetDistanceTerm(dst, reg=reg, debias=debias, **FD_TOL)
+        grads = term.value_and_grads(src, MODE_FD)[1]
         h = 1e-5
         gref = np.abs(grads.d_features).max() * src.weights[0]
         for i, l in [(0, 0), (3, 1), (7, 0)]:
@@ -321,7 +324,7 @@ class TestOtddGrads:
         src = inflate_covs(rand_state(rng, 10, 2, 2))
         dst = inflate_covs(rand_state(rng, 11, 3, 2))
         reg = 0.1 * float(ground_cost_matrix(src, dst).mean())
-        grads = otdd_grads(src, dst, MODE_JD_FL, reg=reg, tol=1e-9, max_iter=300_000)
+        grads = TargetDistanceTerm(dst, reg=reg, **FD_TOL).value_and_grads(src, MODE_JD_FL)[1]
         h = 1e-5
         for c in src.class_ids():
             mass = float(src.weights[src.labels == c].sum())
@@ -345,7 +348,7 @@ class TestOtddGrads:
         src = inflate_covs(rand_state(rng, 8, 2, 2).decoupled())
         dst = inflate_covs(rand_state(rng, 9, 3, 2))
         reg = 0.1 * float(ground_cost_matrix(src, dst).mean())
-        grads = otdd_grads(src, dst, MODE_JD_VL, reg=reg, tol=1e-9, max_iter=300_000)
+        grads = TargetDistanceTerm(dst, reg=reg, **FD_TOL).value_and_grads(src, MODE_JD_VL)[1]
         assert grads.d_means.shape == (8, 2)
         h = 1e-5
         for i in [0, 4, 7]:
@@ -366,7 +369,7 @@ class TestOtddGrads:
     def test_grads_finite_for_floored_covs(self):
         state = DatasetState.from_features([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 3, [0] * 3 + [1] * 3)
         other = DatasetState.from_features([[2.0, 0.0]] * 3 + [[3.0, 1.0]] * 3, [0] * 3 + [1] * 3)
-        grads = otdd_grads(state, other, MODE_JD_FL)
+        grads = TargetDistanceTerm(other, **EVAL).value_and_grads(state, MODE_JD_FL)[1]
         assert grads.is_finite()
 
 
@@ -385,7 +388,8 @@ class TestRowMasses:
 
 
 class TestOneSolvePath:
-    """otdd, otdd_grads and TargetDistanceTerm solve the same divergence."""
+    """otdd and TargetDistanceTerm solve the divergence through one
+    ``Divergence.solve``."""
 
     @staticmethod
     def pair():
@@ -401,19 +405,17 @@ class TestOneSolvePath:
         # sqrt is correctly rounded, so this is exact where value**2 is not.
         assert value == np.sqrt(term.value_and_grads(a, MODE_FD)[0])
 
-    @pytest.mark.parametrize("debias", [True, False])
-    def test_grads_equal_term_grads(self, debias):
+    @pytest.mark.parametrize("reg", [0.5, None])
+    def test_cold_solve_is_the_hand_built_divergence(self, reg):
         a, b = self.pair()
-        term = TargetDistanceTerm(b, reg=0.5, debias=debias, max_iter=EVAL_MAX_ITER, tol=EVAL_TOL)
-        _, expected = term.value_and_grads(a, MODE_JD_FL)
-        grads = otdd_grads(a, b, MODE_JD_FL, reg=0.5, debias=debias)
-        for got, want in zip(
-            (grads.d_features, grads.d_means, grads.d_covs),
-            (expected.d_features, expected.d_means, expected.d_covs),
-        ):
-            np.testing.assert_array_equal(got, want)
+        cost_ab = ground_cost_matrix(a, b)
+        solver = (reg or default_reg(cost_ab), EVAL_MAX_ITER, EVAL_TOL)
+        ab = sinkhorn(cost_ab, a.weights, b.weights, *solver).soft_cost
+        aa = sinkhorn_symmetric(ground_cost_matrix(a, a), a.weights, *solver).soft_cost
+        bb = sinkhorn_symmetric(ground_cost_matrix(b, b), b.weights, *solver).soft_cost
+        assert Divergence(b, reg=reg).solve(a)[0] == ab - 0.5 * (aa + bb)
 
-    def test_grads_solve_no_target_self_term(self, monkeypatch):
+    def test_target_self_term_solved_once(self, monkeypatch):
         otdd_module = sys.modules["otflow.otdd"]
         sizes = []
         solve = otdd_module.sinkhorn_symmetric
@@ -424,10 +426,18 @@ class TestOneSolvePath:
 
         monkeypatch.setattr(otdd_module, "sinkhorn_symmetric", counting)
         a, b = self.pair()
-        otdd_grads(a, b, MODE_JD_FL, reg=0.5)
-        assert sizes == [a.n]
-        otdd(a, b, reg=0.5)
-        assert sizes == [a.n, a.n, b.n]
+        term = TargetDistanceTerm(b, reg=0.5)
+        term.value_and_grads(a, MODE_JD_FL)
+        term.value_and_grads(a, MODE_JD_FL)
+        assert sizes == [a.n, b.n, a.n]
+        term.reset()
+        term.value_and_grads(a, MODE_JD_FL)
+        assert sizes == [a.n, b.n, a.n, a.n, b.n]
+
+    def test_solve_rejects_an_unknown_mode(self):
+        a, b = self.pair()
+        with pytest.raises(ValueError, match="jd_fl"):
+            TargetDistanceTerm(b, reg=0.5).value_and_grads(a, "jd_fl")
 
     def test_jdvl_flow_step_makes_one_bures_pass(self, monkeypatch):
         # The costs and the gradients of a step share one kernel call per
