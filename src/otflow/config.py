@@ -19,7 +19,7 @@ from .errors import ConfigError, NumericError
 from .functionals import TERM_KINDS, FunctionalSpec, TargetDistanceTerm
 from .io import load_dataset
 from .optim import OptimizerState
-from .otdd import DatasetState
+from .otdd import MODE_FD, DatasetState
 from .plots import PLOT_KEYS, _axes_for
 
 OUTPUT_DIR_ENV = "OTFLOW_OUTPUT_DIR"
@@ -130,7 +130,8 @@ def build_run(cfg: dict) -> RunConfig:
     """Materialize datasets, functional, and flow config; validates before
     any flow compute happens. Each entry goes to one callable: a generator to
     GeneratorSpec, a path entry to load_dataset, a term to TERM_KINDS[kind],
-    ``optimizer`` to OptimizerState and the other top-level keys to FlowConfig."""
+    ``optimizer`` to OptimizerState and the other top-level keys to FlowConfig.
+    Potential params are checked against the source data here too."""
     plot = _values(cfg.get("plot") or {}, PLOT_KEYS, "plot")
     convexity = _values(cfg.get("convexity") or {}, CONVEXITY_KEYS, "convexity")
     if plot.get("stride", 1) < 1:
@@ -148,6 +149,14 @@ def build_run(cfg: dict) -> RunConfig:
     if not isinstance(entries, list) or not entries:
         raise ConfigError("config needs functional.terms with at least one term")
     terms = [term_from_entry(t, target, f"functional term {i}") for i, t in enumerate(entries)]
+    for i, term in enumerate(terms):
+        if term.kind == "potential":
+            # One evaluation on the source checks the params against the data
+            # (dimension, per-class labels) with the checks every step makes.
+            try:
+                term.value_and_grads(source, MODE_FD)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"functional term {i}: {exc}") from exc
     functional = _build(FunctionalSpec, "functional", {"terms": terms})
 
     optimizer = _build(OptimizerState, "optimizer", cfg.get("optimizer") or {})

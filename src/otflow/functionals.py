@@ -39,6 +39,12 @@ def _as_array(params, key, default=None, dim=None):
     return out
 
 
+def _affine_params(params, dim):
+    """The matrix A (``dim`` columns) and offset b of ``affine_norm`` params."""
+    a = np.atleast_2d(_as_array(params, "matrix", dim=dim))
+    return a, _as_array(params, "offset", np.zeros(a.shape[0]))
+
+
 def _affine_norm(x, a, b):
     """||A x_i - b|| for every row x_i, and its gradient (0 where the norm is 0)."""
     u = x @ a.T - b
@@ -67,9 +73,7 @@ def _potential_pointwise(state: DatasetState, form: str, params: dict):
         vals = x @ w + c
         grads = np.broadcast_to(w, x.shape).copy()
     elif form == "affine_norm":
-        a = np.atleast_2d(_as_array(params, "matrix", dim=d))
-        b = _as_array(params, "offset", np.zeros(a.shape[0]))
-        vals, grads = _affine_norm(x, a, b)
+        vals, grads = _affine_norm(x, *_affine_params(params, d))
     elif form == "class_affine_norm":
         per_class = params["per_class"]
         vals = np.zeros(n)
@@ -78,11 +82,8 @@ def _potential_pointwise(state: DatasetState, form: str, params: dict):
             key = str(int(c)) if str(int(c)) in per_class else int(c)
             if key not in per_class:
                 raise ValueError(f"class_affine_norm params missing class {c}")
-            sub = per_class[key]
-            a = np.atleast_2d(np.asarray(sub["matrix"], dtype=float))
-            b = np.asarray(sub.get("offset", np.zeros(a.shape[0])), dtype=float)
             mask = y == c
-            vals[mask], grads[mask] = _affine_norm(x[mask], a, b)
+            vals[mask], grads[mask] = _affine_norm(x[mask], *_affine_params(per_class[key], d))
     elif form == "hinge":
         # Printed form: V(z) = max{0, y (x.w - b)} with y in {-1, +1}; the
         # `negate` flag flips the sign convention without silently fixing it.

@@ -107,7 +107,9 @@ class _LogFrame:
         if self.cost.shape != self.a.shape + self.b.shape:
             raise DimensionMismatchError("weight lengths do not match the cost matrix")
         self.reg = reg
-        self.live = self.a > 0
+        live = self.a > 0
+        # The zero-weight mask of ``_violation``, None when there are none.
+        self.live = None if live.all() else live
         # The one kernel-sized array of a solve: K~, and at the end the plan.
         self.buf = np.empty(self.cost.shape)
         self.ref = [None, None]
@@ -137,8 +139,11 @@ class _LogFrame:
             if np.abs(d).max() <= LOG_BOUND:
                 wx = w * np.exp(d)
                 s = wx @ self.buf if axis == 0 else self.buf @ wx
-                if s.min() >= 1.0 / SCALE_BOUND and s.max() <= SCALE_BOUND:
-                    return self.ref[1 - axis] - np.log(s)
+                # |log s| <= LOG_BOUND is the range check on s; a zero sum
+                # logs to -inf and a NaN fails the comparison, so both rebuild.
+                log_s = np.log(s)
+                if np.abs(log_s).max() <= LOG_BOUND:
+                    return self.ref[1 - axis] - log_s
         self.ref[axis] = shift
         self.ref[1 - axis], out = _softmin(self.cost, self.reg, shift, axis, self.buf, w)
         return out
@@ -186,12 +191,15 @@ def _violation(a, live, u, t) -> float:
     """L1 marginal violation sum_i a_i |exp(u_i - t_i) - 1|.
 
     With t the scaling that u maps to, the row sums of the plan are
-    a_i * exp(u_i - t_i). Zero-weight atoms are excluded (their rows are
-    exactly zero): ``live`` is the mask a > 0, computed once per solve.
+    a_i * exp(u_i - t_i). With every weight positive this is one dot
+    product. Otherwise ``live`` is the mask a > 0, computed once per solve,
+    and zero-weight atoms are excluded: their rows are exactly zero, and
+    their term may be 0 * inf. Runs inside ``_fixed_point``'s errstate.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = a * np.abs(np.expm1(u - t))
-    return float(terms[live].sum())
+    terms = np.abs(np.expm1(u - t))
+    if live is None:
+        return float(a @ terms)
+    return float((a * terms)[live].sum())
 
 
 class _Anderson:
@@ -200,8 +208,17 @@ class _Anderson:
     Keeps the last ANDERSON_MEMORY pairs (T(u), T(u) - u) in two ring
     buffers. The extrapolant is the affine combination of the stored T(u)
     whose residuals combine to the least L2 norm; differences against the
-    newest entry span that affine space.
+    newest entry span that affine space. The coefficients solve the normal
+    equations (D D^T) gamma = D r of that least-squares problem, with one
+    step of iterative refinement (Higham 2002, "Accuracy and Stability of
+    Numerical Algorithms", ch. 12); see ``_anderson_coefficients``.
     """
+
+    # _OLDER[k][slot]: the entries of a k-entry ring other than ``slot``,
+    # oldest first.
+    _OLDER = [
+        [(slot + np.arange(1, k)) % k for slot in range(k)] for k in range(ANDERSON_MEMORY + 1)
+    ]
 
     def __init__(self, n: int):
         self.maps = np.empty((ANDERSON_MEMORY, n))
@@ -217,10 +234,30 @@ class _Anderson:
         k = min(self.count, ANDERSON_MEMORY)
         if k < 2:
             return None
-        older = (slot + np.arange(1, k)) % k  # the other entries, oldest first
+        older = self._OLDER[k][slot]
         r = self.residuals[slot]
-        gamma = np.linalg.lstsq((r - self.residuals[older]).T, r, rcond=None)[0]
+        gamma = _anderson_coefficients(r - self.residuals[older], r)
         return tu - (tu - self.maps[older]).T @ gamma
+
+
+def _anderson_coefficients(diff, r):
+    """gamma minimizing ||r - diff^T gamma||, for k differences of n-vectors.
+
+    The k x k normal equations square the condition number of ``diff``;
+    one refinement step against the residual restores lstsq's accuracy.
+    numpy keeps no LU factors, so the inverse serves both solves at the
+    cost of one. A singular Gram matrix takes ``lstsq``'s least-norm
+    solution: one that ``inv`` reports, and every one with more
+    differences than dimensions (k > n), which rounding can hide from it.
+    """
+    if diff.shape[0] <= diff.shape[1]:
+        try:
+            inverse = np.linalg.inv(diff @ diff.T)
+            gamma = inverse @ (diff @ r)
+            return gamma + inverse @ (diff @ (r - gamma @ diff))
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(diff.T, r, rcond=None)[0]
 
 
 def _fixed_point(step, u, max_iter: int, tol: float, accel=None):
@@ -235,21 +272,25 @@ def _fixed_point(step, u, max_iter: int, tol: float, accel=None):
     (u, right potential, violation, rounds); raises
     SinkhornConvergenceError when ``max_iter`` rounds do not reach ``tol``.
     """
-    nxt, right, err = step(u)
-    it = 1
-    while not err <= tol:
-        if it >= max_iter:
-            raise SinkhornConvergenceError(err, it)
-        cand = None if accel is None else accel.push(u, nxt)
-        if cand is not None and np.abs(cand - nxt).max() < LOG_BOUND:
-            c_nxt, c_right, e_cand = step(cand)
-            it += 1
-            if e_cand < err:
-                u, nxt, right, err = cand, c_nxt, c_right, e_cand
-                continue
-        u = nxt
+    # One errstate for the whole loop: a violation may overflow or meet
+    # 0 * inf on a zero-weight atom, and a zero absorbed sum logs to -inf;
+    # each is then caught by a comparison, not by a warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         nxt, right, err = step(u)
-        it += 1
+        it = 1
+        while not err <= tol:
+            if it >= max_iter:
+                raise SinkhornConvergenceError(err, it)
+            cand = None if accel is None else accel.push(u, nxt)
+            if cand is not None and np.abs(cand - nxt).max() < LOG_BOUND:
+                c_nxt, c_right, e_cand = step(cand)
+                it += 1
+                if e_cand < err:
+                    u, nxt, right, err = cand, c_nxt, c_right, e_cand
+                    continue
+            u = nxt
+            nxt, right, err = step(u)
+            it += 1
     return u, right, err, it
 
 

@@ -169,6 +169,10 @@ def test_plot_and_convexity_values_rejected_before_the_flow(
     assert not (tmp_path / "out").exists()
 
 
+def potential(form, **params):
+    return add_term(kind="potential", form=form, params=params)
+
+
 def small_jdvl(cfg):
     cfg["source"]["generator"].update(n=20, k=2)
     cfg.update(mode="jd-vl", steps=4, relabel_method="kmeans", cluster_k=50, relabel_every=2)
@@ -181,8 +185,21 @@ def small_jdvl(cfg):
         (add_term(kind="potential", form="class_affine_norm",
                   params={"per_class": {"0": {"offset": [0.0, 0.0]}}}), "matrix"),
         (small_jdvl, "cluster_k 50"),
+        # Params that do not fit the 2-D, single-class source data.
+        (potential("linear", normal=[1.0, 0.0, 0.0]), "'normal' has dimension 3, expected 2"),
+        (potential("hinge", normal=[1.0]), "'normal' has dimension 1, expected 2"),
+        (potential("quadratic", center=[0.0, 0.0, 0.0]), "'center' has dimension 3"),
+        (potential("radial_shell", center=[0.0]), "'center' has dimension 1"),
+        (potential("affine_norm", matrix=[[1.0, 0.0, 0.0]]), "'matrix' has dimension 3"),
+        (potential("class_affine_norm", per_class={"0": {"matrix": [[1.0, 0.0, 0.0]]}}),
+         "'matrix' has dimension 3"),
+        (potential("class_affine_norm", per_class={"1": {"matrix": [[1.0, 0.0]]}}),
+         "missing class 0"),
     ],
-    ids=["linear-normal", "class_affine_norm-matrix", "kmeans-cluster_k"],
+    ids=["linear-normal", "class_affine_norm-matrix", "kmeans-cluster_k", "linear-normal-dim",
+         "hinge-normal-dim", "quadratic-center-dim", "radial_shell-center-dim",
+         "affine_norm-matrix-columns", "class_affine_norm-matrix-columns",
+         "class_affine_norm-missing-class"],
 )
 def test_runtime_faults_exit_2_before_the_flow(edit, key, tmp_path, monkeypatch, capsys):
     with pytest.raises(ConfigError, match=key):

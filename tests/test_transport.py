@@ -12,13 +12,20 @@ from otflow.errors import (
 import otflow.transport as transport
 from otflow.transport import (
     ANDERSON_MEMORY,
+    _Anderson,
     _fixed_point,
+    _LogFrame,
+    _violation,
     exact_ot,
     ot_position_grad,
     sinkhorn,
     sinkhorn_symmetric,
     squared_euclidean_cost,
 )
+
+# The solvers run their loops under one np.errstate; any floating-point
+# warning that escapes it fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def uniform(n):
@@ -336,6 +343,28 @@ class TestSinkhorn:
         ]
         np.testing.assert_allclose(plan.plan, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("solver", ["sinkhorn", "sinkhorn_symmetric"])
+    def test_far_warm_start_with_a_zero_weight_atom(self, solver, monkeypatch):
+        # A start hundreds of LOG_BOUNDs from the solution moves the
+        # potentials past the scaling bound, so the kernel, built once in
+        # the first round, is rebuilt after it; the zero-weight atom takes
+        # the masked violation. Neither may leak a floating-point warning.
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((8, 2))
+        cost = squared_euclidean_cost(x, x)
+        a = np.append(0.0, uniform(7))
+        reg = 0.05 * cost.mean()
+        f = reg * 1e4 * rng.standard_normal(8)
+        calls = count_rebuilds(monkeypatch)
+        if solver == "sinkhorn":
+            plan = sinkhorn(cost, a, a, reg, tol=1e-9, init=(f, None))
+        else:
+            plan = sinkhorn_symmetric(cost, a, reg, tol=1e-9, init=f)
+        assert len(calls) >= 2
+        assert np.all(np.isfinite(plan.plan))
+        assert not plan.plan[0].any()
+        assert np.abs(plan.plan.sum(axis=1) - a).sum() <= 1e-9
+
     def test_nan_violation_is_not_convergence(self):
         # Both solvers stop on `violation <= tol`; a NaN violation must run
         # out of rounds, not pass as converged.
@@ -385,6 +414,120 @@ class TestSinkhornSymmetric:
                 cost, u, **solver
             ).soft_cost
             assert abs(val) <= 1e-6
+
+
+def lstsq_extrapolant(maps, residuals):
+    """Anderson's extrapolant by ``lstsq``, newest entry last."""
+    r, tu = residuals[-1], maps[-1]
+    gamma = np.linalg.lstsq((r - residuals[:-1]).T, r, rcond=None)[0]
+    return tu - (tu - maps[:-1]).T @ gamma
+
+
+def push_all(us, tus):
+    accel = _Anderson(us.shape[1])
+    for u, tu in zip(us, tus):
+        cand = accel.push(u, tu)
+    return cand
+
+
+class TestAndersonStep:
+    @pytest.mark.parametrize("entries", [ANDERSON_MEMORY, ANDERSON_MEMORY + 3])
+    def test_normal_equations_match_lstsq(self, entries):
+        # A well-conditioned random history of 120-vectors, with and without
+        # the ring wrapping; the extrapolant reads the last ANDERSON_MEMORY.
+        rng = np.random.default_rng(40)
+        us = rng.standard_normal((entries, 120))
+        tus = us + rng.standard_normal((entries, 120))
+        last = slice(-ANDERSON_MEMORY, None)
+        expected = lstsq_extrapolant(tus[last], (tus - us)[last])
+        np.testing.assert_allclose(push_all(us, tus), expected, rtol=1e-10, atol=0)
+
+    def test_singular_gram_falls_back_to_lstsq(self, monkeypatch):
+        # The newest residual repeats the oldest one exactly (integer
+        # entries), so one difference is zero and the Gram matrix singular.
+        rng = np.random.default_rng(41)
+        us = rng.integers(-9, 9, size=(3, 10)).astype(float)
+        residuals = rng.integers(-9, 9, size=(3, 10)).astype(float)
+        residuals[2] = residuals[0]
+        tus = us + residuals
+        expected = lstsq_extrapolant(tus, residuals)
+        fallbacks = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            fallbacks.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        cand = push_all(us, tus)
+        assert len(fallbacks) == 1
+        np.testing.assert_allclose(cand, expected, rtol=1e-12, atol=1e-12)
+
+    def test_more_differences_than_dimensions_take_lstsq(self, monkeypatch):
+        # Five differences of 3-vectors have a singular Gram matrix, which
+        # rounding can hide from inv; the fifth and sixth pushes (four and
+        # five differences) must take lstsq, the earlier ones inv.
+        rng = np.random.default_rng(45)
+        us = rng.standard_normal((ANDERSON_MEMORY, 3))
+        tus = us + rng.standard_normal((ANDERSON_MEMORY, 3))
+        calls = []
+        for name in ("inv", "lstsq"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        cand = push_all(us, tus)
+        assert calls == ["inv", "inv", "inv", "lstsq", "lstsq"]
+        np.testing.assert_allclose(cand, lstsq_extrapolant(tus, tus - us), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_few_source_atoms_match_exact(self, n):
+        # With n <= 5 source atoms, up to ANDERSON_MEMORY - 1 differences
+        # of n-vectors are rank-deficient: the Gram matrix is singular or
+        # nearly so.
+        rng = np.random.default_rng(42 + n)
+        for m in (2, 5, 9):
+            cost = rng.uniform(size=(n, m))
+            a = rng.uniform(0.2, 1.0, n); a /= a.sum()
+            b = rng.uniform(0.2, 1.0, m); b /= b.sum()
+            tol = 1e-4
+            plan = sinkhorn(cost, a, b, 1e-3 * cost.mean(), max_iter=100_000, tol=tol)
+            assert plan.marginal_error <= tol
+            assert np.abs(plan.plan.sum(axis=1) - a).sum() <= tol
+            exact = exact_ot(cost, a, b)
+            assert abs(plan.cost - exact.cost) / exact.cost < 0.01
+
+
+class TestViolation:
+    def test_dot_path_equals_masked_path(self):
+        rng = np.random.default_rng(43)
+        a = rng.uniform(0.2, 1.0, 50); a /= a.sum()
+        u = rng.standard_normal(50)
+        t = u + 1e-3 * rng.standard_normal(50)
+        assert _violation(a, None, u, t) == pytest.approx(
+            _violation(a, a > 0, u, t), rel=1e-14, abs=0
+        )
+
+    def test_zero_weight_atoms_are_excluded(self):
+        rng = np.random.default_rng(44)
+        a = np.append(uniform(4), [0.0, 0.0])
+        u = rng.standard_normal(6)
+        t = u + 1e-3 * rng.standard_normal(6)
+        # exp(u - t) overflows on the zero-weight atoms: 0 * inf is NaN.
+        t[4:] = u[4:] - 1e4
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = _violation(a, a > 0, u, t)
+        expected = sum(a[i] * abs(np.expm1(u[i] - t[i])) for i in range(4))
+        assert err == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_frame_takes_the_dot_path_only_without_zero_weights(self):
+        cost = np.ones((3, 3))
+        assert _LogFrame(cost, uniform(3), uniform(3), 0.1).live is None
+        live = _LogFrame(cost, np.array([0.5, 0.0, 0.5]), uniform(3), 0.1).live
+        np.testing.assert_array_equal(live, [True, False, True])
 
 
 class TestExactOt:
