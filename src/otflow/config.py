@@ -7,7 +7,7 @@ fit its parameter's annotation, is a ConfigError."""
 import json
 import os
 from dataclasses import dataclass
-from inspect import Parameter, formatannotation, signature
+from inspect import formatannotation, signature
 from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin
@@ -16,7 +16,7 @@ from .datagen import GeneratorSpec, generate
 from .diagnostics import CONVEXITY_KEYS
 from .dynamics import FlowConfig
 from .errors import ConfigError, NumericError
-from .functionals import TERM_KINDS, FunctionalSpec, TargetDistanceTerm
+from .functionals import POTENTIALS, TERM_KINDS, FunctionalSpec, TargetDistanceTerm
 from .io import load_dataset
 from .optim import OptimizerState
 from .otdd import MODE_FD, DatasetState
@@ -40,11 +40,9 @@ class RunConfig:
 def load_config_dict(path) -> dict:
     path = Path(path)
     try:
-        text = path.read_text()
+        cfg = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -65,8 +63,6 @@ def _check_keys(entry, keys, what: str) -> dict:
 def _fits(value, annotation) -> bool:
     """Whether a JSON value fits a parameter annotation: an int fits a float,
     a bool fits only a bool, and a list[T] is a list whose items fit T."""
-    if annotation is Parameter.empty:
-        return True
     if get_origin(annotation) in (Union, UnionType):
         return any(_fits(value, a) for a in get_args(annotation))
     if get_origin(annotation) is list:
@@ -92,11 +88,15 @@ def _values(entry, annotations: dict, what: str) -> dict:
     return values
 
 
+def _schema(fn, skip: int = 0) -> dict:
+    """The annotation of each parameter of ``fn`` after its first ``skip``."""
+    return {k: p.annotation for k, p in list(signature(fn).parameters.items())[skip:]}
+
+
 def _build(cls, what: str, entry, *args):
     """``cls(*args, **entry)``, with the keyword parameters of ``cls`` as the
     schema of ``_values``; a value that ``cls`` rejects is a ConfigError too."""
-    params = signature(cls).parameters
-    kwargs = _values(entry, {k: p.annotation for k, p in params.items()}, what)
+    kwargs = _values(entry, _schema(cls), what)
     try:
         return cls(*args, **kwargs)
     except (TypeError, ValueError, NumericError) as exc:
@@ -112,6 +112,21 @@ def dataset_from_entry(entry, what: str) -> DatasetState:
     return _build(load_dataset, what, entry)
 
 
+def _potential_params(params, form, what: str):
+    """``_values`` of potential ``params`` against the keyword parameters of
+    their form after (x, y), each class_affine_norm ``per_class`` entry being
+    affine_norm params; PotentialTerm rejects an unknown form."""
+    if not (isinstance(form, str) and form in POTENTIALS):
+        return params
+    params = _values(params, _schema(POTENTIALS[form], 2), what)
+    if form == "class_affine_norm" and "per_class" in params:
+        per_class = params["per_class"].items()
+        params["per_class"] = {
+            c: _potential_params(p, "affine_norm", f"{what} per_class {c}") for c, p in per_class
+        }
+    return params
+
+
 def term_from_entry(entry, target: DatasetState | None, what: str):
     if not isinstance(entry, dict):
         raise ConfigError(f"{what} must be an object")
@@ -119,6 +134,8 @@ def term_from_entry(entry, target: DatasetState | None, what: str):
     kind = args.pop("kind", None)
     if kind not in TERM_KINDS:
         raise ConfigError(f"{what}: unknown kind {kind!r} (available: {', '.join(TERM_KINDS)})")
+    if kind == "potential" and args.get("params") is not None:
+        args["params"] = _potential_params(args["params"], args.get("form"), f"{what} params")
     if kind != "target_distance":
         return _build(TERM_KINDS[kind], what, args)
     if target is None:
@@ -144,6 +161,8 @@ def build_run(cfg: dict) -> RunConfig:
     target = None
     if cfg.get("target") is not None:
         target = dataset_from_entry(cfg["target"], "target")
+        if target.dim != source.dim:
+            raise ConfigError(f"target has {target.dim} feature dimensions, source {source.dim}")
 
     entries = _check_keys(cfg.get("functional") or {}, ("terms",), "functional").get("terms")
     if not isinstance(entries, list) or not entries:
@@ -151,8 +170,7 @@ def build_run(cfg: dict) -> RunConfig:
     terms = [term_from_entry(t, target, f"functional term {i}") for i, t in enumerate(entries)]
     for i, term in enumerate(terms):
         if term.kind == "potential":
-            # One evaluation on the source checks the params against the data
-            # (dimension, per-class labels) with the checks every step makes.
+            # Checks the params against the data (dimension, class ids) as each step does.
             try:
                 term.value_and_grads(source, MODE_FD)
             except (TypeError, ValueError) as exc:

@@ -32,6 +32,9 @@ class GeneratorSpec:
             raise ConfigError(f"unknown generator kind {self.kind!r}")
         if not (self.n >= self.k >= 1):
             raise ConfigError(f"need n >= k >= 1 (got n={self.n}, k={self.k})")
+        min_dim = 2 if self.kind in ("moons", "rings") else 1
+        if self.dim < min_dim:
+            raise ConfigError(f"{self.kind} needs dim >= {min_dim}, not {self.dim}")
         if self.kind == "moons" and self.k != 2:
             raise ConfigError("moons generates exactly 2 classes")
         if self.kind == "swiss-roll" and self.dim not in (2, 3):

@@ -11,12 +11,13 @@ jd-vl  the state is decoupled to one (mean, cov) row per particle, and the
 """
 
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .clustering import DEFAULT_EPS, DEFAULT_MIN_PTS, dbscan_bures, kmeans_embedded
-from .errors import FlowDivergenceError, NumericError
+from .errors import FlowDivergenceError, OtflowError
 from .functionals import FunctionalSpec, eval_terms, grad_functional
 from .optim import OptimizerState, apply_step
 from .otdd import MODE_FD, MODE_JD_VL, MODES, DatasetState, label_stats, require_layout
@@ -137,6 +138,9 @@ def flow_step(state: DatasetState, config: FlowConfig, opt: OptimizerState, rng,
     written into the state itself. An entropy term in the functional adds
     scaled Brownian noise through the gradient, exact Euler-Maruyama under
     the sgd rule (the only rule ``FlowConfig.validate`` accepts with it).
+    A non-finite new state raises FlowDivergenceError; any other error of
+    the evaluation or the update propagates as raised, for ``run_flow`` to
+    turn into one.
     """
     require_layout(state, config.mode)
     beta = config.beta(step)
@@ -157,13 +161,7 @@ def flow_step(state: DatasetState, config: FlowConfig, opt: OptimizerState, rng,
             state.features.shape
         )
 
-    try:
-        new_state, opt = apply_step(state, grads, opt)
-    except FlowDivergenceError as exc:
-        raise FlowDivergenceError(step, "non-finite gradient") from exc
-    except NumericError as exc:
-        raise FlowDivergenceError(step, str(exc)) from exc
-
+    new_state, opt = apply_step(state, grads, opt)
     rows = new_state.label_dists
     if not all(np.isfinite(a).all() for a in (new_state.features, rows.means, rows.covs)):
         raise FlowDivergenceError(step, "non-finite state")
@@ -186,8 +184,11 @@ def run_flow(initial: DatasetState, config: FlowConfig) -> Trajectory:
     state is reset first, so no earlier run leaks into this one. Snapshots
     deep-copy the state, so recorded trajectories are immutable afterwards.
     A snapshot takes its term values from the step that starts at it, and
-    ``eval_terms`` evaluates only the final state and noisy or diverging
-    steps. On divergence the partial trajectory is attached to the error.
+    ``eval_terms`` evaluates only the final state and noisy or failing
+    steps. Any OtflowError a step raises, such as a solve that does not
+    converge or a non-finite gradient, ends the run as a FlowDivergenceError
+    at that step, which carries the trajectory recorded so far; the failing
+    step's start is recorded too when it can be evaluated.
     """
     config.validate(initial.n)
     config.functional.reset()
@@ -209,13 +210,13 @@ def run_flow(initial: DatasetState, config: FlowConfig) -> Trajectory:
     for t in range(config.steps):
         try:
             new_state, diag = flow_step(state, config, opt, rng, t)
-        except FlowDivergenceError as exc:
             if t % config.record_every == 0:
-                record(t, state)
-            exc.trajectory = traj
-            raise
-        if t % config.record_every == 0:
-            record(t, state, diag["term_values"])
+                record(t, state, diag["term_values"])
+        except OtflowError as exc:
+            if t % config.record_every == 0:
+                with suppress(OtflowError):  # the state may be what fails to evaluate
+                    record(t, state)
+            raise FlowDivergenceError(t, getattr(exc, "detail", str(exc)), traj) from exc
         state = new_state
         traj.objective_trace.append(float(diag["objective"]))
 

@@ -38,6 +38,7 @@ class FlowDivergenceError(OtflowError):
 
     def __init__(self, step: int, detail: str = "", trajectory=None):
         self.step = step
+        self.detail = detail
         self.trajectory = trajectory
         msg = f"flow diverged at step {step}"
         if detail:

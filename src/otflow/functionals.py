@@ -10,6 +10,7 @@ of FlowGradients so step sizes are comparable across particle counts.
 """
 
 from dataclasses import dataclass, field
+from inspect import signature
 
 import numpy as np
 
@@ -17,37 +18,33 @@ from .errors import DimensionMismatchError
 from .otdd import MODE_FD, DatasetState, Divergence, FlowGradients, _assemble_grads
 from .transport import DEFAULT_MAX_ITER, DEFAULT_TOL, _cost_product, _envelope_grad
 
-# Each potential form and the ``params`` keys it reads, True for a key it
-# requires; ``class_affine_norm`` reads ``affine_norm`` params per class.
-POTENTIAL_FORMS = {
-    "quadratic": {"scale": False, "center": False},
-    "linear": {"normal": True, "offset": False},
-    "affine_norm": {"matrix": True, "offset": False},
-    "class_affine_norm": {"per_class": True},
-    "hinge": {"normal": True, "bias": False, "positive_label": False, "negate": False},
-    "radial_shell": {"center": False, "radius": False},
-}
 INTERACTION_FORMS = ("class_repulsion", "cross_class_spread")
 
 
-def _as_array(params, key, default=None, dim=None):
-    out = np.asarray(params[key], dtype=float) if key in params else default
-    if dim is not None and out.shape[-1] != dim:
-        raise ValueError(
-            f"potential param {key!r} has dimension {out.shape[-1]}, expected {dim}"
-        )
-    return out
+def _fitted(vector, name: str, dim: int):
+    """``vector``, once its last axis has ``dim`` entries (a scalar has 0)."""
+    if np.shape(vector)[-1:] != (dim,):
+        got = (np.shape(vector) or (0,))[-1]
+        raise ValueError(f"potential param {name!r} has dimension {got}, expected {dim}")
+    return vector
 
 
-def _affine_params(params, dim):
-    """The matrix A (``dim`` columns) and offset b of ``affine_norm`` params."""
-    a = np.atleast_2d(_as_array(params, "matrix", dim=dim))
-    return a, _as_array(params, "offset", np.zeros(a.shape[0]))
+def quadratic(x, y, scale: float = 1.0, center: list[float] | None = None):
+    """V = scale/2 ||x - center||^2, centred at the origin by default."""
+    diff = x if center is None else x - _fitted(center, "center", x.shape[1])
+    return 0.5 * scale * np.sum(diff**2, axis=1), scale * diff
 
 
-def _affine_norm(x, a, b):
-    """||A x_i - b|| for every row x_i, and its gradient (0 where the norm is 0)."""
-    u = x @ a.T - b
+def linear(x, y, normal: list[float], offset: float = 0.0):
+    """V = x.normal + offset."""
+    w = _fitted(normal, "normal", x.shape[1])
+    return x @ w + offset, np.broadcast_to(w, x.shape).copy()
+
+
+def affine_norm(x, y, matrix: list[list[float]], offset: list[float] | None = None):
+    """V = ||matrix x - offset|| (gradient 0 where the norm is 0)."""
+    a = _fitted(np.atleast_2d(matrix), "matrix", x.shape[1])
+    u = x @ a.T if offset is None else x @ a.T - offset
     norms = np.linalg.norm(u, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     grads = (u / safe[:, None]) @ a
@@ -55,77 +52,47 @@ def _affine_norm(x, a, b):
     return norms, grads
 
 
-def _potential_pointwise(state: DatasetState, form: str, params: dict):
-    """V(z_i) for every particle, plus the per-particle gradient dV/dx_i."""
-    x = state.features
-    y = state.labels
-    n, d = x.shape
-
-    if form == "quadratic":
-        scale = float(params.get("scale", 1.0))
-        center = _as_array(params, "center", np.zeros(d), dim=d)
-        diff = x - center
-        vals = 0.5 * scale * np.sum(diff**2, axis=1)
-        grads = scale * diff
-    elif form == "linear":
-        w = _as_array(params, "normal", dim=d)
-        c = float(params.get("offset", 0.0))
-        vals = x @ w + c
-        grads = np.broadcast_to(w, x.shape).copy()
-    elif form == "affine_norm":
-        vals, grads = _affine_norm(x, *_affine_params(params, d))
-    elif form == "class_affine_norm":
-        per_class = params["per_class"]
-        vals = np.zeros(n)
-        grads = np.zeros_like(x)
-        for c in np.unique(y):
-            key = str(int(c)) if str(int(c)) in per_class else int(c)
-            if key not in per_class:
-                raise ValueError(f"class_affine_norm params missing class {c}")
-            mask = y == c
-            vals[mask], grads[mask] = _affine_norm(x[mask], *_affine_params(per_class[key], d))
-    elif form == "hinge":
-        # Printed form: V(z) = max{0, y (x.w - b)} with y in {-1, +1}; the
-        # `negate` flag flips the sign convention without silently fixing it.
-        w = _as_array(params, "normal", dim=d)
-        b = float(params.get("bias", 0.0))
-        positive = int(params.get("positive_label", 1))
-        sign = np.where(y == positive, 1.0, -1.0)
-        if params.get("negate", False):
-            sign = -sign
-        margin = sign * (x @ w - b)
-        active = margin > 0
-        vals = np.where(active, margin, 0.0)
-        grads = np.where(active[:, None], sign[:, None] * w[None, :], 0.0)
-    else:  # radial_shell
-        center = _as_array(params, "center", np.zeros(d), dim=d)
-        radius = float(params.get("radius", 1.0))
-        diff = x - center
-        norms = np.linalg.norm(diff, axis=1)
-        active = norms > radius
-        vals = np.where(active, norms - radius, 0.0)
-        safe = np.where(norms > 0, norms, 1.0)
-        grads = np.where(active[:, None], diff / safe[:, None], 0.0)
+def class_affine_norm(x, y, per_class: dict):
+    """affine_norm with the params that ``per_class`` gives each class id."""
+    vals, grads = np.zeros(len(x)), np.zeros_like(x)
+    for c in np.unique(y):
+        if c not in per_class:
+            raise ValueError(f"class_affine_norm params missing class {c}")
+        mask = y == c
+        vals[mask], grads[mask] = affine_norm(x[mask], None, **per_class[c])
     return vals, grads
 
 
-def _interaction_pointwise(state: DatasetState, form: str):
-    """Value and per-particle first-variation gradient of the pair energy
-    W(u) = w(||u||^2) on cross-class pairs: grad_i = sum_j p_j w'(.) 2 (x_i - x_j),
-    the factor 2 of the symmetric double sum cancelling its leading 1/2."""
-    x = state.features
-    y = state.labels
-    p = state.weights
-    sq = _cost_product(x, x)
-    cross = (y[:, None] != y[None, :]).astype(float)
-    if form == "class_repulsion":
-        w = np.exp(-sq) * cross
-        slope = -w
-    else:  # cross_class_spread
-        w = -sq * cross
-        slope = -cross
-    value = 0.5 * float(p @ w @ p)
-    return value, _envelope_grad(slope * p, x, x)
+def hinge(
+    x, y, normal: list[float], bias: float = 0.0, positive_label: int = 1, negate: bool = False
+):
+    """Printed form: V(z) = max{0, y (x.w - b)} with y in {-1, +1}; the
+    ``negate`` flag flips the sign convention without silently fixing it."""
+    w = _fitted(normal, "normal", x.shape[1])
+    sign = np.where(y == positive_label, 1.0, -1.0)
+    if negate:
+        sign = -sign
+    margin = sign * (x @ w - bias)
+    active = margin > 0
+    return np.where(active, margin, 0.0), np.where(active[:, None], sign[:, None] * w, 0.0)
+
+
+def radial_shell(x, y, center: list[float] | None = None, radius: float = 1.0):
+    """V = max{0, ||x - center|| - radius}, centred at the origin by default."""
+    diff = x if center is None else x - _fitted(center, "center", x.shape[1])
+    norms = np.linalg.norm(diff, axis=1)
+    active = norms > radius
+    safe = np.where(norms > 0, norms, 1.0)
+    grads = np.where(active[:, None], diff / safe[:, None], 0.0)
+    return np.where(active, norms - radius, 0.0), grads
+
+
+# Each potential form by name: form(x, y, **params) returns V(z_i) and dV/dx_i
+# for every particle of features x and labels y, and its keyword parameters
+# (annotations, defaults) are the ``params`` schema.
+POTENTIALS = {
+    f.__name__: f for f in (quadratic, linear, affine_norm, class_affine_norm, hinge, radial_shell)
+}
 
 
 def _check_form(form: str, forms, what: str):
@@ -133,42 +100,48 @@ def _check_form(form: str, forms, what: str):
         raise ValueError(f"unknown {what} form {form!r} (available: {', '.join(forms)})")
 
 
-def _check_params(params, form: str):
-    if not isinstance(params, dict):
-        raise ValueError(f"{form} potential params must be an object, not {params!r}")
-    keys = POTENTIAL_FORMS[form]
-    unknown = [k for k in params if k not in keys]
-    if unknown:
-        raise ValueError(f"{form} potential params take {tuple(keys)}, not {unknown[0]!r}")
-    missing = [k for k, required in keys.items() if required and k not in params]
-    if missing:
-        raise ValueError(f"{form} potential params need {missing[0]!r}")
+def _bind(form: str, params) -> dict:
+    """``params`` as the keyword arguments of ``POTENTIALS[form]``, vectors and
+    matrices as float arrays; an unknown or missing key is a ValueError naming it."""
+    try:
+        signature(POTENTIALS[form]).bind(None, None, **params)
+    except TypeError as exc:
+        raise ValueError(f"{form} potential params: {exc}") from None
+    return {k: np.asarray(v, dtype=float) if np.ndim(v) else v for k, v in params.items()}
 
 
 @dataclass
 class PotentialTerm:
+    """sum_i p_i V(z_i) for the form ``POTENTIALS[form]`` with ``params``,
+    bound once here. ``class_affine_norm`` binds each ``per_class`` entry as
+    ``affine_norm`` params."""
+
     form: str
     params: dict = field(default_factory=dict)
     weight: float = 1.0
     kind: str = field(default="potential", init=False)
+    _bound: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_form(self.form, POTENTIAL_FORMS, "potential")
-        _check_params(self.params, self.form)
+        _check_form(self.form, POTENTIALS, "potential")
+        self._bound = _bind(self.form, self.params)
         if self.form == "class_affine_norm":
-            per_class = self.params["per_class"]
-            if not isinstance(per_class, dict):
+            entries = self._bound["per_class"]
+            if not isinstance(entries, dict):
                 raise ValueError("class_affine_norm per_class must map class ids to params")
-            for sub in per_class.values():
-                _check_params(sub, "affine_norm")
+            self._bound["per_class"] = {int(c): _bind("affine_norm", v) for c, v in entries.items()}
 
     def value_and_grads(self, state: DatasetState, mode: str):
-        vals, grads = _potential_pointwise(state, self.form, self.params)
+        vals, grads = POTENTIALS[self.form](state.features, state.labels, **self._bound)
         return float(state.weights @ vals), FlowGradients(grads)
 
 
 @dataclass
 class InteractionTerm:
+    """The pair energy W(u) = w(||u||^2) on cross-class pairs. Its gradient is
+    grad_i = sum_j p_j w'(.) 2 (x_i - x_j), the factor 2 of the symmetric
+    double sum cancelling its leading 1/2."""
+
     form: str
     weight: float = 1.0
     kind: str = field(default="interaction", init=False)
@@ -177,8 +150,16 @@ class InteractionTerm:
         _check_form(self.form, INTERACTION_FORMS, "interaction")
 
     def value_and_grads(self, state: DatasetState, mode: str):
-        value, grads = _interaction_pointwise(state, self.form)
-        return value, FlowGradients(grads)
+        x, y, p = state.features, state.labels, state.weights
+        sq = _cost_product(x, x)
+        cross = (y[:, None] != y[None, :]).astype(float)
+        if self.form == "class_repulsion":
+            w = np.exp(-sq) * cross
+            slope = -w
+        else:  # cross_class_spread
+            w = -sq * cross
+            slope = -cross
+        return 0.5 * float(p @ w @ p), FlowGradients(_envelope_grad(slope * p, x, x))
 
 
 @dataclass

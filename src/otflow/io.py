@@ -18,20 +18,23 @@ from .otdd import DatasetState
 
 
 def load_dataset(
-    path,
+    path: str,
     format: str = "csv",
-    labels_path=None,
+    labels_path: str | None = None,
     downscale: int = 1,
     per_class_cap: int | None = None,
 ) -> DatasetState:
     """Load a labeled dataset from disk.
 
-    csv: header f0..f(d-1),label; one particle per row.
+    csv: a header of f0..f(d-1) and label, in any order; one particle per
+         row. The idx options are a ValueError.
     idx: MNIST-family binary images at ``path`` plus labels at
          ``labels_path``; pixels are flattened, scaled to [0, 1], optionally
          strided down by ``downscale`` and capped per class.
     """
     if format == "csv":
+        if labels_path is not None or downscale != 1 or per_class_cap is not None:
+            raise ValueError("a csv dataset takes no labels_path, downscale or per_class_cap")
         return _load_csv(path)
     if format == "idx":
         if labels_path is None:
@@ -50,12 +53,11 @@ def _load_csv(path) -> DatasetState:
     if not rows:
         raise ParseError(path, "empty file")
     header = [h.strip() for h in rows[0]]
-    if "label" not in header:
-        raise ParseError(path, "label column missing", line=1)
+    names = [f"f{i}" for i in range(len(header) - 1)]
+    if sorted(header) != sorted(names + ["label"]) or not names:
+        raise ParseError(path, f"header must be f0..f(d-1) and label, not {header}", line=1)
     label_col = header.index("label")
-    feat_cols = [i for i, h in enumerate(header) if h.startswith("f")]
-    if not feat_cols:
-        raise ParseError(path, "no feature columns (expected f0..f(d-1))", line=1)
+    feat_cols = [header.index(name) for name in names]
     feats, labels = [], []
     for ln, row in enumerate(rows[1:], start=2):
         if not row:

@@ -270,7 +270,8 @@ def _fixed_point(step, u, max_iter: int, tol: float, accel=None):
     non-finite, is not tried: out there its violation is no longer a
     faithful measure. A NaN violation never counts as converged. Returns
     (u, right potential, violation, rounds); raises
-    SinkhornConvergenceError when ``max_iter`` rounds do not reach ``tol``.
+    SinkhornConvergenceError when ``max_iter`` rounds do not reach ``tol``;
+    the cap is checked before every round, so no solve runs more.
     """
     # One errstate for the whole loop: a violation may overflow or meet
     # 0 * inf on a zero-weight atom, and a zero absorbed sum logs to -inf;
@@ -288,6 +289,8 @@ def _fixed_point(step, u, max_iter: int, tol: float, accel=None):
                 if e_cand < err:
                     u, nxt, right, err = cand, c_nxt, c_right, e_cand
                     continue
+                if it >= max_iter:  # no round left for the plain step
+                    raise SinkhornConvergenceError(err, it)
             u = nxt
             nxt, right, err = step(u)
             it += 1

@@ -74,6 +74,41 @@ class TestCsv:
         assert exc.value.line == 3
 
 
+    def test_columns_read_by_name_in_any_order(self, tmp_path, capsys):
+        state = generate(GeneratorSpec(n=20, k=2, seed=3))
+        save_dataset(state, tmp_path / "a.csv")
+        x, y = state.features.tolist(), state.labels.tolist()
+        rows = [f"{x[i][1]!r},{x[i][0]!r},{y[i]}" for i in range(state.n)]
+        (tmp_path / "b.csv").write_text("\n".join(["f1,f0,label"] + rows) + "\n")
+        loaded = load_dataset(tmp_path / "b.csv")
+        np.testing.assert_array_equal(loaded.features, state.features)
+        assert main(["distance", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
+        assert float(capsys.readouterr().out) < 1e-3  # the same data, not a swapped copy
+
+    @pytest.mark.parametrize(
+        "header", ["f0,flag,label", "f0,f2,label", "f0,f0,label", "f0,label,label", "label"],
+        ids=["other-column", "gap", "duplicate-feature", "duplicate-label", "no-feature"],
+    )
+    def test_header_names_exactly_f0_to_fd_and_label(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize(
+        "options", [{"labels_path": "l.idx"}, {"downscale": 3}, {"per_class_cap": 1}]
+    )
+    def test_csv_rejects_idx_options(self, tmp_path, options):
+        save_dataset(generate(GeneratorSpec(n=10, k=2, seed=0)), tmp_path / "a.csv")
+        with pytest.raises(ValueError, match="csv"):
+            load_dataset(tmp_path / "a.csv", **options)
+        source = {"path": str(tmp_path / "a.csv"), **options}
+        cfg_path, _ = minimal_config(tmp_path, source=source)
+        assert main(["run", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+
 def write_idx_pair(tmp_path, images, labels):
     """Encode arrays in the binary image/label format (the decode oracle)."""
     n, rows, cols = images.shape
@@ -315,6 +350,47 @@ class TestRunEndToEnd:
             steps=10,
         )
         assert main(["run", str(cfg_path)]) == 3
+
+
+    @pytest.mark.parametrize("record_every, steps", [(5, [0]), (1, [0, 1, 2, 3])])
+    def test_failed_solve_ends_the_run_as_a_divergence(self, tmp_path, capsys, record_every, steps):
+        # Step 4 needs more than 45 Sinkhorn rounds: the run stops there,
+        # exits 3 and keeps what it recorded before.
+        cfg_path, _ = minimal_config(
+            tmp_path,
+            source={"generator": {"n": 40, "k": 2, "seed": 0, "radius": 1.5}},
+            target={"generator": {"n": 50, "k": 3, "seed": 1, "radius": 4.0}},
+            functional={"terms": [{"kind": "target_distance", "max_iter": 45}]},
+            steps=30,
+            record_every=record_every,
+        )
+        assert main(["run", str(cfg_path)]) == 3
+        assert "diverged at step 4: sinkhorn did not converge in 45" in capsys.readouterr().err
+        records = read_trajectory(tmp_path / "out" / "trajectory.jsonl")
+        assert [r["step"] for r in records] == steps
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "diverged" and summary["steps_recorded"] == 4
+
+    @pytest.mark.parametrize(
+        "generator",
+        [{"dim": 0}, {"kind": "moons", "k": 2, "dim": 1}, {"kind": "rings", "dim": 1}],
+        ids=["mixture-dim-0", "moons-dim-1", "rings-dim-1"],
+    )
+    def test_generator_dim_exits_2(self, tmp_path, capsys, generator):
+        cfg_path, _ = minimal_config(tmp_path, source={"generator": {"n": 12, **generator}})
+        assert main(["run", str(cfg_path)]) == 2
+        assert "needs dim >=" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_target_of_another_dimension_exits_2(self, tmp_path, capsys):
+        cfg_path, _ = minimal_config(
+            tmp_path,
+            target={"generator": {"n": 12, "dim": 3}},
+            functional={"terms": [{"kind": "target_distance"}]},
+        )
+        assert main(["run", str(cfg_path)]) == 2
+        assert "target has 3 feature dimensions, source 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDistanceCommand:

@@ -3,6 +3,7 @@ runs exactly what it says: a key the engine would not read is an error."""
 
 import json
 import re
+from inspect import Parameter, formatannotation, signature
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,11 @@ import pytest
 from otflow.cli import main
 from otflow.config import OUTPUT_DIR_ENV, build_run
 from otflow.errors import ConfigError
-from otflow.functionals import POTENTIAL_FORMS
-from otflow.io import read_trajectory
+from otflow.datagen import GeneratorSpec
+from otflow.dynamics import FlowConfig
+from otflow.functionals import POTENTIALS, TERM_KINDS, TargetDistanceTerm
+from otflow.io import load_dataset, read_trajectory
+from otflow.optim import OptimizerState
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -209,6 +213,47 @@ def test_runtime_faults_exit_2_before_the_flow(edit, key, tmp_path, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (potential("hinge", normal=[1.0, 0.0], negate="false"), "negate must be bool"),
+        (potential("hinge", normal=[1.0, 0.0], positive_label=1.7), "positive_label must be int"),
+        (potential("radial_shell", radius=True), "radius must be float"),
+        (potential("quadratic", scale="2"), "scale must be float"),
+        (potential("linear", normal=3), "normal must be list[float]"),
+        (potential("quadratic", center=0.5), "center must be list[float] | None"),
+        (potential("affine_norm", matrix=2), "matrix must be list[list[float]]"),
+        (potential("class_affine_norm", per_class={"0": {"matrix": [[1.0, 0.0]], "offset": 0.5}}),
+         "per_class 0: offset must be list[float] | None"),
+        (potential("class_affine_norm", per_class={"0": [[1.0, 0.0]]}), "per_class 0 must be"),
+    ],
+    ids=["hinge-negate-string", "hinge-positive_label-float", "radial_shell-radius-bool",
+         "quadratic-scale-string", "linear-normal-scalar", "quadratic-center-scalar",
+         "affine_norm-matrix-scalar", "class_affine_norm-offset-scalar",
+         "class_affine_norm-entry-list"],
+)
+def test_potential_param_types_exit_2_before_the_flow(edit, key, tmp_path, monkeypatch, capsys):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        build_run(ou_config(edit))
+    code, err = run_exit(ou_config(edit), tmp_path, monkeypatch, capsys)
+    assert code == 2 and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_null_potential_param_takes_the_form_default():
+    absent = build_run(ou_config(potential("radial_shell", center=[0.0, 0.0])))
+    nulled = build_run(ou_config(potential("radial_shell", center=[0.0, 0.0], radius=None)))
+    assert nulled.flow.functional.terms[-1] == absent.flow.functional.terms[-1]
+    scale = build_run(ou_config(lambda cfg: cfg["functional"]["terms"][1]["params"].update(
+        scale=None)))
+    assert scale.flow.functional.terms[1].params == {}
+    nested = potential("class_affine_norm", per_class={"0": {"matrix": [[1.0, 0.0]]}})
+    nested_null = potential("class_affine_norm",
+                            per_class={"0": {"matrix": [[1.0, 0.0]], "offset": None}})
+    assert (build_run(ou_config(nested)).flow.functional.terms[-1]
+            == build_run(ou_config(nested_null)).flow.functional.terms[-1])
+
+
 def test_plot_and_convexity_values_pass_as_given():
     plot = {"enabled": False, "stride": None, "axes": [1, 0], "colors": ["#000000"]}
     run_cfg = build_run(ou_config(lambda cfg: cfg.update(
@@ -223,6 +268,21 @@ def test_null_takes_the_library_default():
         relabel_every=None, optimizer={**cfg["optimizer"], "momentum": None})))
     assert nulled.flow.relabel_every == absent.flow.relabel_every == 10
     assert nulled.flow.optimizer == absent.flow.optimizer
+
+
+def test_every_value_a_config_sets_is_typed():
+    # build_run passes these itself; every other parameter is a config key.
+    passed = {FlowConfig: ("functional", "optimizer"), TargetDistanceTerm: ("target",)}
+    schemas = [FlowConfig, OptimizerState, GeneratorSpec, load_dataset, *TERM_KINDS.values()]
+    params = [
+        (fn.__name__, p) for fn in schemas
+        for p in signature(fn).parameters.values() if p.name not in passed.get(fn, ())
+    ]
+    params += [(form, p) for form, fn in POTENTIALS.items()
+               for p in list(signature(fn).parameters.values())[2:]]
+    assert len(params) > 40
+    untyped = [(where, p.name) for where, p in params if p.annotation is Parameter.empty]
+    assert untyped == []
 
 
 def readme_config():
@@ -240,7 +300,13 @@ def test_readme_config_builds():
 
 def test_readme_lists_each_potential_form_with_its_params():
     readme = (ROOT / "README.md").read_text()
-    for form, keys in POTENTIAL_FORMS.items():
+    for form, fn in POTENTIALS.items():
         line = next((ln for ln in readme.splitlines() if ln.startswith(f"- `{form}`:")), None)
         assert line is not None, form
-        assert re.findall(r"`(\w+)`", line)[1:] == list(keys), form
+        params = list(signature(fn).parameters.values())[2:]
+        assert re.findall(r"`(\w+)` \(", line) == [p.name for p in params], form
+        for p in params:
+            required = p.default is Parameter.empty
+            default = "required" if required else f"default {json.dumps(p.default)}"
+            entry = f"`{p.name}` ({formatannotation(p.annotation)}, {default}"
+            assert entry in line, (form, p.name)

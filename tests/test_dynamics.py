@@ -5,7 +5,7 @@ import otflow.dynamics as dynamics
 from helpers import rand_state
 from otflow.datagen import GeneratorSpec, generate
 from otflow.dynamics import FlowConfig, flow_step, run_flow
-from otflow.errors import DimensionMismatchError, FlowDivergenceError
+from otflow.errors import DimensionMismatchError, FlowDivergenceError, NumericError
 from otflow.functionals import (
     EntropyTerm,
     FunctionalSpec,
@@ -265,6 +265,26 @@ class TestRunFlow:
         # The diverging step records its starting state too.
         steps = [s.step for s in exc.value.trajectory.snapshots]
         assert steps == list(range(exc.value.step + 1))
+
+    def test_numeric_error_in_a_step_ends_the_run_as_a_divergence(self, monkeypatch):
+        state = rand_state(np.random.default_rng(12), 6, 2, 2)
+        config = FlowConfig(functional=quadratic_spec(), optimizer=sgd(0.1), steps=5,
+                            record_every=1)
+        grad = dynamics.grad_functional
+
+        def failing(current, spec, mode):
+            if len(calls) == 2:
+                raise NumericError("bures gradient needs a positive definite covariance")
+            calls.append(current)
+            return grad(current, spec, mode)
+
+        calls = []
+        monkeypatch.setattr(dynamics, "grad_functional", failing)
+        with pytest.raises(FlowDivergenceError, match="diverged at step 2: bures") as exc:
+            run_flow(state, config)
+        assert isinstance(exc.value.__cause__, NumericError)
+        # The failing step's start still evaluates, so it is recorded too.
+        assert [s.step for s in exc.value.trajectory.snapshots] == [0, 1, 2]
 
     def test_objective_mostly_nonincreasing_with_sgd(self):
         src = generate(GeneratorSpec(n=40, k=3, seed=3, sigma=0.4))

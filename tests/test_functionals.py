@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rand_state
+from otflow import functionals
 from otflow.functionals import (
     EntropyTerm,
     FunctionalSpec,
     InteractionTerm,
     PotentialTerm,
-    POTENTIAL_FORMS,
     TargetDistanceTerm,
     eval_terms,
     grad_functional,
@@ -103,40 +103,8 @@ class TestPotential:
         ids=["linear", "hinge", "affine_norm", "class_affine_norm", "class_entry"],
     )
     def test_term_requires_the_keys_its_form_needs(self, form, params, named):
-        with pytest.raises(ValueError, match=f"need {named!r}"):
+        with pytest.raises(ValueError, match=f"missing a required argument: {named!r}"):
             PotentialTerm(form, params)
-
-    def test_form_params_are_the_keys_it_reads(self):
-        class Recording(dict):
-            def __init__(self, items):
-                super().__init__(items)
-                self.read = set()
-
-            def __contains__(self, key):
-                self.read.add(key)
-                return super().__contains__(key)
-
-            def __getitem__(self, key):
-                self.read.add(key)
-                return super().__getitem__(key)
-
-            def get(self, key, default=None):
-                self.read.add(key)
-                return super().get(key, default)
-
-        every_key = {
-            "quadratic": {"scale": 2.0, "center": [0.0, 0.0]},
-            "linear": {"normal": [1.0, 0.0], "offset": 0.1},
-            "affine_norm": {"matrix": [[1.0, 0.0]], "offset": [0.5]},
-            "class_affine_norm": {"per_class": {"0": {"matrix": [[1.0, 0.0]]}}},
-            "hinge": {"normal": [1.0, 0.0], "bias": 0.1, "positive_label": 0, "negate": True},
-            "radial_shell": {"center": [0.0, 0.0], "radius": 0.5},
-        }
-        assert every_key.keys() == POTENTIAL_FORMS.keys()
-        for form, params in every_key.items():
-            params = Recording(params)
-            value(PotentialTerm(form, params), circle_state(4))
-            assert params.read == set(POTENTIAL_FORMS[form]), form
 
     def test_shape_mismatch_rejected(self):
         state = circle_state(4)  # 2-D features
@@ -144,6 +112,27 @@ class TestPotential:
             value(PotentialTerm("linear", {"normal": [1.0, 2.0, 3.0]}), state)
         with pytest.raises(ValueError):
             value(PotentialTerm("quadratic", {"center": [0.0]}), state)
+
+    @pytest.mark.parametrize(
+        "form, params, named",
+        [
+            ("linear", {"normal": 3.0}, "'normal' has dimension 0, expected 2"),
+            ("hinge", {"normal": 1.0}, "'normal' has dimension 0, expected 2"),
+            ("quadratic", {"center": 0.5}, "'center' has dimension 0, expected 2"),
+            ("radial_shell", {"center": 0.5}, "'center' has dimension 0, expected 2"),
+            ("affine_norm", {"matrix": 2.0}, "'matrix' has dimension 1, expected 2"),
+        ],
+    )
+    def test_scalar_for_a_vector_fails_the_dimension_check(self, form, params, named):
+        with pytest.raises(ValueError, match=named):
+            value(PotentialTerm(form, params), circle_state(4))
+
+    def test_params_bind_once_at_construction(self, monkeypatch):
+        term = PotentialTerm("radial_shell", {"center": [0.5, 0.0], "radius": 1})
+        assert term._bound["center"].dtype == float and term.params["center"] == [0.5, 0.0]
+        monkeypatch.setattr(functionals, "signature", None)
+        assert value(term, circle_state(4)) == pytest.approx(np.mean(
+            [max(0.0, np.linalg.norm(x - [0.5, 0.0]) - 1) for x in circle_state(4).features]))
 
 
 class TestInteraction:

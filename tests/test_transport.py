@@ -243,6 +243,28 @@ class TestSinkhorn:
         assert exc.value.marginal_error > 0
         assert exc.value.iterations >= 5
 
+    @pytest.mark.parametrize("seed", [2, 3, 9])
+    def test_max_iter_caps_the_rounds(self, seed):
+        # A rejected Anderson candidate is a round too: a cap reached on it
+        # leaves no round for the plain step.
+        rng = np.random.default_rng(seed)
+        cost = squared_euclidean_cost(rng.normal(size=(30, 2)), 2.0 + rng.normal(size=(40, 2)))
+        a, b = rng.dirichlet(np.ones(30)), rng.dirichlet(np.ones(40))
+        rounds = []
+        for cap in range(1, 120):
+            try:
+                rounds.append(sinkhorn(cost, a, b, 0.05 * cost.mean(), cap, 1e-9).iterations)
+                assert rounds[-1] <= cap
+            except SinkhornConvergenceError as exc:
+                assert exc.iterations == cap
+        assert rounds  # the instance converges within the range of caps
+        sym, w = symmetric_cost(rng, 9), a[:9] / a[:9].sum()
+        for cap in range(1, 40):
+            try:
+                assert sinkhorn_symmetric(sym, w, 0.05, cap, 1e-9).iterations <= cap
+            except SinkhornConvergenceError as exc:
+                assert exc.iterations == cap
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(NumericError):
             sinkhorn(np.array([[np.inf]]), uniform(1), uniform(1), reg=0.1)
