@@ -12,7 +12,7 @@ from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin
 
-from .datagen import GeneratorSpec, generate
+from .datagen import GENERATORS, GeneratorSpec, generate
 from .diagnostics import CONVEXITY_KEYS
 from .dynamics import FlowConfig
 from .errors import ConfigError, NumericError
@@ -89,16 +89,24 @@ def _values(entry, annotations: dict, what: str) -> dict:
 
 
 def _schema(fn, skip: int = 0) -> dict:
-    """The annotation of each parameter of ``fn`` after its first ``skip``."""
-    return {k: p.annotation for k, p in list(signature(fn).parameters.items())[skip:]}
+    """The annotation of each named parameter of ``fn`` after its first ``skip``."""
+    params = list(signature(fn).parameters.values())[skip:]
+    return {p.name: p.annotation for p in params if p.kind != p.VAR_KEYWORD}
 
 
-def _build(cls, what: str, entry, *args):
-    """``cls(*args, **entry)``, with the keyword parameters of ``cls`` as the
-    schema of ``_values``; a value that ``cls`` rejects is a ConfigError too."""
+def _typed(entry, fns: dict, name, skip: int, what: str):
+    """``_values`` of ``entry`` against ``_schema(fns[name], skip)``; ``entry``
+    as it is when ``fns`` has no ``name``, for its constructor to reject."""
+    known = isinstance(name, str) and name in fns
+    return _values(entry, _schema(fns[name], skip), what) if known else entry
+
+
+def _build(cls, what: str, entry, *args, **params):
+    """``cls(*args, **entry, **params)``, with the keyword parameters of ``cls``
+    as the schema of ``_values(entry)``; a value it rejects is a ConfigError too."""
     kwargs = _values(entry, _schema(cls), what)
     try:
-        return cls(*args, **kwargs)
+        return cls(*args, **kwargs, **params)
     except (TypeError, ValueError, NumericError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
@@ -106,19 +114,22 @@ def _build(cls, what: str, entry, *args):
 def dataset_from_entry(entry, what: str) -> DatasetState:
     if not isinstance(entry, dict) or ("generator" in entry) == ("path" in entry):
         raise ConfigError(f"{what} must be an object with either a 'generator' or a 'path'")
-    if "generator" in entry:
-        _check_keys(entry, ("generator",), what)
-        return generate(_build(GeneratorSpec, f"{what} generator", entry["generator"]))
-    return _build(load_dataset, what, entry)
+    if "path" in entry:
+        return _build(load_dataset, what, entry)
+    gen, what = _check_keys(entry, ("generator",), what)["generator"], f"{what} generator"
+    if not isinstance(gen, dict):
+        raise ConfigError(f"{what} must be an object")
+    own = _schema(GeneratorSpec)
+    spec = {k: v for k, v in gen.items() if k in own}
+    kind = spec.get("kind") or signature(GeneratorSpec).parameters["kind"].default
+    params = _typed({k: v for k, v in gen.items() if k not in own}, GENERATORS, kind, 4, what)
+    return generate(_build(GeneratorSpec, what, spec, **params))
 
 
 def _potential_params(params, form, what: str):
-    """``_values`` of potential ``params`` against the keyword parameters of
-    their form after (x, y), each class_affine_norm ``per_class`` entry being
-    affine_norm params; PotentialTerm rejects an unknown form."""
-    if not (isinstance(form, str) and form in POTENTIALS):
-        return params
-    params = _values(params, _schema(POTENTIALS[form], 2), what)
+    """``_typed`` potential ``params`` against their form after (x, y), each
+    class_affine_norm ``per_class`` entry being affine_norm params."""
+    params = _typed(params, POTENTIALS, form, 2, what)
     if form == "class_affine_norm" and "per_class" in params:
         per_class = params["per_class"].items()
         params["per_class"] = {
@@ -146,7 +157,8 @@ def term_from_entry(entry, target: DatasetState | None, what: str):
 def build_run(cfg: dict) -> RunConfig:
     """Materialize datasets, functional, and flow config; validates before
     any flow compute happens. Each entry goes to one callable: a generator to
-    GeneratorSpec, a path entry to load_dataset, a term to TERM_KINDS[kind],
+    GeneratorSpec, the params of its kind typed by GENERATORS[kind] after
+    (rng, n, k, dim), a path entry to load_dataset, a term to TERM_KINDS[kind],
     ``optimizer`` to OptimizerState and the other top-level keys to FlowConfig.
     Potential params are checked against the source data here too."""
     plot = _values(cfg.get("plot") or {}, PLOT_KEYS, "plot")

@@ -1,46 +1,22 @@
 """Seeded generators for the synthetic benchmark datasets: labeled Gaussian
-mixtures, the swiss roll, interleaved moons, and concentric rings."""
+mixtures, the swiss roll, interleaved moons, and concentric rings. Each kind
+is a function ``GENERATORS[kind](rng, n, k, dim, **params)`` that checks its
+own arguments; its keyword parameters are the whole schema of its params."""
 
-from dataclasses import dataclass
+from inspect import signature
 
 import numpy as np
 
 from .errors import ConfigError
 from .otdd import DatasetState
 
-KINDS = ("gaussian-mixture", "swiss-roll", "moons", "rings")
-
-# Mixture defaults: class means on a circle of this radius, isotropic noise.
-MIXTURE_RADIUS = 4.0
-MIXTURE_SIGMA = 0.5
+# Every kind's default radius; a mixture or swiss-roll radius of None stands for it.
+DEFAULT_RADIUS = 4.0
 
 
-@dataclass
-class GeneratorSpec:
-    kind: str = "gaussian-mixture"
-    n: int = 500
-    k: int = 5
-    dim: int = 2
-    means: list | None = None
-    sigma: float = MIXTURE_SIGMA
-    radius: float = MIXTURE_RADIUS
-    noise: float = 0.05
-    seed: int = 0
-
-    def validate(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown generator kind {self.kind!r}")
-        if not (self.n >= self.k >= 1):
-            raise ConfigError(f"need n >= k >= 1 (got n={self.n}, k={self.k})")
-        min_dim = 2 if self.kind in ("moons", "rings") else 1
-        if self.dim < min_dim:
-            raise ConfigError(f"{self.kind} needs dim >= {min_dim}, not {self.dim}")
-        if self.kind == "moons" and self.k != 2:
-            raise ConfigError("moons generates exactly 2 classes")
-        if self.kind == "swiss-roll" and self.dim not in (2, 3):
-            raise ConfigError("swiss-roll supports dim 2 or 3")
-        if self.sigma < 0 or self.noise < 0 or self.radius <= 0:
-            raise ConfigError("geometry parameters out of range")
+def _need(ok: bool, message: str):
+    if not ok:
+        raise ConfigError(message)
 
 
 def _balanced_labels(n: int, k: int, rng) -> np.ndarray:
@@ -59,16 +35,32 @@ def _circle_means(k: int, dim: int, radius: float) -> np.ndarray:
     return means
 
 
-def _gaussian_mixture(spec: GeneratorSpec, rng):
-    if spec.means is not None:
-        means = np.asarray(spec.means, dtype=float)
-        if means.shape != (spec.k, spec.dim):
-            raise ConfigError(f"means must have shape ({spec.k}, {spec.dim})")
+def _planar(kind: str, feats, rng, dim: int, noise: float, radius: float):
+    """Checks dim, noise and radius; adds noise to the 2-D ``feats``, zero-padded to dim."""
+    _need(dim >= 2, f"{kind} needs dim >= 2, not {dim}")
+    _need(noise >= 0 and radius > 0, f"{kind} needs noise >= 0 and radius > 0")
+    feats += noise * rng.standard_normal(feats.shape)
+    return np.hstack([feats, np.zeros((len(feats), dim - 2))]) if dim > 2 else feats
+
+
+def gaussian_mixture(
+    rng, n, k, dim, *,
+    means: list[list[float]] | None = None, sigma: float = 0.5, radius: float | None = None,
+):
+    """Isotropic classes of scale ``sigma`` around ``means`` (one row per
+    class), or else around k points evenly spaced on a circle of ``radius``
+    (None: DEFAULT_RADIUS) in the first two coordinates."""
+    _need(dim >= 1, f"gaussian-mixture needs dim >= 1, not {dim}")
+    _need(sigma >= 0, f"gaussian-mixture sigma must be >= 0, not {sigma}")
+    if means is None:
+        _need(radius is None or radius > 0, f"gaussian-mixture radius must be > 0, not {radius}")
+        means = _circle_means(k, dim, DEFAULT_RADIUS if radius is None else radius)
     else:
-        means = _circle_means(spec.k, spec.dim, spec.radius)
-    labels = _balanced_labels(spec.n, spec.k, rng)
-    feats = means[labels] + spec.sigma * rng.standard_normal((spec.n, spec.dim))
-    return feats, labels
+        _need(radius is None, "gaussian-mixture takes means or a radius, not both")
+        means = np.asarray(means, dtype=float)
+        _need(means.shape == (k, dim), f"means must have shape ({k}, {dim})")
+    labels = _balanced_labels(n, k, rng)
+    return means[labels] + sigma * rng.standard_normal((n, dim)), labels
 
 
 def swiss_roll_arc_length(t: np.ndarray) -> np.ndarray:
@@ -76,59 +68,66 @@ def swiss_roll_arc_length(t: np.ndarray) -> np.ndarray:
     return 0.5 * (t * np.sqrt(1.0 + t**2) + np.arcsinh(t))
 
 
-def _swiss_roll(spec: GeneratorSpec, rng):
-    t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, size=spec.n)
-    if spec.dim == 3:
-        height = rng.uniform(0.0, 2.0 * spec.radius, size=spec.n)
+def swiss_roll(rng, n, k, dim, *, noise: float = 0.05, radius: float | None = None):
+    """The spiral (t cos t, t sin t), t uniform on [1.5 pi, 4.5 pi], in k
+    equal-count classes along its arc; at dim 3 a height uniform on
+    [0, 2 radius] (None: DEFAULT_RADIUS) is the middle coordinate."""
+    _need(dim in (2, 3), f"swiss-roll needs dim 2 or 3, not {dim}")
+    _need(dim == 3 or radius is None, "swiss-roll radius sets the height of dim 3, not dim 2")
+    _need(noise >= 0, f"swiss-roll noise must be >= 0, not {noise}")
+    _need(radius is None or radius > 0, f"swiss-roll radius must be > 0, not {radius}")
+    t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, size=n)
+    if dim == 3:
+        height = rng.uniform(0.0, 2.0 * (DEFAULT_RADIUS if radius is None else radius), size=n)
         feats = np.stack([t * np.cos(t), height, t * np.sin(t)], axis=1)
     else:
         feats = np.stack([t * np.cos(t), t * np.sin(t)], axis=1)
     # Classes by arc-length quantile: equal-count bins along the roll.
-    s = swiss_roll_arc_length(t)
-    order = np.argsort(np.argsort(s))
-    labels = (order * spec.k) // spec.n
-    feats += spec.noise * rng.standard_normal(feats.shape)
-    return feats, labels
+    order = np.argsort(np.argsort(swiss_roll_arc_length(t)))
+    labels = (order * k) // n
+    return feats + noise * rng.standard_normal(feats.shape), labels
 
 
-def _moons(spec: GeneratorSpec, rng):
-    labels = _balanced_labels(spec.n, 2, rng)
-    theta = rng.uniform(0.0, np.pi, size=spec.n)
-    feats = np.empty((spec.n, 2))
-    outer = labels == 0
-    feats[outer, 0] = np.cos(theta[outer])
-    feats[outer, 1] = np.sin(theta[outer])
-    feats[~outer, 0] = 1.0 - np.cos(theta[~outer])
-    feats[~outer, 1] = 0.5 - np.sin(theta[~outer])
-    feats *= spec.radius
-    feats += spec.noise * rng.standard_normal(feats.shape)
-    if spec.dim > 2:
-        feats = np.hstack([feats, np.zeros((spec.n, spec.dim - 2))])
-    return feats, labels
+def moons(rng, n, k, dim, *, noise: float = 0.05, radius: float = DEFAULT_RADIUS):
+    """Two interleaved half circles of ``radius`` (k is 2): class 0 on the
+    upper one, class 1 on its mirror image shifted by (1, 0.5)."""
+    _need(k == 2, "moons generates exactly 2 classes")
+    labels = _balanced_labels(n, 2, rng)
+    theta = rng.uniform(0.0, np.pi, size=n)
+    arc = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    feats = np.where((labels == 0)[:, None], arc, [1.0, 0.5] - arc)
+    return _planar("moons", radius * feats, rng, dim, noise, radius), labels
 
 
-def _rings(spec: GeneratorSpec, rng):
-    labels = _balanced_labels(spec.n, spec.k, rng)
-    radii = spec.radius * (labels + 1.0) / spec.k
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=spec.n)
+def rings(rng, n, k, dim, *, noise: float = 0.05, radius: float = DEFAULT_RADIUS):
+    """k concentric circles, class c of radius (c + 1) radius / k."""
+    labels = _balanced_labels(n, k, rng)
+    radii = radius * (labels + 1.0) / k
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     feats = np.stack([radii * np.cos(theta), radii * np.sin(theta)], axis=1)
-    feats += spec.noise * rng.standard_normal(feats.shape)
-    if spec.dim > 2:
-        feats = np.hstack([feats, np.zeros((spec.n, spec.dim - 2))])
-    return feats, labels
+    return _planar("rings", feats, rng, dim, noise, radius), labels
+
+
+GENERATORS = {f.__name__.replace("_", "-"): f for f in (gaussian_mixture, swiss_roll, moons, rings)}
+
+
+class GeneratorSpec:
+    """n points in k classes with dim features from ``GENERATORS[kind]`` at
+    ``seed``; ``params``, that kind's keyword parameters, are bound here, so
+    a key it does not take is a TypeError naming the key."""
+
+    def __init__(self, kind: str = "gaussian-mixture", n: int = 500, k: int = 5, dim: int = 2,
+                 seed: int = 0, **params):
+        _need(kind in GENERATORS, f"unknown generator kind {kind!r} ({', '.join(GENERATORS)})")
+        _need(n >= k >= 1, f"need n >= k >= 1 (got n={n}, k={k})")
+        _need(seed >= 0, f"generator seed must be >= 0, not {seed}")
+        signature(GENERATORS[kind]).bind(None, n, k, dim, **params)
+        self.kind, self.n, self.k, self.dim, self.seed, self.params = kind, n, k, dim, seed, params
 
 
 def generate(spec: GeneratorSpec) -> DatasetState:
     """Deterministic dataset for the given spec: uniform weights, label
     distributions initialized from the empirical per-class moments."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
-    if spec.kind == "gaussian-mixture":
-        feats, labels = _gaussian_mixture(spec, rng)
-    elif spec.kind == "swiss-roll":
-        feats, labels = _swiss_roll(spec, rng)
-    elif spec.kind == "moons":
-        feats, labels = _moons(spec, rng)
-    else:
-        feats, labels = _rings(spec, rng)
+    feats, labels = GENERATORS[spec.kind](rng, spec.n, spec.k, spec.dim, **spec.params)
     return DatasetState.from_features(feats, labels)

@@ -53,6 +53,8 @@ class FlowConfig:
             raise ValueError("noise_scale must be >= 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.noise_schedule not in ("sqrt-decay", "constant"):
             raise ValueError(f"unknown noise_schedule {self.noise_schedule!r}")
         if self.noise_target not in ("eval-point", "state"):

@@ -30,7 +30,7 @@ def load_dataset(
          row. The idx options are a ValueError.
     idx: MNIST-family binary images at ``path`` plus labels at
          ``labels_path``; pixels are flattened, scaled to [0, 1], optionally
-         strided down by ``downscale`` and capped per class.
+         strided down by ``downscale`` and capped per class, each >= 1.
     """
     if format == "csv":
         if labels_path is not None or downscale != 1 or per_class_cap is not None:
@@ -39,6 +39,10 @@ def load_dataset(
     if format == "idx":
         if labels_path is None:
             raise ParseError(path, "idx format needs a labels file")
+        if downscale < 1:
+            raise ValueError(f"downscale must be >= 1, not {downscale}")
+        if per_class_cap is not None and per_class_cap < 1:
+            raise ValueError(f"per_class_cap must be >= 1, not {per_class_cap}")
         return _load_idx(path, labels_path, downscale, per_class_cap)
     raise ParseError(path, f"unknown dataset format {format!r}")
 
@@ -118,9 +122,7 @@ def _load_idx(images_path, labels_path, downscale: int, per_class_cap):
         raise ParseError(labels_path, f"label count {n_lbl} != image count {n}")
     labels = np.frombuffer(lbl_data, dtype=np.uint8, count=n, offset=off_l).astype(int)
 
-    if downscale > 1:
-        images = images[:, ::downscale, ::downscale]
-    feats = images.reshape(n, -1).astype(float) / 255.0
+    feats = images[:, ::downscale, ::downscale].reshape(n, -1).astype(float) / 255.0
 
     if per_class_cap is not None:
         keep = []

@@ -152,6 +152,23 @@ class TestIdx:
         state = load_dataset(img, format="idx", labels_path=lbl, downscale=2)
         assert state.dim == 16
 
+    @pytest.mark.parametrize(
+        "option", [{"downscale": 0}, {"downscale": -1}, {"downscale": -2},
+                   {"per_class_cap": 0}, {"per_class_cap": -1}],
+        ids=["downscale-0", "downscale-1", "downscale-2", "cap-0", "cap-1"],
+    )
+    def test_option_below_1_exits_2(self, tmp_path, capsys, option):
+        images = np.zeros((4, 4, 4), dtype=np.uint8)
+        img, lbl = write_idx_pair(tmp_path, images, np.arange(4, dtype=np.uint8) % 2)
+        (key,) = option
+        with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+            load_dataset(img, format="idx", labels_path=lbl, **option)
+        entry = {"path": str(img), "format": "idx", "labels_path": str(lbl), **option}
+        cfg_path, _ = minimal_config(tmp_path, source=entry)
+        assert main(["run", str(cfg_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_magic(self, tmp_path):
         img = tmp_path / "junk.idx"
         img.write_bytes(struct.pack(">iiii", 1234, 1, 2, 2) + b"\x00" * 4)
@@ -380,6 +397,36 @@ class TestRunEndToEnd:
         cfg_path, _ = minimal_config(tmp_path, source={"generator": {"n": 12, **generator}})
         assert main(["run", str(cfg_path)]) == 2
         assert "needs dim >=" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "generator, key",
+        [
+            ({"kind": "swiss-roll", "k": 2, "sigma": 3.0}, "'sigma'"),
+            ({"kind": "moons", "k": 2, "sigma": 3.0}, "'sigma'"),
+            ({"kind": "rings", "k": 2, "means": [[0.0, 0.0], [1.0, 1.0]]}, "'means'"),
+            ({"k": 2, "noise": 3.0}, "'noise'"),
+            ({"k": 2, "means": [[0.0, 0.0], [1.0, 1.0]], "radius": 9.0}, "radius"),
+            ({"kind": "swiss-roll", "k": 2, "dim": 2, "radius": 9.0}, "radius"),
+        ],
+        ids=["swiss-roll-sigma", "moons-sigma", "rings-means", "mixture-noise",
+             "mixture-radius-with-means", "swiss-roll-radius-at-dim-2"],
+    )
+    def test_generator_key_its_kind_does_not_read_exits_2(self, tmp_path, capsys, generator, key):
+        cfg_path, _ = minimal_config(tmp_path, source={"generator": {"n": 12, **generator}})
+        assert main(["run", str(cfg_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"source": {"generator": {"n": 12, "k": 2, "seed": -1}}}, {"seed": -3}],
+        ids=["generator-seed", "flow-seed"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, overrides):
+        cfg_path, _ = minimal_config(tmp_path, **overrides)
+        assert main(["run", str(cfg_path)]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_target_of_another_dimension_exits_2(self, tmp_path, capsys):

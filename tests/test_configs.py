@@ -12,7 +12,7 @@ import pytest
 from otflow.cli import main
 from otflow.config import OUTPUT_DIR_ENV, build_run
 from otflow.errors import ConfigError
-from otflow.datagen import GeneratorSpec
+from otflow.datagen import GENERATORS, GeneratorSpec
 from otflow.dynamics import FlowConfig
 from otflow.functionals import POTENTIALS, TERM_KINDS, TargetDistanceTerm
 from otflow.io import load_dataset, read_trajectory
@@ -271,15 +271,17 @@ def test_null_takes_the_library_default():
 
 
 def test_every_value_a_config_sets_is_typed():
-    # build_run passes these itself; every other parameter is a config key.
-    passed = {FlowConfig: ("functional", "optimizer"), TargetDistanceTerm: ("target",)}
+    # build_run passes these itself, and GeneratorSpec's params are its kind's;
+    # every other parameter is a config key.
+    passed = {FlowConfig: ("functional", "optimizer"), TargetDistanceTerm: ("target",),
+              GeneratorSpec: ("params",)}
     schemas = [FlowConfig, OptimizerState, GeneratorSpec, load_dataset, *TERM_KINDS.values()]
     params = [
         (fn.__name__, p) for fn in schemas
         for p in signature(fn).parameters.values() if p.name not in passed.get(fn, ())
     ]
-    params += [(form, p) for form, fn in POTENTIALS.items()
-               for p in list(signature(fn).parameters.values())[2:]]
+    params += [(name, p) for fns, skip in ((POTENTIALS, 2), (GENERATORS, 4))
+               for name, fn in fns.items() for p in list(signature(fn).parameters.values())[skip:]]
     assert len(params) > 40
     untyped = [(where, p.name) for where, p in params if p.annotation is Parameter.empty]
     assert untyped == []
@@ -299,11 +301,13 @@ def test_readme_config_builds():
 
 
 def test_readme_lists_each_potential_form_with_its_params():
+    # Each potential form after (x, y) and each generator kind after (rng, n, k, dim).
     readme = (ROOT / "README.md").read_text()
-    for form, fn in POTENTIALS.items():
+    forms = [(form, fn, 2) for form, fn in POTENTIALS.items()]
+    for form, fn, skip in forms + [(kind, fn, 4) for kind, fn in GENERATORS.items()]:
         line = next((ln for ln in readme.splitlines() if ln.startswith(f"- `{form}`:")), None)
         assert line is not None, form
-        params = list(signature(fn).parameters.values())[2:]
+        params = list(signature(fn).parameters.values())[skip:]
         assert re.findall(r"`(\w+)` \(", line) == [p.name for p in params], form
         for p in params:
             required = p.default is Parameter.empty
