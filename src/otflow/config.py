@@ -143,7 +143,7 @@ def term_from_entry(entry, target: DatasetState | None, what: str):
         raise ConfigError(f"{what} must be an object")
     args = dict(entry)
     kind = args.pop("kind", None)
-    if kind not in TERM_KINDS:
+    if not isinstance(kind, str) or kind not in TERM_KINDS:
         raise ConfigError(f"{what}: unknown kind {kind!r} (available: {', '.join(TERM_KINDS)})")
     if kind == "potential" and args.get("params") is not None:
         args["params"] = _potential_params(args["params"], args.get("form"), f"{what} params")

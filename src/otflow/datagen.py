@@ -57,8 +57,10 @@ def gaussian_mixture(
         means = _circle_means(k, dim, DEFAULT_RADIUS if radius is None else radius)
     else:
         _need(radius is None, "gaussian-mixture takes means or a radius, not both")
+        shape = f"means must have shape ({k}, {dim})"
+        _need(all(len(row) == dim for row in means), shape)  # before numpy meets ragged rows
         means = np.asarray(means, dtype=float)
-        _need(means.shape == (k, dim), f"means must have shape ({k}, {dim})")
+        _need(means.shape == (k, dim), shape)
     labels = _balanced_labels(n, k, rng)
     return means[labels] + sigma * rng.standard_normal((n, dim)), labels
 

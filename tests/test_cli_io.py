@@ -418,6 +418,19 @@ class TestRunEndToEnd:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_ragged_mixture_means_exit_2(self, tmp_path, capsys):
+        generator = {"n": 12, "k": 2, "dim": 2, "means": [[0.0, 0.0], [1.0]]}
+        cfg_path, _ = minimal_config(tmp_path, source={"generator": generator})
+        assert main(["run", str(cfg_path)]) == 2
+        assert "means must have shape (2, 2)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_term_kind_list_exits_2(self, tmp_path, capsys):
+        cfg_path, _ = minimal_config(tmp_path, functional={"terms": [{"kind": ["entropy"]}]})
+        assert main(["run", str(cfg_path)]) == 2
+        assert "unknown kind ['entropy']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "overrides",
         [{"source": {"generator": {"n": 12, "k": 2, "seed": -1}}}, {"seed": -3}],
@@ -547,6 +560,14 @@ class TestEntryPoint:
         proc = _child_python("-c", "import sys, otflow; print('scipy.optimize' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_import_loads_no_scipy(self):
+        # Importing scipy.linalg alone costs about 140 ms, against a set-up
+        # of about 0.15 s for a whole benchmark workload.
+        code = "import sys, otflow; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = _child_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_sinkhorn_solves_load_no_scipy(self):
         # Both Sinkhorn solvers run on numpy alone; a scipy.linalg import

@@ -12,9 +12,11 @@ from otflow.errors import (
 import otflow.transport as transport
 from otflow.transport import (
     ANDERSON_MEMORY,
+    DEFAULT_MAX_ITER,
     _Anderson,
     _fixed_point,
     _LogFrame,
+    _Newton,
     _violation,
     exact_ot,
     ot_position_grad,
@@ -397,6 +399,124 @@ class TestSinkhorn:
             _fixed_point(nan_round, np.zeros(3), max_iter=4, tol=1e-6)
         assert exc.value.iterations == 4
         assert np.isnan(exc.value.marginal_error)
+
+
+def warm_instance(seed, n=30, m=40):
+    """A source-target problem and the duals of a nearby one, as a flow step
+    leaves them: source points moved by 0.05. From that warm start the
+    solve needs more than NEWTON_AFTER rounds at tol 1e-6."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(n, 2)), 1.0 + rng.normal(size=(m, 2))
+    a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+    cost = squared_euclidean_cost(x, y)
+    reg = 0.05 * cost.mean()
+    nearby = sinkhorn(squared_euclidean_cost(x + 0.05 * rng.normal(size=x.shape), y), a, b, reg)
+    return cost, a, b, reg, (nearby.dual_left, nearby.dual_right)
+
+
+def without_newton(monkeypatch):
+    """Move the Newton phase past every round cap: the solver without it."""
+    monkeypatch.setattr(transport, "NEWTON_AFTER", DEFAULT_MAX_ITER)
+
+
+class TestNewtonPhase:
+    def test_jacobian_matches_central_differences(self):
+        # r(u) are the row sums of the coupling at (u, v(u)), v(u) the exact
+        # column scaling, computed here in the log domain from scratch.
+        cost, a, b, reg, _ = warm_instance(0, n=12, m=9)
+        k = -cost / reg
+
+        def rows(u):
+            v = -np.log(np.exp(u[:, None] + k).T @ a)
+            return a * np.exp(u + np.log(np.exp(k + v) @ b))
+
+        u = np.random.default_rng(1).normal(size=12)
+        frame = _LogFrame(cost, a, b, reg)
+        v = frame.softmin(u, 0, frame.a)
+        r, jac = _Newton(frame).system(u, v)
+        np.testing.assert_allclose(r, rows(u), rtol=1e-12)
+        h = 1e-5
+        columns = [(rows(u + h * e) - rows(u - h * e)) / (2 * h) for e in np.eye(12)]
+        np.testing.assert_allclose(jac, np.array(columns).T, rtol=0, atol=1e-9 * np.abs(jac).max())
+        # singular along the constants: (u + c, v - c) is the same coupling
+        np.testing.assert_allclose(jac @ np.ones(12), 0.0, atol=1e-14)
+
+    def test_zero_weight_atoms_keep_empty_lines(self):
+        cost, a, b, reg, init = warm_instance(2)
+        a[0], b[3] = 0.0, 0.0
+        a, b = a / a.sum(), b / b.sum()
+        cold = sinkhorn(cost, a, b, reg, tol=1e-9)
+        plan = sinkhorn(cost, a, b, reg, tol=1e-9, init=init)
+        assert plan.newton_steps > 0
+        assert not plan.plan[0].any()
+        assert not plan.plan[:, 3].any()
+        assert np.abs(plan.plan.sum(axis=1) - a).sum() <= 1e-9
+        np.testing.assert_allclose(plan.plan, cold.plan, rtol=0, atol=1e-9)
+
+    def test_max_iter_caps_the_newton_phase(self):
+        cost, a, b, reg, init = warm_instance(3)
+        capped = []
+        for cap in range(transport.NEWTON_AFTER - 1, transport.NEWTON_AFTER + 8):
+            try:
+                plan = sinkhorn(cost, a, b, reg, cap, 1e-13, init=init)
+                assert plan.iterations <= cap
+            except SinkhornConvergenceError as exc:
+                assert exc.iterations == cap
+                capped.append(cap)
+        assert max(capped) > transport.NEWTON_AFTER  # a cap inside the phase
+        assert sinkhorn(cost, a, b, reg, tol=1e-13, init=init).newton_steps > 0
+
+    def test_cold_and_short_warm_solves_take_no_newton_step(self, monkeypatch):
+        cost, a, b, reg, init = warm_instance(4)
+        cold = sinkhorn(cost, a, b, reg)
+        rough = sinkhorn(cost, a, b, reg, tol=1e-4)
+        near = (rough.dual_left, rough.dual_right)
+        short = sinkhorn(cost, a, b, reg, init=near)
+        long = sinkhorn(cost, a, b, reg, init=init)
+        assert cold.iterations > transport.NEWTON_AFTER
+        # long enough for a step under any earlier gate
+        assert 3 < short.iterations <= transport.NEWTON_AFTER
+        assert (cold.newton_steps, short.newton_steps) == (0, 0)
+        assert long.newton_steps > 0
+        without_newton(monkeypatch)
+        assert np.array_equal(sinkhorn(cost, a, b, reg).plan, cold.plan)
+        assert np.array_equal(sinkhorn(cost, a, b, reg, init=near).plan, short.plan)
+        assert not np.array_equal(sinkhorn(cost, a, b, reg, init=init).plan, long.plan)
+
+    def test_rejected_candidate_leaves_the_round_to_anderson(self, monkeypatch):
+        # Each candidate is worse than its iterate, so each costs one round
+        # and changes nothing: the iterates are those of the solver without
+        # the Newton phase.
+        cost, a, b, reg, init = warm_instance(5)
+        with monkeypatch.context() as patch:
+            without_newton(patch)
+            without = sinkhorn(cost, a, b, reg, tol=1e-9, init=init)
+
+        def worse(self, u, v):
+            self.steps += 1
+            return u + 0.5 * (-1.0) ** np.arange(u.size)
+
+        monkeypatch.setattr(_Newton, "candidate", worse)
+        plan = sinkhorn(cost, a, b, reg, tol=1e-9, init=init)
+        assert plan.newton_steps > 0
+        assert plan.iterations == without.iterations + plan.newton_steps
+        assert np.array_equal(plan.plan, without.plan)
+
+    def test_singular_jacobian_skips_the_step(self, monkeypatch):
+        cost, a, b, reg, init = warm_instance(6)
+        with monkeypatch.context() as patch:
+            without_newton(patch)
+            without = sinkhorn(cost, a, b, reg, init=init)
+        assert without.iterations > transport.NEWTON_AFTER
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        plan = sinkhorn(cost, a, b, reg, init=init)
+        assert plan.newton_steps == 0
+        assert plan.iterations == without.iterations
+        assert np.array_equal(plan.plan, without.plan)
 
 
 class TestSinkhornSymmetric:
