@@ -27,14 +27,7 @@ from .functionals import (
     TargetDistanceTerm,
     grad_functional,
 )
-from .gaussian import (
-    LabelDistribution,
-    Moments,
-    bures_w2_sq,
-    bures_w2_sq_grad,
-    project_psd,
-    spd_sqrt,
-)
+from .gaussian import Moments, project_psd, spd_sqrt
 from .io import load_dataset, read_trajectory, save_dataset, write_trajectory
 from .optim import OptimizerState, apply_step
 from .otdd import (
@@ -62,7 +55,6 @@ __all__ = [
     "FunctionalSpec",
     "GeneratorSpec",
     "InteractionTerm",
-    "LabelDistribution",
     "Moments",
     "OptimizerState",
     "PotentialTerm",
@@ -71,8 +63,6 @@ __all__ = [
     "Trajectory",
     "TransportPlan",
     "apply_step",
-    "bures_w2_sq",
-    "bures_w2_sq_grad",
     "check_displacement_convexity",
     "check_flow_contraction",
     "dbscan_bures",

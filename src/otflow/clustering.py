@@ -29,21 +29,17 @@ class ClusterAssignment:
     k: int
 
 
-def bures_distance_matrix(dists) -> np.ndarray:
-    """Pairwise sqrt-Bures distances between label distributions: a
-    symmetric matrix with a zero diagonal, from the pairs i < j."""
-    return np.sqrt(pairwise_bures_sq(dists, dists))
-
-
-def dbscan_bures(dists, eps: float = DEFAULT_EPS, min_pts: int = DEFAULT_MIN_PTS) -> ClusterAssignment:
-    """DBSCAN over the Bures-Wasserstein metric on (mean, cov) pairs.
+def dbscan_bures(
+    moments: Moments, eps: float = DEFAULT_EPS, min_pts: int = DEFAULT_MIN_PTS
+) -> ClusterAssignment:
+    """DBSCAN over the Bures-Wasserstein metric on the rows of ``moments``.
 
     Standard density-based expansion with a fixed seed-point scan order
     (ascending particle index), so the assignment is deterministic for a
     given input order.
     """
-    n = len(dists)
-    dmat = bures_distance_matrix(dists)
+    n = len(moments)
+    dmat = np.sqrt(pairwise_bures_sq(moments, moments))
     neighbors = [np.flatnonzero(dmat[i] <= eps) for i in range(n)]
 
     UNVISITED = -2
@@ -72,10 +68,10 @@ def dbscan_bures(dists, eps: float = DEFAULT_EPS, min_pts: int = DEFAULT_MIN_PTS
     return ClusterAssignment(labels, cid)
 
 
-def embed_distributions(dists) -> np.ndarray:
-    """Euclidean embedding [mean ; vec(sqrt(cov))] per distribution."""
-    m = Moments.of(dists)
-    return np.concatenate([m.means, spd_sqrt(m.covs).reshape(len(m), -1)], axis=1)
+def embed_distributions(moments: Moments) -> np.ndarray:
+    """Euclidean embedding [mean ; vec(sqrt(cov))] per row of ``moments``."""
+    roots = spd_sqrt(moments.covs).reshape(len(moments), -1)
+    return np.concatenate([moments.means, roots], axis=1)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng) -> np.ndarray:
@@ -96,16 +92,16 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
-def kmeans_embedded(dists, k: int, seed: int = 0, max_iter: int = 200) -> ClusterAssignment:
-    """Fixed-size clustering of label distributions.
+def kmeans_embedded(moments: Moments, k: int, seed: int = 0, max_iter: int = 200) -> ClusterAssignment:
+    """Fixed-size clustering of the rows of ``moments``.
 
     Runs Lloyd's algorithm with k-means++ initialization on the embedded
     (mean, sqrt-cov) vectors; converged when assignments are stable.
     """
-    n = len(dists)
+    n = len(moments)
     if k > n:
         raise ValueError(f"k={k} exceeds the number of distributions ({n})")
-    points = embed_distributions(dists)
+    points = embed_distributions(moments)
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(points, k, rng)
 

@@ -49,8 +49,8 @@ class FlowConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
+        if not 0 <= self.noise_scale < np.inf:
+            raise ValueError(f"noise_scale must be finite and >= 0, not {self.noise_scale}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.seed < 0:
@@ -59,8 +59,14 @@ class FlowConfig:
             raise ValueError(f"unknown noise_schedule {self.noise_schedule!r}")
         if self.noise_target not in ("eval-point", "state"):
             raise ValueError(f"unknown noise_target {self.noise_target!r}")
+        if self.relabel_every < 0:
+            raise ValueError(f"relabel_every must be >= 0, not {self.relabel_every}")
         if self.relabel_method not in ("dbscan", "kmeans"):
             raise ValueError(f"unknown relabel_method {self.relabel_method!r}")
+        if not 0 < self.cluster_eps < np.inf:
+            raise ValueError(f"cluster_eps must be positive and finite, not {self.cluster_eps}")
+        if self.cluster_min_pts < 1:
+            raise ValueError(f"cluster_min_pts must be >= 1, not {self.cluster_min_pts}")
         if self.relabel_method == "kmeans" and (self.cluster_k is None or self.cluster_k < 1):
             raise ValueError("kmeans relabeling needs cluster_k >= 1")
         if self.relabel_method == "kmeans" and n is not None and self.cluster_k > n:

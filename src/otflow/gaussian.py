@@ -8,7 +8,6 @@ Covariances are kept inside the PSD cone by clipping eigenvalues at a floor
 that scales with the matrix trace.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,12 @@ SINGULAR_RTOL = 1e-14
 
 @dataclass
 class LabelDistribution:
-    """Gaussian summary of a class's feature distribution: N(mean, cov)."""
+    """Gaussian summary of one class's features: N(mean, cov).
+
+    Kept only as the list input of the pairwise Bures kernels, which
+    convert a list of them through ``Moments.of``; the package itself
+    passes moments around as ``Moments``.
+    """
 
     mean: np.ndarray  # (d,)
     cov: np.ndarray   # (d, d), symmetric PSD
@@ -41,22 +45,9 @@ class LabelDistribution:
                 f"mean of length {self.mean.size} incompatible with cov shape {self.cov.shape}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.mean.size
 
-    def copy(self) -> "LabelDistribution":
-        return LabelDistribution(self.mean.copy(), self.cov.copy())
-
-
-class Moments(Sequence):
-    """Stacked Gaussian moments: row k is N(means[k], covs[k]).
-
-    A read-only sequence of LabelDistribution (no item assignment). Each
-    row it yields holds views into ``means``/``covs``, so in-place edits
-    such as ``row.mean[0] += h`` write through to the store, while
-    rebinding ``row.cov = ...`` does not; write into ``covs[k]`` instead.
-    """
+class Moments:
+    """Stacked Gaussian moments: row k is N(means[k], covs[k])."""
 
     def __init__(self, means, covs):
         self.means = np.asarray(means, dtype=float)
@@ -68,17 +59,14 @@ class Moments(Sequence):
 
     @classmethod
     def of(cls, dists) -> "Moments":
-        """The moments of a sequence of LabelDistribution; a Moments is
-        returned as it is."""
+        """The moments of a list of LabelDistribution, the kernels' list
+        input; a Moments is returned as it is."""
         if isinstance(dists, Moments):
             return dists
         return cls(np.stack([d.mean for d in dists]), np.stack([d.cov for d in dists]))
 
     def __len__(self) -> int:
         return self.means.shape[0]
-
-    def __getitem__(self, k) -> LabelDistribution:
-        return LabelDistribution(self.means[k], self.covs[k])
 
     def copy(self) -> "Moments":
         return Moments(self.means.copy(), self.covs.copy())
@@ -139,24 +127,6 @@ def project_psd(m: np.ndarray, floor=0.0) -> np.ndarray:
     out = _from_eig(v, np.maximum(w, floor))
     out = 0.5 * (out + out.swapaxes(-1, -2))
     return np.where(clipped[..., None, None], out, m)
-
-
-def bures_w2_sq(a: LabelDistribution, b: LabelDistribution) -> float:
-    """Squared 2-Wasserstein distance between Gaussians, closed form:
-
-        ||mu_a - mu_b||^2 + tr(S_a) + tr(S_b) - 2 tr((S_a^1/2 S_b S_a^1/2)^1/2)
-
-    The 1x1 case of ``pairwise_bures_sq``.
-    """
-    return float(pairwise_bures_sq([a], [b])[0, 0])
-
-
-def bures_w2_sq_grad(a: LabelDistribution, b: LabelDistribution):
-    """Analytic gradient of ``bures_w2_sq`` w.r.t. the first argument: the
-    1x1 case of ``pairwise_bures_grads``, returned as (grad_mean, grad_cov).
-    """
-    _, grad_means, grad_covs = pairwise_bures_grads([a], [b])
-    return grad_means[0, 0], grad_covs[0, 0]
 
 
 def _moment_pair(dists_a, dists_b):
@@ -289,7 +259,7 @@ def _bures_2d(a: Moments, b: Moments, same: bool, grads: bool):
 def pairwise_bures_sq(dists_a, dists_b) -> np.ndarray:
     """All-pairs squared Bures-Wasserstein distances.
 
-    ``dists_a`` and ``dists_b`` are Moments or sequences of
+    ``dists_a`` and ``dists_b`` are Moments or lists of
     LabelDistribution; returns a (len(a), len(b)) matrix. At d = 2 every
     pair is a closed form in the covariances' traces and determinants
     (``_bures_2d``); otherwise the kernel is batched over eigenvalue

@@ -71,6 +71,8 @@ def _load_csv(path) -> DatasetState:
             labels.append(int(row[label_col]))
         except (ValueError, IndexError) as exc:
             raise ParseError(path, f"bad row: {exc}", line=ln) from exc
+        if not np.isfinite(feats[-1]).all():
+            raise ParseError(path, f"non-finite feature in row {row}", line=ln)
     if not feats:
         raise ParseError(path, "no data rows")
     return DatasetState.from_features(np.array(feats), np.array(labels))
@@ -140,6 +142,7 @@ def snapshot_record(snap) -> dict:
     summary of each class, keyed by class id, in every dynamics mode."""
     state = snap.state
     classes = DatasetState.from_features(state.features, state.labels)
+    rows = classes.label_dists
     return {
         "step": int(snap.step),
         "objective": float(snap.objective),
@@ -147,8 +150,8 @@ def snapshot_record(snap) -> dict:
         "features": state.features.tolist(),
         "labels": state.labels.tolist(),
         "class_stats": {
-            str(c): {"mean": dist.mean.tolist(), "cov": dist.cov.tolist()}
-            for c, dist in zip(classes.class_ids(), classes.label_dists)
+            str(c): {"mean": mean.tolist(), "cov": cov.tolist()}
+            for c, mean, cov in zip(classes.class_ids(), rows.means, rows.covs)
         },
         "wall_time": float(snap.wall_time),
     }

@@ -43,13 +43,17 @@ class OptimizerState:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValueError(f"unknown optimizer rule {self.rule!r}")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < np.inf:
+            raise ValueError(f"step_size must be positive and finite, not {self.step_size}")
         for block, tau in self.block_step_sizes.items():
-            if block not in BLOCKS or not tau > 0:
+            if block not in BLOCKS or not 0 < tau < np.inf:
                 raise ValueError(
-                    f"block_step_sizes takes positive steps for {BLOCKS}, got {block!r}: {tau!r}"
+                    f"block_step_sizes takes positive finite steps for {BLOCKS}, "
+                    f"got {block!r}: {tau!r}"
                 )
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), not {getattr(self, name)}")
 
     def clone(self) -> "OptimizerState":
         """Same rule and hyperparameters, with no accumulated state."""

@@ -27,7 +27,7 @@ from otflow.functionals import (
     PotentialTerm,
     TargetDistanceTerm,
 )
-from otflow.gaussian import LabelDistribution, bures_w2_sq, bures_w2_sq_grad
+from otflow.gaussian import Moments, pairwise_bures_grads, pairwise_bures_sq
 from otflow.optim import OptimizerState
 from otflow.otdd import (
     MODE_FD,
@@ -56,9 +56,11 @@ def rand_spd(rng, d, lo=0.3, hi=2.0):
 
 
 def rand_gaussian_pair(rng, d):
-    a = LabelDistribution(rng.uniform(-1, 1, d), rand_spd(rng, d))
+    """Two one-row Moments in dimension d."""
+    mean = rng.uniform(-1, 1, d)
+    a = Moments([mean], [rand_spd(rng, d)])
     shift = rng.uniform(1.5, 3.0, d) * rng.choice([-1.0, 1.0], d)
-    b = LabelDistribution(a.mean + shift, rand_spd(rng, d))
+    b = Moments([mean + shift], [rand_spd(rng, d)])
     return a, b
 
 
@@ -95,9 +97,9 @@ def test_01_sinkhorn_vs_exact():
 def test_02_bures_closed_form():
     t0 = time.perf_counter()
     # 1-D equal-variance pair: exact |delta mu|^2
-    a1 = LabelDistribution([0.0], [[1.0]])
-    b1 = LabelDistribution([3.0], [[1.0]])
-    exact_1d_err = abs(bures_w2_sq(a1, b1) - 9.0)
+    a1 = Moments([[0.0]], [[[1.0]]])
+    b1 = Moments([[3.0]], [[[1.0]]])
+    exact_1d_err = abs(pairwise_bures_sq(a1, b1)[0, 0] - 9.0)
 
     # closed form vs debiased entropic estimate on 10k samples per side,
     # evaluated in disjoint 1000-sample batch pairs and averaged
@@ -105,15 +107,15 @@ def test_02_bures_closed_form():
     for d in (1, 2, 3):
         rng = np.random.default_rng(1000 * d)
         a, b = rand_gaussian_pair(rng, d)
-        closed = bures_w2_sq(a, b)
-        la, lb = np.linalg.cholesky(a.cov), np.linalg.cholesky(b.cov)
-        reg = 0.2 * float(np.trace(a.cov) + np.trace(b.cov)) / 2
+        closed = pairwise_bures_sq(a, b)[0, 0]
+        la, lb = np.linalg.cholesky(a.covs[0]), np.linalg.cholesky(b.covs[0])
+        reg = 0.2 * float(np.trace(a.covs[0]) + np.trace(b.covs[0])) / 2
         m, batches = 1000, 10
         u = np.full(m, 1.0 / m)
         ests = []
         for _ in range(batches):
-            xa = a.mean + rng.standard_normal((m, d)) @ la.T
-            xb = b.mean + rng.standard_normal((m, d)) @ lb.T
+            xa = a.means[0] + rng.standard_normal((m, d)) @ la.T
+            xb = b.means[0] + rng.standard_normal((m, d)) @ lb.T
             solver = dict(reg=reg, tol=1e-5, max_iter=3000)
             est = sinkhorn(squared_euclidean_cost(xa, xb), u, u, **solver).soft_cost - 0.5 * (
                 sinkhorn_symmetric(squared_euclidean_cost(xa, xa), u, **solver).soft_cost
@@ -190,17 +192,19 @@ def test_03_gradient_suite():
     for _ in range(20):
         d = int(rng.integers(1, 4))
         a, b = rand_gaussian_pair(rng, d)
-        gm, gc = bures_w2_sq_grad(a, b)
+        _, gms, gcs = pairwise_bures_grads(a, b)
+        gm, gc = gms[0, 0], gcs[0, 0]
+        mean, cov = a.means[0], a.covs[0]
         h = 1e-5
         for l in range(d):
-            mp = a.mean.copy(); mp[l] += h
-            mm = a.mean.copy(); mm[l] -= h
-            fd = (bures_w2_sq(LabelDistribution(mp, a.cov), b)
-                  - bures_w2_sq(LabelDistribution(mm, a.cov), b)) / (2 * h)
+            mp = mean.copy(); mp[l] += h
+            mm = mean.copy(); mm[l] -= h
+            fd = (pairwise_bures_sq(Moments([mp], [cov]), b)[0, 0]
+                  - pairwise_bures_sq(Moments([mm], [cov]), b)[0, 0]) / (2 * h)
             worst_bures = max(worst_bures, abs(fd - gm[l]) / max(abs(fd), 1e-6))
         v = rng.standard_normal((d, d)); v = 0.5 * (v + v.T)
-        fd = (bures_w2_sq(LabelDistribution(a.mean, a.cov + h * v), b)
-              - bures_w2_sq(LabelDistribution(a.mean, a.cov - h * v), b)) / (2 * h)
+        fd = (pairwise_bures_sq(Moments([mean], [cov + h * v]), b)[0, 0]
+              - pairwise_bures_sq(Moments([mean], [cov - h * v]), b)[0, 0]) / (2 * h)
         worst_bures = max(worst_bures, abs(fd - float(np.sum(gc * v))) / max(abs(fd), 1e-6))
     if worst_bures > 1e-4:
         failures.append(f"bures grads {worst_bures:.2e}")

@@ -5,6 +5,7 @@ import re
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +443,43 @@ class TestRunEndToEnd:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("relabel_every", -1),
+            ("cluster_eps", -1.0),
+            ("cluster_eps", 0.0),
+            ("cluster_eps", math.inf),
+            ("cluster_eps", math.nan),
+            ("cluster_min_pts", 0),
+            ("noise_scale", math.nan),
+            ("noise_scale", math.inf),
+        ],
+    )
+    def test_flow_setting_out_of_range_exits_2(self, tmp_path, capsys, key, value):
+        cfg_path, _ = minimal_config(tmp_path, **{key: value})
+        assert main(["run", str(cfg_path)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("step_size", math.inf),
+            ("step_size", math.nan),
+            ("block_step_sizes", {"means": math.inf}),
+            ("beta1", 1.0),
+            ("beta1", 1.5),
+            ("beta1", -0.1),
+            ("beta2", 1.0),
+        ],
+    )
+    def test_optimizer_setting_out_of_range_exits_2(self, tmp_path, capsys, key, value):
+        cfg_path, _ = minimal_config(tmp_path, optimizer={"rule": "adam", key: value})
+        assert main(["run", str(cfg_path)]) == 2
+        assert f"optimizer: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_target_of_another_dimension_exits_2(self, tmp_path, capsys):
         cfg_path, _ = minimal_config(
             tmp_path,
@@ -473,6 +511,17 @@ class TestDistanceCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "reg must be positive and finite" in captured.err
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_feature_exits_4_naming_line(self, tmp_path, capsys, value):
+        save_dataset(generate(GeneratorSpec(n=10, k=2, seed=0)), tmp_path / "a.csv")
+        bad = tmp_path / "b.csv"
+        bad.write_text(f"f0,f1,label\n0.5,1.5,0\n1.0,{value},1\n3.0,4.0,0\n")
+        assert main(["distance", str(tmp_path / "a.csv"), str(bad)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}:3: non-finite feature" in captured.err
 
 
 class TestFrames:
@@ -594,3 +643,13 @@ class TestEntryPoint:
         assert len(set(names)) == len(names)
         for name in names:
             assert hasattr(otflow, name), name
+        # A name left in __all__ after its import is removed breaks the star
+        # import; a public class or function missing from __all__ is unlisted.
+        namespace = {}
+        exec("from otflow import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(names)
+        public = {
+            name for name, value in vars(otflow).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert public == set(names)

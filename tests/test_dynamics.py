@@ -169,7 +169,7 @@ class TestRunFlow:
             traj = run_flow(src, config)
             final = traj.snapshots[-1].state
             moved = any(
-                not np.allclose(final.label_dists[c].mean, src.label_dists[c].mean)
+                not np.allclose(final.label_dists.means[c], src.label_dists.means[c])
                 for c in src.class_ids()
             )
             assert moved == should_move

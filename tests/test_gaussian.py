@@ -4,13 +4,20 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bures_w2_sq_grad_fd, directional_diff, rand_gaussian, rand_spd, rel_err
+from helpers import (
+    bures_grad_fd,
+    directional_diff,
+    gaussian,
+    one_row,
+    rand_gaussian,
+    rand_spd,
+    rel_err,
+    stack_rows,
+)
 from otflow.errors import DimensionMismatchError, NumericError
 from otflow.gaussian import (
     LabelDistribution,
     Moments,
-    bures_w2_sq,
-    bures_w2_sq_grad,
     pairwise_bures_grads,
     pairwise_bures_sq,
     project_psd,
@@ -19,18 +26,34 @@ from otflow.gaussian import (
 )
 
 
+def _one_pair_sq(a, b):
+    return pairwise_bures_sq(a, b)[0, 0]
+
+
+def _one_pair_grads(a, b):
+    _, gm, gc = pairwise_bures_grads(a, b)
+    return gm[0, 0], gc[0, 0]
+
+
+def _rows(m):
+    return [LabelDistribution(mean, cov) for mean, cov in zip(m.means, m.covs)]
+
+
 def _pairwise_sq(a, b):
-    return pairwise_bures_sq([a], [b])[0, 0]
+    return pairwise_bures_sq(_rows(a), _rows(b))[0, 0]
 
 
 def _pairwise_grads(a, b):
-    _, gm, gc = pairwise_bures_grads([a, a], [b, b, b])
+    _, gm, gc = pairwise_bures_grads(_rows(a) * 2, _rows(b) * 3)
     return gm[1, 2], gc[1, 2]
 
 
-# Every entry point to the Bures kernels, by the name pytest shows.
-VALUE_ENTRIES = {"bures_w2_sq": bures_w2_sq, "pairwise_bures_sq": _pairwise_sq}
-GRAD_ENTRIES = {"bures_w2_sq_grad": bures_w2_sq_grad, "pairwise_bures_grads": _pairwise_grads}
+# Every input form of the Bures kernels, by the name pytest shows, each
+# called on one-row Moments a and b: ``bures_w2_sq`` and
+# ``bures_w2_sq_grad`` are the 1x1 blocks of a against b, the
+# ``pairwise_*`` entries take the rows as lists of LabelDistribution.
+VALUE_ENTRIES = {"bures_w2_sq": _one_pair_sq, "pairwise_bures_sq": _pairwise_sq}
+GRAD_ENTRIES = {"bures_w2_sq_grad": _one_pair_grads, "pairwise_bures_grads": _pairwise_grads}
 ENTRIES = {**VALUE_ENTRIES, **GRAD_ENTRIES}
 
 
@@ -99,23 +122,23 @@ class TestBures:
     def test_identical_is_zero(self):
         rng = np.random.default_rng(5)
         g = rand_gaussian(rng, 3)
-        assert bures_w2_sq(g, g) == pytest.approx(0.0, abs=1e-10)
+        assert pairwise_bures_sq(g, g.copy())[0, 0] == pytest.approx(0.0, abs=1e-10)
 
     def test_1d_mean_shift(self):
-        a = LabelDistribution([0.0], [[1.0]])
-        b = LabelDistribution([3.0], [[1.0]])
-        assert bures_w2_sq(a, b) == pytest.approx(9.0, abs=1e-9)
+        a = gaussian([0.0], [[1.0]])
+        b = gaussian([3.0], [[1.0]])
+        assert pairwise_bures_sq(a, b)[0, 0] == pytest.approx(9.0, abs=1e-9)
 
     @pytest.mark.parametrize("entry", VALUE_ENTRIES.values(), ids=VALUE_ENTRIES.keys())
     def test_close_means_far_from_origin(self, entry):
-        a = LabelDistribution([1e4, -1e4], np.eye(2))
-        b = LabelDistribution([1e4 + 1e-3, -1e4], np.eye(2))
+        a = gaussian([1e4, -1e4], np.eye(2))
+        b = gaussian([1e4 + 1e-3, -1e4], np.eye(2))
         assert entry(a, b) == pytest.approx(1e-6, rel=1e-6)
 
     @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
     def test_dimension_mismatch(self, entry):
-        a = LabelDistribution([0.0], [[1.0]])
-        b = LabelDistribution([0.0, 0.0], np.eye(2))
+        a = gaussian([0.0], [[1.0]])
+        b = gaussian([0.0, 0.0], np.eye(2))
         with pytest.raises(DimensionMismatchError):
             entry(a, b)
         with pytest.raises(DimensionMismatchError):
@@ -125,9 +148,9 @@ class TestBures:
     @pytest.mark.parametrize("side", ["first", "second"])
     @pytest.mark.parametrize("field", ["mean", "cov"])
     def test_nonfinite_rejected(self, entry, side, field):
-        good = LabelDistribution([0.0, 1.0], np.eye(2))
+        good = gaussian([0.0, 1.0], np.eye(2))
         bad = good.copy()
-        getattr(bad, field)[0, ...] = np.nan
+        getattr(bad, field + "s")[0, 0] = np.nan
         with pytest.raises(NumericError):
             entry(bad, good) if side == "first" else entry(good, bad)
 
@@ -137,15 +160,15 @@ class TestBures:
         rng = np.random.default_rng(seed)
         a = rand_gaussian(rng, 2)
         b = rand_gaussian(rng, 2)
-        assert abs(bures_w2_sq(a, b) - bures_w2_sq(b, a)) < 1e-10
+        assert abs(pairwise_bures_sq(a, b)[0, 0] - pairwise_bures_sq(b, a)[0, 0]) < 1e-10
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             a, b, c = (rand_gaussian(rng, 3) for _ in range(3))
-            dab = np.sqrt(bures_w2_sq(a, b))
-            dbc = np.sqrt(bures_w2_sq(b, c))
-            dac = np.sqrt(bures_w2_sq(a, c))
+            dab = np.sqrt(pairwise_bures_sq(a, b)[0, 0])
+            dbc = np.sqrt(pairwise_bures_sq(b, c)[0, 0])
+            dac = np.sqrt(pairwise_bures_sq(a, c)[0, 0])
             assert dac <= dab + dbc + 1e-8
 
     def test_monte_carlo_transport_oracle(self):
@@ -154,19 +177,19 @@ class TestBures:
 
         rng = np.random.default_rng(23)
         a = rand_gaussian(rng, 2)
-        b = LabelDistribution(a.mean + np.array([2.5, -1.0]), rand_spd(rng, 2))
-        closed = bures_w2_sq(a, b)
+        b = gaussian(a.means[0] + np.array([2.5, -1.0]), rand_spd(rng, 2))
+        closed = pairwise_bures_sq(a, b)[0, 0]
 
         n = 1000
-        la = np.linalg.cholesky(a.cov)
-        lb = np.linalg.cholesky(b.cov)
-        xa = a.mean + rng.standard_normal((n, 2)) @ la.T
-        xb = b.mean + rng.standard_normal((n, 2)) @ lb.T
+        la = np.linalg.cholesky(a.covs[0])
+        lb = np.linalg.cholesky(b.covs[0])
+        xa = a.means[0] + rng.standard_normal((n, 2)) @ la.T
+        xb = b.means[0] + rng.standard_normal((n, 2)) @ lb.T
         cab = squared_euclidean_cost(xa, xb)
         caa = squared_euclidean_cost(xa, xa)
         cbb = squared_euclidean_cost(xb, xb)
         u = np.full(n, 1.0 / n)
-        reg = 0.2 * float(np.trace(a.cov) + np.trace(b.cov)) / 2
+        reg = 0.2 * float(np.trace(a.covs[0]) + np.trace(b.covs[0])) / 2
         solver = dict(reg=reg, tol=1e-5)
         est = sinkhorn(cab, u, u, **solver).soft_cost - 0.5 * (
             sinkhorn_symmetric(caa, u, **solver).soft_cost
@@ -179,64 +202,65 @@ class TestBuresGrad:
     def test_zero_at_identity(self):
         rng = np.random.default_rng(2)
         g = rand_gaussian(rng, 3)
-        gm, gc = bures_w2_sq_grad(g, g)
-        np.testing.assert_allclose(gm, 0.0, atol=1e-9)
-        np.testing.assert_allclose(gc, 0.0, atol=1e-9)
+        _, gm, gc = pairwise_bures_grads(g, g.copy())
+        np.testing.assert_allclose(gm[0, 0], 0.0, atol=1e-9)
+        np.testing.assert_allclose(gc[0, 0], 0.0, atol=1e-9)
 
     def test_1d_mean_gradient(self):
-        a = LabelDistribution([0.0], [[1.0]])
-        b = LabelDistribution([3.0], [[1.0]])
-        gm, _ = bures_w2_sq_grad(a, b)
-        assert gm[0] == pytest.approx(-6.0, abs=1e-9)
+        a = gaussian([0.0], [[1.0]])
+        b = gaussian([3.0], [[1.0]])
+        _, gm, _ = pairwise_bures_grads(a, b)
+        assert gm[0, 0, 0] == pytest.approx(-6.0, abs=1e-9)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             a = rand_gaussian(rng, 3)
             b = rand_gaussian(rng, 3)
-            gm, gc = bures_w2_sq_grad(a, b)
+            _, gm, gc = pairwise_bures_grads(a, b)
+            mean, cov = a.means[0], a.covs[0]
 
             fd_mean = np.array([
                 directional_diff(
-                    lambda mu: bures_w2_sq(LabelDistribution(mu, a.cov), b), a.mean, e
+                    lambda mu: pairwise_bures_sq(gaussian(mu, cov), b)[0, 0], mean, e
                 )
                 for e in np.eye(3)
             ])
-            assert rel_err(gm, fd_mean) < 1e-4
+            assert rel_err(gm[0, 0], fd_mean) < 1e-4
 
             v = rng.standard_normal((3, 3))
             v = 0.5 * (v + v.T)
             fd = directional_diff(
-                lambda c: bures_w2_sq(LabelDistribution(a.mean, c), b), a.cov, v
+                lambda c: pairwise_bures_sq(gaussian(mean, c), b)[0, 0], cov, v
             )
-            assert abs(np.sum(gc * v) - fd) / max(abs(fd), 1e-6) < 1e-4
+            assert abs(np.sum(gc[0, 0] * v) - fd) / max(abs(fd), 1e-6) < 1e-4
 
     @pytest.mark.parametrize("entry", GRAD_ENTRIES.values(), ids=GRAD_ENTRIES.keys())
     def test_singular_covariance_raises(self, entry):
-        a = LabelDistribution([0.0, 0.0], np.diag([1.0, 0.0]))
-        b = LabelDistribution([1.0, 1.0], np.eye(2))
+        a = gaussian([0.0, 0.0], np.diag([1.0, 0.0]))
+        b = gaussian([1.0, 1.0], np.eye(2))
         with pytest.raises(NumericError):
             entry(a, b)
 
     @pytest.mark.parametrize("entry", GRAD_ENTRIES.values(), ids=GRAD_ENTRIES.keys())
     def test_singularity_threshold_is_relative(self, entry):
-        b = LabelDistribution([1.0, 1.0], np.eye(2))
+        b = gaussian([1.0, 1.0], np.eye(2))
         # lambda_min / lambda_max = 5e-15 is singular, 5e-13 is not.
-        entry(LabelDistribution([0.0, 0.0], np.diag([2.0, 1e-12])), b)
+        entry(gaussian([0.0, 0.0], np.diag([2.0, 1e-12])), b)
         with pytest.raises(NumericError):
-            entry(LabelDistribution([0.0, 0.0], np.diag([2.0, 1e-14])), b)
+            entry(gaussian([0.0, 0.0], np.diag([2.0, 1e-14])), b)
         with pytest.raises(NumericError):
-            entry(LabelDistribution([0.0], [[5e-15]]), LabelDistribution([0.0], [[1.0]]))
+            entry(gaussian([0.0], [[5e-15]]), gaussian([0.0], [[1.0]]))
 
     def test_verify_mode_cross_checks(self):
         # The analytic gradient against the central-difference oracle.
         rng = np.random.default_rng(37)
         a = rand_gaussian(rng, 2)
         b = rand_gaussian(rng, 2)
-        gm, gc = bures_w2_sq_grad(a, b)
-        fd_mean, fd_cov = bures_w2_sq_grad_fd(a, b)
-        np.testing.assert_allclose(fd_mean, gm, rtol=1e-4, atol=1e-6)
-        np.testing.assert_allclose(fd_cov, gc, rtol=1e-4, atol=1e-6)
+        _, gm, gc = pairwise_bures_grads(a, b)
+        fd_mean, fd_cov = bures_grad_fd(a, b)
+        np.testing.assert_allclose(fd_mean, gm[0, 0], rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(fd_cov, gc[0, 0], rtol=1e-4, atol=1e-6)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_fd_oracle(self, d):
@@ -244,10 +268,10 @@ class TestBuresGrad:
         rng = np.random.default_rng(39 + d)
         for _ in range(10):
             a, b = rand_gaussian(rng, d), rand_gaussian(rng, d)
-            gm, gc = bures_w2_sq_grad(a, b)
-            fd_mean, fd_cov = bures_w2_sq_grad_fd(a, b)
-            np.testing.assert_allclose(fd_mean, gm, rtol=1e-4, atol=1e-6)
-            np.testing.assert_allclose(fd_cov, gc, rtol=1e-4, atol=1e-6)
+            _, gm, gc = pairwise_bures_grads(a, b)
+            fd_mean, fd_cov = bures_grad_fd(a, b)
+            np.testing.assert_allclose(fd_mean, gm[0, 0], rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(fd_cov, gc[0, 0], rtol=1e-4, atol=1e-6)
 
 
 class TestPairwise:
@@ -257,22 +281,22 @@ class TestPairwise:
         rng = np.random.default_rng(41)
         da = [rand_gaussian(rng, 2) for _ in range(4)]
         db = [rand_gaussian(rng, 2) for _ in range(3)]
-        block = pairwise_bures_sq(da, db)
+        block = pairwise_bures_sq(stack_rows(da), stack_rows(db))
         for i in range(4):
             for j in range(3):
-                assert block[i, j] == pytest.approx(bures_w2_sq(da[i], db[j]), abs=1e-9)
+                assert block[i, j] == pytest.approx(pairwise_bures_sq(da[i], db[j])[0, 0], abs=1e-9)
 
     def test_grads_match_scalar_path(self):
         rng = np.random.default_rng(43)
         da = [rand_gaussian(rng, 2) for _ in range(3)]
         db = [rand_gaussian(rng, 2) for _ in range(2)]
-        values, gms, gcs = pairwise_bures_grads(da, db)
+        values, gms, gcs = pairwise_bures_grads(stack_rows(da), stack_rows(db))
         for i in range(3):
             for j in range(2):
-                assert values[i, j] == pytest.approx(bures_w2_sq(da[i], db[j]), abs=1e-9)
-                gm, gc = bures_w2_sq_grad(da[i], db[j])
-                np.testing.assert_allclose(gms[i, j], gm, atol=1e-9)
-                np.testing.assert_allclose(gcs[i, j], gc, atol=1e-8)
+                assert values[i, j] == pytest.approx(pairwise_bures_sq(da[i], db[j])[0, 0], abs=1e-9)
+                _, gm, gc = pairwise_bures_grads(da[i], db[j])
+                np.testing.assert_allclose(gms[i, j], gm[0, 0], atol=1e-9)
+                np.testing.assert_allclose(gcs[i, j], gc[0, 0], atol=1e-8)
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_self_block_matches_scalar_path_both_ways(self, d):
@@ -290,7 +314,7 @@ class TestPairwise:
             for j in range(5):
                 if i == j:
                     continue
-                v, gm, gc = pairwise_bures_grads([m[i]], [m[j]])
+                v, gm, gc = pairwise_bures_grads(one_row(m, i), one_row(m, j))
                 for got in (values[i, j], sq[i, j]):
                     np.testing.assert_allclose(got, v[0, 0], rtol=1e-10, atol=1e-10)
                 np.testing.assert_allclose(gms[i, j], gm[0, 0], rtol=1e-10, atol=1e-10)
@@ -468,10 +492,10 @@ class TestBures2D:
                 pairwise_bures_grads(m, m)
 
     def test_asymmetric_first_argument_rejected(self):
-        a = LabelDistribution([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
-        b = LabelDistribution([1.0, 0.0], np.eye(2))
+        a = gaussian([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
+        b = gaussian([1.0, 0.0], np.eye(2))
         with pytest.raises(NumericError):
-            pairwise_bures_sq([a], [b])
+            pairwise_bures_sq(a, b)
 
     def test_psd_singular_second_argument(self):
         # det S_b rounds below 0 here; the kernels take it as the exactly

@@ -113,9 +113,10 @@ class TestBlocks:
             grads.d_covs[k] = 5.0 * (v + v.T)  # big enough to push outside the cone
         opt = OptimizerState(rule="sgd", step_size=0.5)
         new, _ = apply_step(state, grads, opt)
-        for old, dist in zip(state.label_dists, new.label_dists):
-            assert np.linalg.eigvalsh(dist.cov).min() >= 0.0
-            assert not np.allclose(dist.mean, old.mean)
+        old, upd = state.label_dists, new.label_dists
+        for old_mean, mean, cov in zip(old.means, upd.means, upd.covs):
+            assert np.linalg.eigvalsh(cov).min() >= 0.0
+            assert not np.allclose(mean, old_mean)
 
     def test_per_particle_blocks(self):
         rng = np.random.default_rng(8)
@@ -124,8 +125,8 @@ class TestBlocks:
         grads.d_means += 1.0
         opt = OptimizerState(rule="sgd", step_size=0.1)
         new, _ = apply_step(state, grads, opt)
-        for old, upd in zip(state.label_dists, new.label_dists):
-            np.testing.assert_allclose(upd.mean, old.mean - 0.1, atol=1e-12)
+        for old_mean, mean in zip(state.label_dists.means, new.label_dists.means):
+            np.testing.assert_allclose(mean, old_mean - 0.1, atol=1e-12)
 
     def test_block_step_size_override(self):
         rng = np.random.default_rng(9)
@@ -137,7 +138,7 @@ class TestBlocks:
         new, _ = apply_step(state, grads, opt)
         np.testing.assert_allclose(new.features, state.features - 0.1, atol=1e-12)
         np.testing.assert_allclose(
-            new.label_dists[0].mean, state.label_dists[0].mean - 0.01, atol=1e-12
+            new.label_dists.means[0], state.label_dists.means[0] - 0.01, atol=1e-12
         )
 
     def test_nonfinite_gradient_raises(self):

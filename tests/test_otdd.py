@@ -4,11 +4,11 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import rand_state, rel_err
+from helpers import one_row, rand_state, rel_err
 from otflow.dynamics import FlowConfig, flow_step
 from otflow.errors import DimensionMismatchError, NumericError
 from otflow.functionals import FunctionalSpec, TargetDistanceTerm
-from otflow.gaussian import PSD_FLOOR_ABS, LabelDistribution, Moments, pairwise_bures_sq
+from otflow.gaussian import PSD_FLOOR_ABS, Moments, pairwise_bures_sq
 from otflow.optim import OptimizerState
 from otflow.otdd import (
     EVAL_MAX_ITER,
@@ -67,35 +67,35 @@ class TestDatasetState:
         dec = state.decoupled()
         assert dec.per_particle
         for i in range(dec.n):
-            src = state.label_dists[int(state.labels[i])]
-            np.testing.assert_allclose(dec.label_dists[i].mean, src.mean)
+            src_mean = state.label_dists.means[int(state.labels[i])]
+            np.testing.assert_allclose(dec.label_dists.means[i], src_mean)
 
     def test_copy_is_deep(self):
         rng = np.random.default_rng(2)
         state = rand_state(rng, 6, 2, 2)
         clone = state.copy()
         clone.features[0, 0] += 100.0
-        clone.label_dists[0].mean[0] += 100.0
+        clone.label_dists.means[0, 0] += 100.0
         assert state.features[0, 0] != clone.features[0, 0]
-        assert state.label_dists[0].mean[0] != clone.label_dists[0].mean[0]
+        assert state.label_dists.means[0, 0] != clone.label_dists.means[0, 0]
 
 
 class TestLabelStats:
     def test_two_point_moments(self):
         state = DatasetState.from_features([[0.0, 0.0], [2.0, 0.0]], [0, 0])
-        dist = state.label_dists[0]
-        np.testing.assert_allclose(dist.mean, [1.0, 0.0])
+        mean, cov = state.label_dists.means[0], state.label_dists.covs[0]
+        np.testing.assert_allclose(mean, [1.0, 0.0])
         # biased covariance diag(1, 0), zero eigenvalue floored at 1e-6*tr/d
-        assert dist.cov[0, 0] == pytest.approx(1.0, rel=1e-9)
-        assert dist.cov[1, 1] == pytest.approx(0.5e-6, rel=1e-6)
+        assert cov[0, 0] == pytest.approx(1.0, rel=1e-9)
+        assert cov[1, 1] == pytest.approx(0.5e-6, rel=1e-6)
 
     def test_identical_points_floored(self):
         state = DatasetState.from_features([[1.0, 2.0]] * 4, [0] * 4)
-        np.testing.assert_allclose(state.label_dists[0].cov, PSD_FLOOR_ABS * np.eye(2))
+        np.testing.assert_allclose(state.label_dists.covs[0], PSD_FLOOR_ABS * np.eye(2))
 
     def test_single_particle_class(self):
         state = DatasetState.from_features([[0.0, 0.0], [5.0, 5.0]], [0, 1])
-        np.testing.assert_allclose(state.label_dists[1].cov, PSD_FLOOR_ABS * np.eye(2))
+        np.testing.assert_allclose(state.label_dists.covs[1], PSD_FLOOR_ABS * np.eye(2))
 
     def test_monte_carlo_moments(self):
         rng = np.random.default_rng(3)
@@ -103,9 +103,9 @@ class TestLabelStats:
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
         pts = mean + rng.standard_normal((4000, 2)) @ np.linalg.cholesky(cov).T
         state = DatasetState.from_features(pts, np.zeros(4000, dtype=int))
-        d = state.label_dists[0]
-        assert np.abs(d.mean - mean).max() < 3 * np.sqrt(2.0 / 4000) * 3
-        assert rel_err(d.cov, cov) < 0.15
+        rows = state.label_dists
+        assert np.abs(rows.means[0] - mean).max() < 3 * np.sqrt(2.0 / 4000) * 3
+        assert rel_err(rows.covs[0], cov) < 0.15
 
 
 class TestGroundCost:
@@ -113,7 +113,7 @@ class TestGroundCost:
         rng = np.random.default_rng(4)
         xa = rng.standard_normal((6, 2))
         xb = rng.standard_normal((5, 2))
-        shared = Moments.of([LabelDistribution(np.zeros(2), np.eye(2))])
+        shared = Moments(np.zeros((1, 2)), [np.eye(2)])
         a = DatasetState(xa, np.zeros(6, dtype=int), np.full(6, 1 / 6), shared, np.zeros(6))
         b = DatasetState(xb, np.zeros(5, dtype=int), np.full(5, 1 / 5), shared.copy(), np.zeros(5))
         np.testing.assert_allclose(
@@ -127,8 +127,6 @@ class TestGroundCost:
         np.testing.assert_allclose(np.diag(cost), 0.0, atol=1e-10)
 
     def test_recomposition_oracle(self):
-        from otflow.gaussian import bures_w2_sq
-
         rng = np.random.default_rng(6)
         a = rand_state(rng, 7, 2, 2)
         b = rand_state(rng, 9, 3, 2)
@@ -136,7 +134,9 @@ class TestGroundCost:
         for i in [0, 3, 6]:
             for j in [0, 4, 8]:
                 feat = float(np.sum((a.features[i] - b.features[j]) ** 2))
-                lab = bures_w2_sq(a.label_dists[a.block[i]], b.label_dists[b.block[j]])
+                lab = pairwise_bures_sq(
+                    one_row(a.label_dists, a.block[i]), one_row(b.label_dists, b.block[j])
+                )[0, 0]
                 assert cost[i, j] == pytest.approx(feat + lab, rel=1e-9)
 
     # (n, classes) of source and target, d, and whether each side is decoupled.
@@ -282,7 +282,7 @@ class TestOtddGrads:
         assert np.abs(grads.d_features).max() <= 1e-4 * scale
 
     def test_single_pair_reduces_to_position_grad(self):
-        shared = Moments.of([LabelDistribution(np.zeros(2), np.eye(2))])
+        shared = Moments(np.zeros((1, 2)), [np.eye(2)])
         a = DatasetState(np.array([[1.0, 1.0]]), np.array([0]), np.array([1.0]), shared, [0])
         b = DatasetState(np.array([[0.0, 0.0]]), np.array([0]), np.array([1.0]), shared.copy(), [0])
         grads = TargetDistanceTerm(b, reg=0.1, debias=False, **EVAL).value_and_grads(a, MODE_FD)[1]
