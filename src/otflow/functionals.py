@@ -15,8 +15,8 @@ from inspect import signature
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .otdd import MODE_FD, DatasetState, Divergence, FlowGradients, _assemble_grads
-from .transport import DEFAULT_MAX_ITER, DEFAULT_TOL, _cost_product, _envelope_grad
+from .otdd import MODE_FD, DatasetState, Divergence, FlowGradients
+from .transport import DEFAULT_MAX_ITER, _cost_product, _envelope_grad
 
 INTERACTION_FORMS = ("class_repulsion", "cross_class_spread")
 
@@ -178,34 +178,23 @@ class EntropyTerm:
         return 0.0, FlowGradients(np.zeros_like(state.features))
 
 
+@dataclass(eq=False, kw_only=True)
 class TargetDistanceTerm(Divergence):
     """Entropic OT distance to a fixed target dataset as a weighted flow
-    term: a ``Divergence`` (the solver of ``otdd``) with its own iteration
-    defaults. By default it evaluates and differentiates the squared
-    debiased divergence, smooth at its zero minimum; ``squared=False``
-    flows the distance itself. ``run_flow`` and
+    term: a ``Divergence`` (the solver of ``otdd``) plus ``weight`` and
+    ``squared``, with its own ``max_iter`` default. By default it evaluates
+    and differentiates the squared debiased divergence, smooth at its zero
+    minimum; ``squared=False`` flows the distance itself. ``run_flow`` and
     ``check_displacement_convexity`` ``reset()`` its solver state first.
     """
 
-    kind = "target_distance"
-
-    def __init__(
-        self,
-        target: DatasetState,
-        weight: float = 1.0,
-        reg: float | None = None,
-        debias: bool = True,
-        squared: bool = True,
-        max_iter: int = 3 * DEFAULT_MAX_ITER,
-        tol: float = DEFAULT_TOL,
-    ):
-        self.weight = weight
-        self.squared = squared
-        super().__init__(target, reg, debias, max_iter, tol)
+    weight: float = 1.0
+    squared: bool = True
+    max_iter: int = 3 * DEFAULT_MAX_ITER
+    kind: str = field(default="target_distance", init=False)
 
     def value_and_grads(self, state: DatasetState, mode: str):
-        value_sq, plan_ab, plan_aa, bures = self.solve(state, mode)
-        grads = _assemble_grads(state, self.target, plan_ab, plan_aa, bures)
+        value_sq, grads = super().value_and_grads(state, mode)
         if self.squared:
             return value_sq, grads
         value = float(np.sqrt(max(value_sq, 0.0)))

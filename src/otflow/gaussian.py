@@ -1,9 +1,10 @@
 """Symmetric-PSD matrix primitives and the closed-form 2-Wasserstein
 (Bures) distance between Gaussians, with analytic gradients.
 
-Matrix square roots go through symmetric eigendecomposition, except in the
-Bures kernels at d = 2, which take the square root of each 2x2 pair matrix
-from its trace and determinant (Cayley-Hamilton) and decompose nothing.
+Matrix square roots go through symmetric eigendecomposition. One dispatcher
+picks the Bures kernel by dimension: at d = 2 it takes the square root of
+each 2x2 pair matrix from its trace and determinant (Cayley-Hamilton) and
+decomposes nothing. Both kernels reject an asymmetric first argument.
 Covariances are kept inside the PSD cone by clipping eigenvalues at a floor
 that scales with the matrix trace.
 """
@@ -142,43 +143,6 @@ def _moment_pair(dists_a, dists_b):
     return a, b
 
 
-def _pair_rows(a: Moments, b: Moments, same: bool):
-    """Row indices (i, j) of the pairs a kernel solves: the open mesh of
-    the whole p x q block, which broadcasts to (p, q), or only i < j of a
-    self-block (``same``), flat, whose lower triangle mirrors the upper and
-    whose diagonal is zero."""
-    if same:
-        return np.triu_indices(len(a), 1)
-    return np.ix_(np.arange(len(a)), np.arange(len(b)))
-
-
-def _sandwich(sa: np.ndarray, covs_b: np.ndarray) -> np.ndarray:
-    """Symmetrized S_a^1/2 S_b S_a^1/2 for every pair, from stacks of
-    square roots sa and covariances covs_b that broadcast together."""
-    inner = sa @ covs_b @ sa
-    return 0.5 * (inner + inner.swapaxes(-1, -2))
-
-
-def _bures_values(a: Moments, b: Moments, i, j, same: bool, root_sums) -> np.ndarray:
-    """The (p, q) squared distances from tr((S_a^1/2 S_b S_a^1/2)^1/2) of
-    the solved pairs (i, j), mirrored onto (j, i) for a self-block."""
-    values = np.zeros((len(a), len(b)))
-    mean_term = np.sum((a.means[i] - b.means[j]) ** 2, axis=-1)
-    tr_a = np.trace(a.covs, axis1=1, axis2=2)
-    tr_b = np.trace(b.covs, axis1=1, axis2=2)
-    values[i, j] = np.maximum(mean_term + tr_a[i] + tr_b[j] - 2.0 * root_sums, 0.0)
-    if same:
-        values[j, i] = values[i, j]
-    return values
-
-
-def _map_grad(outer: np.ndarray, vm: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """I - sym(outer V diag(w) V^T outer) for each pair, with outer
-    symmetric: (outer V) diag(w) (outer V)^T."""
-    t = _from_eig(outer @ vm, w)
-    return np.eye(t.shape[-1]) - 0.5 * (t + t.swapaxes(-1, -2))
-
-
 def _check_nonsingular(lam_min: np.ndarray, lam_max: np.ndarray):
     """NumericError unless every lambda_min > SINGULAR_RTOL * max(lambda_max, 1);
     a NaN lambda_min counts as singular."""
@@ -256,26 +220,71 @@ def _bures_2d(a: Moments, b: Moments, same: bool, grads: bool):
     return values, grad_means, grad_covs
 
 
+def _bures_eig(a: Moments, b: Moments, same: bool, grads: bool):
+    """Both Bures kernels at any d, with the inputs and outputs of
+    ``_bures_2d``: S_a^1/2 from one ``eigh`` per first-argument covariance,
+    then per pair the eigenvalues of M = S_a^1/2 S_b S_a^1/2 (``eigvalsh``)
+    for values, or M = V diag(w) V^T (``eigh``) for gradients, with
+    T = (S_a^-1/2 V) diag(w^1/2) (S_a^-1/2 V)^T. A self-block solves only
+    the pairs i < j: the values are mirrored, and the map of (j, i) is the
+    inverse T_ji = S_i^1/2 M^-1/2 S_i^1/2 of the map of (i, j), so a pair
+    whose M is not numerically positive definite raises NumericError.
+    """
+    if same:
+        i, j = np.triu_indices(len(a), 1)
+    else:  # the open mesh of the block, which broadcasts to (p, q)
+        i, j = np.ix_(np.arange(len(a)), np.arange(len(b)))
+    wa, va = np.linalg.eigh(a.covs)
+    if grads:
+        _check_nonsingular(wa[:, 0], wa[:, -1])
+    sq = np.sqrt(np.maximum(wa, 0.0))
+    sa = _from_eig(va, sq)[i]
+    m = sa @ b.covs[j] @ sa
+    m = 0.5 * (m + m.swapaxes(-1, -2))
+    wm, vm = np.linalg.eigh(m) if grads else (np.linalg.eigvalsh(m), None)
+    root = np.sqrt(np.maximum(wm, 0.0))
+    values = np.zeros((len(a), len(b)))
+    mean_term = np.sum((a.means[i] - b.means[j]) ** 2, axis=-1)
+    tr_a, tr_b = np.trace(a.covs, axis1=1, axis2=2), np.trace(b.covs, axis1=1, axis2=2)
+    values[i, j] = np.maximum(mean_term + tr_a[i] + tr_b[j] - 2.0 * np.sum(root, axis=-1), 0.0)
+    if same:
+        values[j, i] = values[i, j]
+    if not grads:
+        return values
+
+    grad_means = 2.0 * (a.means[:, None, :] - b.means[None, :, :])
+    grad_covs = np.zeros((len(a), len(b)) + a.covs.shape[1:])
+    # I - T from T = (outer V) diag(w) (outer V)^T, symmetrized.
+    maps = [(i, j, _from_eig(va, 1.0 / sq)[i], root)]
+    if same:
+        if np.any(wm[:, 0] <= 0.0):
+            raise NumericError("covariance pair too ill-conditioned to invert its transport map")
+        maps.append((j, i, sa, 1.0 / root))
+    for rows, cols, outer, w in maps:
+        t = _from_eig(outer @ vm, w)
+        grad_covs[rows, cols] = np.eye(t.shape[-1]) - 0.5 * (t + t.swapaxes(-1, -2))
+    return values, grad_means, grad_covs
+
+
+def _bures(dists_a, dists_b, grads: bool):
+    """Both pairwise kernels: the arguments as Moments, first-argument
+    covariances checked symmetric once, then the kernel of their dimension."""
+    a, b = _moment_pair(dists_a, dists_b)
+    _check_symmetric(a.covs, "first-argument covariance")
+    kernel = _bures_2d if a.means.shape[1] == 2 else _bures_eig
+    return kernel(a, b, dists_b is dists_a, grads)
+
+
 def pairwise_bures_sq(dists_a, dists_b) -> np.ndarray:
     """All-pairs squared Bures-Wasserstein distances.
 
-    ``dists_a`` and ``dists_b`` are Moments or lists of
-    LabelDistribution; returns a (len(a), len(b)) matrix. At d = 2 every
-    pair is a closed form in the covariances' traces and determinants
-    (``_bures_2d``); otherwise the kernel is batched over eigenvalue
-    solves, and when ``dists_b is dists_a`` only the pairs i < j are
-    solved. Either way a self-block is exactly symmetric with an exactly
-    zero diagonal, and a first-argument covariance that is not symmetric
-    raises NumericError.
+    ``dists_a`` and ``dists_b`` are Moments or lists of LabelDistribution;
+    returns a (len(a), len(b)) matrix, exactly symmetric with an exactly
+    zero diagonal when ``dists_b is dists_a``. A first-argument covariance
+    that is not symmetric raises NumericError. The kernel is ``_bures_2d``
+    at d = 2 and ``_bures_eig`` otherwise.
     """
-    a, b = _moment_pair(dists_a, dists_b)
-    same = dists_b is dists_a
-    if a.means.shape[1] == 2:
-        _check_symmetric(a.covs)
-        return _bures_2d(a, b, same, grads=False)
-    i, j = _pair_rows(a, b, same)
-    w = np.linalg.eigvalsh(_sandwich(spd_sqrt(a.covs)[i], b.covs[j]))
-    return _bures_values(a, b, i, j, same, np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1))
+    return _bures(dists_a, dists_b, grads=False)
 
 
 def pairwise_bures_grads(dists_a, dists_b):
@@ -293,41 +302,11 @@ def pairwise_bures_grads(dists_a, dists_b):
     T is the symmetric factor of the optimal Gaussian transport map, so
     grad_cov vanishes iff the covariances coincide. The values are those of
     ``pairwise_bures_sq`` up to rounding. Takes the inputs of
-    ``pairwise_bures_sq``; every first-argument covariance must be
-    positive definite, lambda_min > 1e-14 * max(lambda_max, 1) (floor the
-    covariances with ``project_psd`` first), or NumericError is raised.
-    When ``dists_b is dists_a`` the values are exactly symmetric and the
+    ``pairwise_bures_sq`` and rejects what it rejects; every
+    first-argument covariance must also be positive definite,
+    lambda_min > 1e-14 * max(lambda_max, 1) (floor the covariances with
+    ``project_psd`` first), or NumericError is raised. When
+    ``dists_b is dists_a`` the values are exactly symmetric and the
     diagonal of values and gradients is exactly zero.
-
-    At d = 2, T = (S_b + s S_a^-1) / t in closed form (``_bures_2d``).
-    Otherwise M = V diag(w) V^T is decomposed by one ``eigh`` per pair, and
-    a self-block decomposes only the pairs i < j: the values are mirrored,
-    and the map of (j, i) is the inverse T_ji = S_i^1/2 M^-1/2 S_i^1/2 of
-    the map of (i, j), so a pair whose M is not numerically positive
-    definite raises NumericError.
     """
-    a, b = _moment_pair(dists_a, dists_b)
-    d = a.means.shape[1]
-    same = dists_b is dists_a
-    if d == 2:
-        return _bures_2d(a, b, same, grads=True)
-    i, j = _pair_rows(a, b, same)
-    grad_means = 2.0 * (a.means[:, None, :] - b.means[None, :, :])
-
-    wa, va = np.linalg.eigh(a.covs)
-    _check_nonsingular(wa[:, 0], wa[:, -1])
-    sq = np.sqrt(wa)
-    sa = _from_eig(va, sq)[i]
-    wm, vm = np.linalg.eigh(_sandwich(sa, b.covs[j]))
-    root = np.sqrt(np.maximum(wm, 0.0))
-    values = _bures_values(a, b, i, j, same, np.sum(root, axis=-1))
-
-    grad_covs = np.zeros((len(a), len(b), d, d))
-    grad_covs[i, j] = _map_grad(_from_eig(va, 1.0 / sq)[i], vm, root)
-    if same:
-        if np.any(wm[:, 0] <= 0.0):
-            raise NumericError(
-                "covariance pair too ill-conditioned to invert its transport map"
-            )
-        grad_covs[j, i] = _map_grad(sa, vm, 1.0 / root)
-    return values, grad_means, grad_covs
+    return _bures(dists_a, dists_b, grads=True)

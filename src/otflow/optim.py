@@ -51,9 +51,12 @@ class OptimizerState:
                     f"block_step_sizes takes positive finite steps for {BLOCKS}, "
                     f"got {block!r}: {tau!r}"
                 )
-        for name in ("beta1", "beta2"):
+        for name in ("momentum", "beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in [0, 1), not {getattr(self, name)}")
+        for name in ("adam_eps", "adagrad_eps"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, not {getattr(self, name)}")
 
     def clone(self) -> "OptimizerState":
         """Same rule and hyperparameters, with no accumulated state."""

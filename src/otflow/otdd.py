@@ -8,7 +8,7 @@ another under that metric gives the dataset distance evaluated here, along
 with its gradients w.r.t. particle positions and label-distribution moments.
 """
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -227,39 +227,29 @@ def ground_cost_matrix(src: DatasetState, dst: DatasetState, label_block=None) -
     return _cost_product(src.features, dst.features, src_cols, dst_cols)
 
 
-def _cost_and_bures(src: DatasetState, dst: DatasetState, grads: bool):
-    """The ground cost from ``src`` to ``dst`` and, with ``grads``, the
-    Bures block (values, grad_means, grad_covs) between their moment rows
-    that its label term was built from; None without."""
-    if not grads:
-        return ground_cost_matrix(src, dst), None
-    bures = pairwise_bures_grads(src.label_dists, dst.label_dists)
-    return ground_cost_matrix(src, dst, bures[0]), bures
-
-
 @dataclass(eq=False)
 class Divergence:
     """Squared entropic OT dataset distance from a source state to ``target``.
 
-    ``solve(src, mode)`` returns (value_sq, plan_ab, plan_aa, bures). With
-    ``debias`` the value is the Sinkhorn divergence OT(src, target) -
+    With ``debias`` the value is the Sinkhorn divergence OT(src, target) -
     (OT(src, src) + OT(target, target)) / 2 of the dual values, zero at
-    src == target; without it, OT(src, target) alone and plan_aa None.
-    Given a mode that moves moments (jd-fl, jd-vl), it builds the
-    source-target and source self label blocks with ``pairwise_bures_grads``
-    and returns them as ``bures`` = (ab, aa), aa None without debias, for
-    ``_assemble_grads``; in fd ``bures`` is None and the label costs are
-    values only. An unknown mode raises ValueError, and jd-vl needs the
-    per-particle layout.
+    src == target; without it, OT(src, target) alone. ``solve(src)``
+    returns (value_sq, plan_ab), plan_ab the src -> target coupling.
+    ``value_and_grads(src, mode)`` returns value_sq and its FlowGradients;
+    in a mode that moves moments (jd-fl, jd-vl) the label costs come from
+    ``pairwise_bures_grads``, whose gradient blocks ``_assemble_grads``
+    reuses, and in fd from ``pairwise_bures_sq``. An unknown mode raises
+    ValueError, and jd-vl needs the per-particle layout.
     Solves share state, which ``reset()`` drops: a None ``reg`` is frozen
     from the first solve's ground cost, duals warm-start the next solve at
     the same particle count, and the target self-value is solved once, by
-    the first ``solve``. ``target`` is read per solve. A ``reg`` that is
-    given must be positive and finite, ``tol`` positive and ``max_iter`` at
-    least 1; construction raises NumericError otherwise.
+    the first solve. ``target`` is read per solve. The parameters after it
+    are keyword-only: ``reg`` None or positive and finite, ``tol`` positive
+    and ``max_iter`` at least 1, else construction raises NumericError.
     """
 
     target: DatasetState
+    _: KW_ONLY
     reg: float | None = None
     debias: bool = True
     max_iter: int = EVAL_MAX_ITER
@@ -280,31 +270,43 @@ class Divergence:
         self._warm_ab = None
         self._warm_aa = None
 
-    def solve(self, src: DatasetState, mode: str = MODE_FD):
+    def solve(self, src: DatasetState):
+        return self._solve(src, grads=False)[:2]
+
+    def value_and_grads(self, src: DatasetState, mode: str):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         require_layout(src, mode)
-        grads = mode != MODE_FD
-        cost_ab, bures_ab = _cost_and_bures(src, self.target, grads)
+        value_sq, *solved = self._solve(src, grads=mode != MODE_FD)
+        return value_sq, _assemble_grads(src, self.target, *solved)
+
+    def _solve(self, src: DatasetState, grads: bool):
+        """(value_sq, plan_ab, plan_aa, bures_ab, bures_aa): the Bures
+        gradient blocks the label costs were built from, with ``grads``;
+        each part that was not built (no ``grads``, no debias) is None."""
+        dst = self.target
+        bures_ab = pairwise_bures_grads(src.label_dists, dst.label_dists) if grads else None
+        cost_ab = ground_cost_matrix(src, dst, None if bures_ab is None else bures_ab[0])
         if self._reg is None:
             self._reg = default_reg(cost_ab)
         if self._warm_ab is not None and self._warm_ab[0].shape[0] != src.n:
             self._warm_ab = self._warm_aa = None
         solver = (self._reg, self.max_iter, self.tol)
-        plan_ab = sinkhorn(cost_ab, src.weights, self.target.weights, *solver, init=self._warm_ab)
+        plan_ab = sinkhorn(cost_ab, src.weights, dst.weights, *solver, init=self._warm_ab)
         self._warm_ab = (plan_ab.dual_left, plan_ab.dual_right)
         del cost_ab  # each cost is released before the next one is built
         if not self.debias:
-            return plan_ab.soft_cost, plan_ab, None, (bures_ab, None) if grads else None
-        cost_aa, bures_aa = _cost_and_bures(src, src, grads)
+            return plan_ab.soft_cost, plan_ab, None, bures_ab, None
+        bures_aa = pairwise_bures_grads(src.label_dists, src.label_dists) if grads else None
+        cost_aa = ground_cost_matrix(src, src, None if bures_aa is None else bures_aa[0])
         plan_aa = sinkhorn_symmetric(cost_aa, src.weights, *solver, init=self._warm_aa)
         self._warm_aa = plan_aa.dual_left
         del cost_aa
         if self._bb_soft is None:
-            cost_bb = ground_cost_matrix(self.target, self.target)
-            self._bb_soft = sinkhorn_symmetric(cost_bb, self.target.weights, *solver).soft_cost
+            cost_bb = ground_cost_matrix(dst, dst)
+            self._bb_soft = sinkhorn_symmetric(cost_bb, dst.weights, *solver).soft_cost
         value_sq = plan_ab.soft_cost - 0.5 * (plan_aa.soft_cost + self._bb_soft)
-        return value_sq, plan_ab, plan_aa, (bures_ab, bures_aa) if grads else None
+        return value_sq, plan_ab, plan_aa, bures_ab, bures_aa
 
 
 def otdd(
@@ -316,12 +318,12 @@ def otdd(
     tol: float = EVAL_TOL,
 ):
     """Dataset distance between two states: the square root of one cold
-    ``Divergence(dst).solve(src)``, i.e. of the debiased Sinkhorn
+    ``Divergence(dst).solve(src)`` value, i.e. of the debiased Sinkhorn
     divergence by default (zero from a dataset to itself), or of the
     entropic dual value with ``debias=False``. Negative values clip to 0.
     Returns (value, plan) with plan the src -> dst coupling.
     """
-    value_sq, plan = Divergence(dst, reg, debias, max_iter, tol).solve(src)[:2]
+    value_sq, plan = Divergence(dst, reg=reg, debias=debias, max_iter=max_iter, tol=tol).solve(src)
     return float(np.sqrt(max(value_sq, 0.0))), plan
 
 
@@ -340,21 +342,22 @@ def _feature_grad(plan_ab, src, dst, plan_aa=None):
     return g
 
 
-def _assemble_grads(src, dst, plan_ab, plan_aa, bures) -> FlowGradients:
+def _assemble_grads(src, dst, plan_ab, plan_aa, bures_ab, bures_aa) -> FlowGradients:
     """Chain the coupling through feature and Bures gradients.
 
     ``plan_aa`` is the source self-coupling of the debiased divergence, or
-    None for the raw entropic value. ``bures`` is the (ab, aa) pair of
-    label blocks that ``Divergence.solve`` built the costs from, or
-    None in fd, where only features get gradients. All outputs use the
-    per-unit-mass convention of FlowGradients: each moment row is divided
-    by the mass of the particles that share it.
+    None for the raw entropic value. ``bures_ab`` and ``bures_aa`` are the
+    ``pairwise_bures_grads`` blocks that ``Divergence`` built the matching
+    costs from; ``bures_ab`` is None in fd, where only features get
+    gradients. All outputs use the per-unit-mass convention of
+    FlowGradients: each moment row is divided by the mass of the particles
+    that share it.
     """
     d_feat = _feature_grad(plan_ab, src, dst, plan_aa) / src.weights[:, None]
-    if bures is None:
+    if bures_ab is None:
         return FlowGradients(d_feat)
 
-    (_, g_mean_ab, g_cov_ab), bures_aa = bures
+    _, g_mean_ab, g_cov_ab = bures_ab
     p, q = len(src.label_dists), len(dst.label_dists)
 
     mass_ab = _row_masses(plan_ab.plan, src.block, dst.block, p, q)

@@ -353,8 +353,14 @@ def _fixed_point(step, u, max_iter: int, tol: float, accel=None, newton=None):
     Anderson or plain round. A NaN violation never counts as converged.
     Returns (u, right potential, violation, rounds); raises
     SinkhornConvergenceError when ``max_iter`` rounds do not reach ``tol``;
-    the cap is checked before every round, so no solve runs more.
+    the cap is checked before every round, so no solve runs more. A
+    ``max_iter`` below 1, or a ``tol`` that is NaN or negative, raises
+    NumericError before the first round.
     """
+    if not max_iter >= 1:
+        raise NumericError(f"max_iter must be >= 1 (got {max_iter!r})")
+    if not tol >= 0:
+        raise NumericError(f"tol must be nonnegative (got {tol!r})")
 
     def take(cand) -> bool:
         """Run the round at ``cand``; keep it if its violation is lower."""
@@ -434,7 +440,8 @@ def sinkhorn(
     It must have one finite entry per source atom, and is centred to mean
     zero: (f + c, g - c) is the same solution for every c, and a large
     offset would swamp the violation in rounding. ``reg`` must be positive
-    and finite.
+    and finite, ``max_iter`` at least 1 and ``tol`` neither NaN nor
+    negative; both solvers raise NumericError otherwise.
 
     Raises SinkhornConvergenceError (carrying the final violation) if the
     tolerance is not met within ``max_iter`` dual updates.

@@ -87,6 +87,12 @@ def test_traced_flow_records_bures_grad_pairs():
     assert in_steps == [(0, q * q)]
     assert len(value_calls) > len(in_steps)
 
+    # The tracer wraps ``_assemble_grads`` in the otdd module's namespace,
+    # so it is traced only while ``Divergence`` calls it by that global
+    # name: once per step, and once more for the final record.
+    assembled = [step_of(s) for s in tracer.spans if s[3] == "otdd.assemble_grads"]
+    assert assembled == [*range(steps), None]
+
 
 def _solve_inputs():
     src = generate(GeneratorSpec(n=30, k=3, seed=0, radius=2.0, sigma=0.4))

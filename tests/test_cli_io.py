@@ -472,6 +472,10 @@ class TestRunEndToEnd:
             ("beta1", 1.5),
             ("beta1", -0.1),
             ("beta2", 1.0),
+            ("momentum", math.nan),
+            ("momentum", -5.0),
+            ("adagrad_eps", 0.0),
+            ("adam_eps", -1.0),
         ],
     )
     def test_optimizer_setting_out_of_range_exits_2(self, tmp_path, capsys, key, value):

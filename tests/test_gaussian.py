@@ -496,6 +496,18 @@ class TestBures2D:
         b = gaussian([1.0, 0.0], np.eye(2))
         with pytest.raises(NumericError):
             pairwise_bures_sq(a, b)
+        # Both kernels, at the closed form's d = 2 and the eigh kernel's
+        # d = 3, on cross and self blocks: only the upper off-diagonal entry
+        # of the first covariance is set.
+        for d in (2, 3):
+            covs = np.stack([np.eye(d), 2.0 * np.eye(d)])
+            covs[0, 0, 1] = 0.5
+            first = Moments(np.zeros((2, d)), covs)
+            second = Moments(np.ones((1, d)), [np.eye(d)])
+            for kernel in (pairwise_bures_sq, pairwise_bures_grads):
+                for other in (second, first):
+                    with pytest.raises(NumericError, match="not symmetric"):
+                        kernel(first, other)
 
     def test_psd_singular_second_argument(self):
         # det S_b rounds below 0 here; the kernels take it as the exactly

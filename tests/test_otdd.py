@@ -1,5 +1,6 @@
 import importlib
 import sys
+from inspect import signature
 
 import numpy as np
 import pytest
@@ -389,7 +390,7 @@ class TestRowMasses:
 
 class TestOneSolvePath:
     """otdd and TargetDistanceTerm solve the divergence through one
-    ``Divergence.solve``."""
+    ``Divergence``."""
 
     @staticmethod
     def pair():
@@ -433,6 +434,19 @@ class TestOneSolvePath:
         term.reset()
         term.value_and_grads(a, MODE_JD_FL)
         assert sizes == [a.n, b.n, a.n, a.n, b.n]
+
+    def test_term_is_a_divergence_plus_weight_and_squared(self):
+        params = signature(TargetDistanceTerm).parameters
+        assert list(params) == [*signature(Divergence).parameters, "weight", "squared"]
+        after_target = list(params.values())[1:]
+        assert {p.name: p.default for p in after_target} == {
+            "reg": None, "debias": True, "max_iter": 6000, "tol": 1e-6,
+            "weight": 1.0, "squared": True,
+        }
+        # Keyword-only, so no positional call binds a value to another name.
+        assert all(p.kind is p.KEYWORD_ONLY for p in after_target)
+        with pytest.raises(TypeError):
+            TargetDistanceTerm(self.pair()[1], 0.5)
 
     def test_solve_rejects_an_unknown_mode(self):
         a, b = self.pair()

@@ -303,6 +303,31 @@ class TestSinkhorn:
                 with pytest.raises(NumericError):
                     solve(0.1, wrap(f))
 
+    @pytest.mark.parametrize("solver", ["sinkhorn", "sinkhorn_symmetric"])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [({"max_iter": 0}, "max_iter"), ({"max_iter": -3}, "max_iter"),
+         ({"tol": np.nan}, "tol"), ({"tol": -1.0}, "tol")],
+    )
+    def test_rejects_bad_solver_settings_before_any_round(
+        self, monkeypatch, solver, setting, message
+    ):
+        rounds = []
+        monkeypatch.setattr(transport, "_violation", lambda *args: rounds.append(1) or 0.0)
+        cost = np.random.default_rng(15).uniform(size=(4, 4))
+        cost = 0.5 * (cost + cost.T)
+        args = (cost, uniform(4), uniform(4)) if solver == "sinkhorn" else (cost, uniform(4))
+        with pytest.raises(NumericError, match=message):
+            getattr(transport, solver)(*args, reg=0.1, **setting)
+        assert rounds == []
+
+    @pytest.mark.parametrize("solver", ["sinkhorn", "sinkhorn_symmetric"])
+    def test_zero_tol_is_legal(self, solver):
+        cost = np.zeros((1, 1))
+        args = (cost, uniform(1), uniform(1)) if solver == "sinkhorn" else (cost, uniform(1))
+        plan = getattr(transport, solver)(*args, reg=0.1, tol=0.0)
+        assert plan.marginal_error == 0.0
+
     def test_warm_start_converges_faster(self):
         rng = np.random.default_rng(6)
         cost = rng.uniform(size=(20, 20))
