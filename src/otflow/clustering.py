@@ -99,8 +99,8 @@ def kmeans_embedded(moments: Moments, k: int, seed: int = 0, max_iter: int = 200
     (mean, sqrt-cov) vectors; converged when assignments are stable.
     """
     n = len(moments)
-    if k > n:
-        raise ValueError(f"k={k} exceeds the number of distributions ({n})")
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} is not between 1 and the number of distributions ({n})")
     points = embed_distributions(moments)
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(points, k, rng)

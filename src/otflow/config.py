@@ -15,9 +15,9 @@ from typing import Union, get_args, get_origin
 from .datagen import GENERATORS, GeneratorSpec, generate
 from .diagnostics import CONVEXITY_KEYS
 from .dynamics import FlowConfig
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ParseError
 from .functionals import POTENTIALS, TERM_KINDS, FunctionalSpec, TargetDistanceTerm
-from .io import load_dataset
+from .io import _read, load_dataset
 from .optim import OptimizerState
 from .otdd import MODE_FD, DatasetState
 from .plots import PLOT_KEYS, _axes_for
@@ -38,11 +38,10 @@ class RunConfig:
 
 
 def load_config_dict(path) -> dict:
-    path = Path(path)
     try:
-        cfg = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        cfg = json.loads(_read(path))
+    except ParseError as exc:
+        raise ConfigError(f"cannot read config {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):

@@ -3,7 +3,8 @@
 Datasets are CSV files with columns f0..f(d-1) plus an integer label column,
 or MNIST-family IDX binary pairs. Trajectories are line-delimited JSON so
 they stream, diff, and survive truncation (every complete line is a valid
-record).
+record). Every input file is read by one ``_read``: a file that cannot be
+opened, or text that is not UTF-8, is a ParseError naming its path.
 """
 
 import csv
@@ -47,13 +48,20 @@ def load_dataset(
     raise ParseError(path, f"unknown dataset format {format!r}")
 
 
-def _load_csv(path) -> DatasetState:
+def _read(path, binary: bool = False):
+    """The contents of the file at ``path``, as bytes or as UTF-8 text; the
+    one read of an input file. An OSError or undecodable text is a
+    ParseError naming the path."""
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
+        return path.read_bytes() if binary else path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(path, str(exc)) from exc
-    rows = list(csv.reader(lines))
+
+
+def _load_csv(path) -> DatasetState:
+    path = Path(path)
+    rows = list(csv.reader(_read(path).splitlines()))
     if not rows:
         raise ParseError(path, "empty file")
     header = [h.strip() for h in rows[0]]
@@ -102,16 +110,9 @@ def _read_idx_header(data: bytes, path, expected_magic: int, ndim: int):
     return dims, need
 
 
-def _read_bytes(path: Path) -> bytes:
-    try:
-        return path.read_bytes()
-    except OSError as exc:
-        raise ParseError(path, str(exc)) from exc
-
-
 def _load_idx(images_path, labels_path, downscale: int, per_class_cap):
     images_path, labels_path = Path(images_path), Path(labels_path)
-    img_data, lbl_data = _read_bytes(images_path), _read_bytes(labels_path)
+    img_data, lbl_data = _read(images_path, binary=True), _read(labels_path, binary=True)
 
     (n, rows, cols), off = _read_idx_header(img_data, images_path, 2051, 3)
     if len(img_data) - off < n * rows * cols:
@@ -170,13 +171,8 @@ def write_trajectory(trajectory, path):
 def read_trajectory(path) -> list:
     """Parse a trajectory file line by line; a truncated trailing line is
     dropped and every complete record is returned."""
-    path = Path(path)
     records = []
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(path, str(exc)) from exc
-    for line in text.splitlines():
+    for line in _read(path).splitlines():
         if not line.strip():
             continue
         try:

@@ -243,9 +243,11 @@ class Divergence:
     Solves share state, which ``reset()`` drops: a None ``reg`` is frozen
     from the first solve's ground cost, duals warm-start the next solve at
     the same particle count, and the target self-value is solved once, by
-    the first solve. ``target`` is read per solve. The parameters after it
-    are keyword-only: ``reg`` None or positive and finite, ``tol`` positive
-    and ``max_iter`` at least 1, else construction raises NumericError.
+    the first solve. ``target`` is read per solve, and a solve whose
+    ``target`` is another object than the last solve's resets first. The
+    parameters after it are keyword-only: ``reg`` None or positive and
+    finite, ``tol`` positive and finite and ``max_iter`` at least 1, else
+    construction raises NumericError.
     """
 
     target: DatasetState
@@ -258,13 +260,14 @@ class Divergence:
     def __post_init__(self):
         if self.reg is not None and not (np.isfinite(self.reg) and self.reg > 0):
             raise NumericError(f"reg must be positive and finite (got {self.reg!r})")
-        if not self.tol > 0:
-            raise NumericError(f"tol must be positive (got {self.tol!r})")
+        if not 0 < self.tol < np.inf:
+            raise NumericError(f"tol must be positive and finite (got {self.tol!r})")
         if not self.max_iter >= 1:
             raise NumericError(f"max_iter must be >= 1 (got {self.max_iter!r})")
         self.reset()
 
     def reset(self):
+        self._target = None  # the target the state below was built for
         self._reg = self.reg
         self._bb_soft = None
         self._warm_ab = None
@@ -285,6 +288,9 @@ class Divergence:
         gradient blocks the label costs were built from, with ``grads``;
         each part that was not built (no ``grads``, no debias) is None."""
         dst = self.target
+        if dst is not self._target:
+            self.reset()
+            self._target = dst
         bures_ab = pairwise_bures_grads(src.label_dists, dst.label_dists) if grads else None
         cost_ab = ground_cost_matrix(src, dst, None if bures_ab is None else bures_ab[0])
         if self._reg is None:

@@ -3,6 +3,9 @@
 Sinkhorn for the regularized problem, with a symmetric variant for self
 couplings, an exact small-instance solver (one LP) used as oracle, and
 envelope-form gradients of the transport value w.r.t. point positions.
+All three solvers check their cost and weights with one ``_problem``:
+finite, nonnegative cost; finite, nonnegative weights summing to 1; and a
+cost of shape (len(a), len(b)), else DimensionMismatchError.
 
 Both Sinkhorn solvers iterate the log-potentials but run each round in the
 scaling domain (Cuturi 2013): a matrix-vector product with the kernel
@@ -21,6 +24,7 @@ from .errors import DimensionMismatchError, NumericError, SinkhornConvergenceErr
 EXACT_SIZE_LIMIT = 64
 DEFAULT_MAX_ITER = 2000
 DEFAULT_TOL = 1e-6
+WEIGHT_SUM_TOL = 1e-9
 # Default entropic regularization as a fraction of the mean ground cost.
 DEFAULT_REG_FRACTION = 0.05
 
@@ -50,28 +54,33 @@ class TransportPlan:
         return self.plan.sum(axis=1), self.plan.sum(axis=0)
 
 
-def validate_weights(w: np.ndarray, tol: float = 1e-9):
+def validate_weights(w: np.ndarray):
     if not np.all(np.isfinite(w)):
         raise NumericError("weights contain non-finite entries")
     if np.any(w < 0):
         raise NumericError("weights must be nonnegative")
-    if abs(w.sum() - 1.0) > tol:
+    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise NumericError(f"weights must sum to 1 (got {w.sum()!r})")
 
 
-def _validate_cost(cost: np.ndarray):
-    """Reject non-finite, then negative entries, from two reductions.
-
-    A NaN anywhere makes the minimum NaN. An empty cost passes, so the
-    weight checks that follow reject it.
-    """
-    if cost.size == 0:
-        return
-    lo, hi = cost.min(), cost.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise NumericError("cost matrix contains non-finite entries")
-    if lo < 0:
-        raise NumericError("cost matrix must be nonnegative")
+def _problem(cost, a, b):
+    """(cost, a, b) as float arrays, checked as one transport problem: the
+    cost for non-finite, then negative entries by two reductions (an empty
+    cost passes, for the weight checks to reject), each weight, the shape."""
+    cost = np.asarray(cost, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if cost.size:
+        lo, hi = cost.min(), cost.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise NumericError("cost matrix contains non-finite entries")
+        if lo < 0:
+            raise NumericError("cost matrix must be nonnegative")
+    validate_weights(a)
+    validate_weights(b)
+    if cost.shape != a.shape + b.shape:
+        raise DimensionMismatchError("weight lengths do not match the cost matrix")
+    return cost, a, b
 
 
 ANDERSON_MEMORY = 6
@@ -101,16 +110,9 @@ class _LogFrame:
     """
 
     def __init__(self, cost, a, b, reg: float):
-        self.cost = np.asarray(cost, dtype=float)
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        _validate_cost(self.cost)
-        validate_weights(self.a)
-        validate_weights(self.b)
+        self.cost, self.a, self.b = _problem(cost, a, b)
         if not (np.isfinite(reg) and reg > 0):
             raise NumericError(f"reg must be positive and finite (got {reg!r})")
-        if self.cost.shape != self.a.shape + self.b.shape:
-            raise DimensionMismatchError("weight lengths do not match the cost matrix")
         self.reg = reg
         live = self.a > 0
         # The zero-weight mask of ``_violation``, None when there are none.
@@ -498,12 +500,7 @@ def exact_ot(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> TransportPlan:
     """
     from scipy.optimize import linprog  # on first use: a slow import
 
-    cost = np.asarray(cost, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _validate_cost(cost)
-    validate_weights(a)
-    validate_weights(b)
+    cost, a, b = _problem(cost, a, b)
     n, m = cost.shape
     if n > EXACT_SIZE_LIMIT or m > EXACT_SIZE_LIMIT:
         raise SizeLimitError(

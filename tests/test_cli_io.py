@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from otflow.datagen import GeneratorSpec, generate
 from otflow.dynamics import FlowConfig
 from otflow.errors import ConfigError, ParseError
 from otflow.functionals import TargetDistanceTerm
-from otflow.io import load_dataset, read_trajectory, save_dataset
+from otflow.io import _read, load_dataset, read_trajectory, save_dataset
 from otflow.optim import OptimizerState
 from otflow.plots import export_frames
 
@@ -256,9 +257,31 @@ class TestConfig:
         )
         assert main(["run", str(cfg_path)]) == 2
 
-    def test_io_error_exit_code(self, tmp_path):
+    def test_io_error_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == 2
         assert main(["distance", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 4
+        undecodable = tmp_path / "latin1.txt"
+        undecodable.write_bytes(b"f0,label\n\xe9\xff,0\n")
+        for argv, code in [
+            (["run", str(undecodable)], 2),
+            (["distance", str(undecodable), str(undecodable)], 4),
+            (["plot", str(undecodable)], 4),
+        ]:
+            capsys.readouterr()
+            assert main(argv) == code
+            assert str(undecodable) in capsys.readouterr().err
+
+    def test_every_file_is_read_by_io_read(self):
+        # ``io._read`` maps OSError and undecodable text to ParseError; a
+        # read anywhere else in the package would bypass it.
+        reader = inspect.getsource(_read)
+        assert "read_text(" in reader and "read_bytes(" in reader
+        for path in sorted(Path(otflow.__file__).parent.rglob("*.py")):
+            text = path.read_text()
+            if path.name == "io.py":
+                text = text.replace(reader, "")
+            for call in ("read_text(", "read_bytes("):
+                assert call not in text, f"{path.name} calls {call} outside io._read"
 
     def test_unknown_term_kind(self, tmp_path):
         cfg_path, _ = minimal_config(

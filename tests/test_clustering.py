@@ -128,10 +128,11 @@ class TestKmeans:
         out = kmeans_embedded(dists, k=3, seed=7)
         assert best_permutation_agreement(out.labels, truth) >= 0.95
 
-    def test_k_exceeds_n(self):
+    @pytest.mark.parametrize("k", [2, 0, -1])
+    def test_k_exceeds_n(self, k):
         dists = unit_moments(np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            kmeans_embedded(dists, k=2)
+        with pytest.raises(ValueError, match=f"k={k} is not between 1 and"):
+            kmeans_embedded(dists, k=k)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(6)

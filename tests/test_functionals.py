@@ -14,7 +14,7 @@ from otflow.functionals import (
     eval_terms,
     grad_functional,
 )
-from otflow.otdd import MODE_FD, DatasetState
+from otflow.otdd import MODE_FD, MODE_JD_FL, DatasetState
 
 
 def value(term, state):
@@ -342,18 +342,23 @@ class TestGradFunctional:
             analytic = grads.d_features[i, l] * state.weights[i]
             assert abs(fd - analytic) / max(abs(fd), scale) < 1e-3
 
-    def test_sqrt_variant_chain_rule(self):
+    @pytest.mark.parametrize("mode", [MODE_FD, MODE_JD_FL])
+    def test_sqrt_variant_chain_rule(self, mode):
         rng = np.random.default_rng(10)
         state = rand_state(rng, 8, 2, 2)
         tgt = rand_state(rng, 8, 2, 2)
         sq = TargetDistanceTerm(tgt, squared=True)
         rt = TargetDistanceTerm(tgt, squared=False)
-        v_sq, g_sq = sq.value_and_grads(state, MODE_FD)
-        v_rt, g_rt = rt.value_and_grads(state, MODE_FD)
+        v_sq, g_sq = sq.value_and_grads(state, mode)
+        v_rt, g_rt = rt.value_and_grads(state, mode)
         assert v_rt == pytest.approx(np.sqrt(v_sq), rel=1e-9)
-        np.testing.assert_allclose(
-            g_rt.d_features, g_sq.d_features / (2 * v_rt), atol=1e-9
-        )
+        # Every block, moments included in jd-fl, scales by one factor.
+        assert (g_rt.d_means is None) == (mode == MODE_FD)
+        for block in ("d_features", "d_means", "d_covs"):
+            if getattr(g_sq, block) is not None:
+                np.testing.assert_allclose(
+                    getattr(g_rt, block), getattr(g_sq, block) / (2 * v_rt), atol=1e-9
+                )
 
     def test_spec_requires_terms(self):
         with pytest.raises(ValueError):

@@ -262,7 +262,7 @@ class TestOtdd:
     @pytest.mark.parametrize(
         "setting",
         [{"reg": -1.0}, {"reg": 0.0}, {"reg": float("nan")}, {"tol": 0.0},
-         {"tol": float("nan")}, {"max_iter": 0}],
+         {"tol": float("nan")}, {"tol": float("inf")}, {"max_iter": 0}],
         ids=lambda s: "-".join(f"{k}={v}" for k, v in s.items()),
     )
     def test_divergence_rejects_bad_settings_when_built(self, setting):
@@ -434,6 +434,20 @@ class TestOneSolvePath:
         term.reset()
         term.value_and_grads(a, MODE_JD_FL)
         assert sizes == [a.n, b.n, a.n, a.n, b.n]
+        # A new target object resets the state built for the old one.
+        other = rand_state(np.random.default_rng(20), 10, 2, 2)
+        term.target = other
+        value = term.value_and_grads(a, MODE_JD_FL)[0]
+        assert sizes == [a.n, b.n, a.n, a.n, b.n, a.n, other.n]
+        assert value == TargetDistanceTerm(other, reg=0.5).value_and_grads(a, MODE_JD_FL)[0]
+
+    def test_new_source_size_drops_the_warm_duals(self):
+        rng = np.random.default_rng(21)
+        b = rand_state(rng, 25, 2, 2)
+        first, second = rand_state(rng, 30, 2, 2), rand_state(rng, 20, 2, 2)
+        divergence = Divergence(b, reg=0.5)
+        divergence.solve(first)
+        assert divergence.solve(second)[0] == Divergence(b, reg=0.5).solve(second)[0]
 
     def test_term_is_a_divergence_plus_weight_and_squared(self):
         params = signature(TargetDistanceTerm).parameters

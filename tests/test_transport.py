@@ -97,6 +97,11 @@ class TestInputChecks:
             solver(cost, uniform(3), uniform(3))
 
     @pytest.mark.parametrize("solver", SOLVERS.values(), ids=SOLVERS.keys())
+    def test_rejects_mismatched_weight_lengths(self, solver):
+        with pytest.raises(DimensionMismatchError, match="weight lengths"):
+            solver(np.ones((2, 3)), uniform(3), uniform(2))
+
+    @pytest.mark.parametrize("solver", SOLVERS.values(), ids=SOLVERS.keys())
     def test_empty_cost_fails_the_weight_check(self, solver):
         with pytest.raises(NumericError, match="sum to 1"):
             solver(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
