@@ -193,7 +193,9 @@ def label_stats(state: DatasetState) -> Moments:
     return Moments(means, project_psd(covs, psd_floor_value(covs)))
 
 
-def ground_cost_matrix(src: DatasetState, dst: DatasetState, label_block=None) -> np.ndarray:
+def ground_cost_matrix(
+    src: DatasetState, dst: DatasetState, label_block=None, out=None
+) -> np.ndarray:
     """Hybrid ground cost: squared feature distance plus squared Bures term.
 
     Label-pair distances are computed once per distinct distribution pair.
@@ -207,7 +209,8 @@ def ground_cost_matrix(src: DatasetState, dst: DatasetState, label_block=None) -
     adds exactly ``label_block[src.block[i], dst.block[j]]``. When k is at
     least min(n, m), as for two per-particle (jd-vl) layouts, those columns
     would make the product O(n m min(n, m)), and the block is gathered and
-    added instead.
+    added instead. ``out`` receives the cost as in ``_cost_product``: an
+    (n, m) C-contiguous float64 array, else DimensionMismatchError.
     """
     if src.dim != dst.dim:
         raise DimensionMismatchError(
@@ -217,14 +220,14 @@ def ground_cost_matrix(src: DatasetState, dst: DatasetState, label_block=None) -
         label_block = pairwise_bures_sq(src.label_dists, dst.label_dists)
     p, q = label_block.shape
     if min(p, q) >= min(src.n, dst.n):
-        cost = _cost_product(src.features, dst.features)
+        cost = _cost_product(src.features, dst.features, out=out)
         cost += label_block[src.block][:, dst.block]
         return cost
     if p <= q:
         src_cols, dst_cols = np.eye(p)[src.block], label_block.T[dst.block]
     else:
         src_cols, dst_cols = label_block[src.block], np.eye(q)[dst.block]
-    return _cost_product(src.features, dst.features, src_cols, dst_cols)
+    return _cost_product(src.features, dst.features, src_cols, dst_cols, out)
 
 
 @dataclass(eq=False)
@@ -248,6 +251,18 @@ class Divergence:
     parameters after it are keyword-only: ``reg`` None or positive and
     finite, ``tol`` positive and finite and ``max_iter`` at least 1, else
     construction raises NumericError.
+
+    The kernel-sized (n x m float64) arrays of the solves live in three
+    flat buffers that the Divergence owns, each grown to the largest shape
+    it has held and dropped by ``reset()``: ``cost`` takes every ground
+    cost, ``kernel`` the cross plan (and, in ``solve``, both self-terms'
+    kernels) and ``kernel_aa`` the source self-plan that
+    ``value_and_grads`` reads. So a flow step reuses its arrays, and a cold
+    ``solve`` holds two: it builds the cross cost for a None ``reg``, the
+    target self-term, the source self-term, then the cross cost again, and
+    solves the cross plan last. ``solve`` gives its ``kernel`` up with the
+    plan it returns, so a returned plan is never overwritten; ``plan.plan``
+    may be a view of a buffer sized for the largest square of the call.
     """
 
     target: DatasetState
@@ -272,47 +287,86 @@ class Divergence:
         self._bb_soft = None
         self._warm_ab = None
         self._warm_aa = None
+        self._buffers = {}  # "cost", "kernel", "kernel_aa": flat float64
 
     def solve(self, src: DatasetState):
-        return self._solve(src, grads=False)[:2]
+        value_sq, plan_ab = self._solve(src, None)[:2]
+        del self._buffers["kernel"]  # the returned plan keeps it
+        return value_sq, plan_ab
 
     def value_and_grads(self, src: DatasetState, mode: str):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         require_layout(src, mode)
-        value_sq, *solved = self._solve(src, grads=mode != MODE_FD)
+        value_sq, *solved = self._solve(src, mode)
         return value_sq, _assemble_grads(src, self.target, *solved)
 
-    def _solve(self, src: DatasetState, grads: bool):
-        """(value_sq, plan_ab, plan_aa, bures_ab, bures_aa): the Bures
-        gradient blocks the label costs were built from, with ``grads``;
-        each part that was not built (no ``grads``, no debias) is None."""
+    def _buffer(self, name: str, shape) -> np.ndarray:
+        """The first entries of buffer ``name`` as a C-contiguous ``shape``
+        array. A buffer too small is released before its successor is made."""
+        size = shape[0] * shape[1]
+        if name not in self._buffers or self._buffers[name].size < size:
+            self._buffers.pop(name, None)
+            self._buffers[name] = np.empty(size)
+        return self._buffers[name][:size].reshape(shape)
+
+    def _cost(self, src: DatasetState, dst: DatasetState, label_block) -> np.ndarray:
+        return ground_cost_matrix(src, dst, label_block, self._buffer("cost", (src.n, dst.n)))
+
+    def _self_plan(self, state: DatasetState, label_block, init, kernel: str):
+        """The self-transport of ``state``, its plan in buffer ``kernel``."""
+        cost = self._cost(state, state, label_block)
+        return sinkhorn_symmetric(
+            cost, state.weights, self._reg, self.max_iter, self.tol,
+            init=init, out=self._buffer(kernel, cost.shape),
+        )
+
+    def _solve(self, src: DatasetState, mode: str | None):
+        """(value_sq, plan_ab, plan_aa, bures_ab, bures_aa) for
+        ``value_and_grads`` in ``mode``; with no mode (``solve``) plan_aa is
+        None, its kernel having shared plan_ab's buffer. bures_ab and
+        bures_aa are the Bures gradient blocks the label costs were built
+        from in jd-fl and jd-vl; each part that was not built (fd, no
+        debias) is None. A cost view is dropped before the next cost is
+        built, so a buffer that grows is never held twice."""
         dst = self.target
         if dst is not self._target:
             self.reset()
             self._target = dst
+        grads = mode not in (None, MODE_FD)
         bures_ab = pairwise_bures_grads(src.label_dists, dst.label_dists) if grads else None
-        cost_ab = ground_cost_matrix(src, dst, None if bures_ab is None else bures_ab[0])
+        # Both builds of the cross cost take this one label block.
+        label_ab = (
+            pairwise_bures_sq(src.label_dists, dst.label_dists) if bures_ab is None else bures_ab[0]
+        )
+        cost_ab = None
         if self._reg is None:
+            cost_ab = self._cost(src, dst, label_ab)
             self._reg = default_reg(cost_ab)
         if self._warm_ab is not None and self._warm_ab[0].shape[0] != src.n:
             self._warm_ab = self._warm_aa = None
-        solver = (self._reg, self.max_iter, self.tol)
-        plan_ab = sinkhorn(cost_ab, src.weights, dst.weights, *solver, init=self._warm_ab)
+        self_sq, plan_aa, bures_aa = 0.0, None, None
+        if self.debias:
+            cost_ab = None  # the self-terms' costs take its buffer
+            if self._bb_soft is None:
+                self._bb_soft = self._self_plan(dst, None, None, "kernel").soft_cost
+            bures_aa = pairwise_bures_grads(src.label_dists, src.label_dists) if grads else None
+            plan_aa = self._self_plan(
+                src, None if bures_aa is None else bures_aa[0], self._warm_aa,
+                "kernel" if mode is None else "kernel_aa",
+            )
+            self._warm_aa = plan_aa.dual_left
+            self_sq = 0.5 * (plan_aa.soft_cost + self._bb_soft)
+            if mode is None:
+                plan_aa = None  # its buffer takes the cross plan
+        if cost_ab is None:
+            cost_ab = self._cost(src, dst, label_ab)
+        plan_ab = sinkhorn(
+            cost_ab, src.weights, dst.weights, self._reg, self.max_iter, self.tol,
+            init=self._warm_ab, out=self._buffer("kernel", cost_ab.shape),
+        )
         self._warm_ab = (plan_ab.dual_left, plan_ab.dual_right)
-        del cost_ab  # each cost is released before the next one is built
-        if not self.debias:
-            return plan_ab.soft_cost, plan_ab, None, bures_ab, None
-        bures_aa = pairwise_bures_grads(src.label_dists, src.label_dists) if grads else None
-        cost_aa = ground_cost_matrix(src, src, None if bures_aa is None else bures_aa[0])
-        plan_aa = sinkhorn_symmetric(cost_aa, src.weights, *solver, init=self._warm_aa)
-        self._warm_aa = plan_aa.dual_left
-        del cost_aa
-        if self._bb_soft is None:
-            cost_bb = ground_cost_matrix(dst, dst)
-            self._bb_soft = sinkhorn_symmetric(cost_bb, dst.weights, *solver).soft_cost
-        value_sq = plan_ab.soft_cost - 0.5 * (plan_aa.soft_cost + self._bb_soft)
-        return value_sq, plan_ab, plan_aa, bures_ab, bures_aa
+        return plan_ab.soft_cost - self_sq, plan_ab, plan_aa, bures_ab, bures_aa
 
 
 def otdd(
@@ -327,7 +381,9 @@ def otdd(
     ``Divergence(dst).solve(src)`` value, i.e. of the debiased Sinkhorn
     divergence by default (zero from a dataset to itself), or of the
     entropic dual value with ``debias=False``. Negative values clip to 0.
-    Returns (value, plan) with plan the src -> dst coupling.
+    Returns (value, plan) with plan the src -> dst coupling, which nothing
+    overwrites; ``plan.plan`` may be a view of a buffer sized for the
+    largest square of the call (see ``Divergence``).
     """
     value_sq, plan = Divergence(dst, reg=reg, debias=debias, max_iter=max_iter, tol=tol).solve(src)
     return float(np.sqrt(max(value_sq, 0.0))), plan

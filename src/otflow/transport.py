@@ -5,7 +5,11 @@ couplings, an exact small-instance solver (one LP) used as oracle, and
 envelope-form gradients of the transport value w.r.t. point positions.
 All three solvers check their cost and weights with one ``_problem``:
 finite, nonnegative cost; finite, nonnegative weights summing to 1; and a
-cost of shape (len(a), len(b)), else DimensionMismatchError.
+cost of shape (len(a), len(b)), else DimensionMismatchError. The two
+Sinkhorn solvers and ``_cost_product`` take ``out=`` as numpy does: an
+array of exactly the result's shape, C-contiguous, float64 and writeable,
+that receives the result (any other ``out`` raises DimensionMismatchError;
+see ``_output``).
 
 Both Sinkhorn solvers iterate the log-potentials but run each round in the
 scaling domain (Cuturi 2013): a matrix-vector product with the kernel
@@ -83,6 +87,21 @@ def _problem(cost, a, b):
     return cost, a, b
 
 
+def _output(out, shape) -> np.ndarray:
+    """``out`` checked as numpy's out= for a float64 result of ``shape``, or
+    a new array when it is None."""
+    if out is None:
+        return np.empty(shape)
+    if not (
+        isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
+        and out.flags.c_contiguous and out.flags.writeable
+    ):
+        raise DimensionMismatchError(
+            f"out must be a writeable C-contiguous float64 array of shape {shape}"
+        )
+    return out
+
+
 ANDERSON_MEMORY = 6
 # A warm ``sinkhorn`` solve still short of tol after this many rounds also
 # tries a Newton step before each Anderson or plain round.
@@ -94,6 +113,10 @@ NEWTON_AFTER = 10
 # and Newton steps of LOG_BOUND or more, are not tried.
 SCALE_BOUND = 1e50
 LOG_BOUND = np.log(SCALE_BOUND)
+# ``sinkhorn_symmetric`` rejects a plan whose column violation exceeds tol
+# by more than rounding, taken as this much per atom. On symmetric costs
+# up to 800 x 800 the column and row violations agree to below 4e-16.
+SYMMETRY_SLACK = 64 * np.finfo(float).eps
 
 
 class _LogFrame:
@@ -106,10 +129,11 @@ class _LogFrame:
     exp(v - rv), plus O(n + m) exp and log work; ``_softmin`` rebuilds K~
     around the current potentials when the scalings drift too far. ``plan``
     scales K~ in place into the coupling exp(u (+) v - C/reg) * (a x b)
-    and computes its linear and dual values.
+    and computes its linear and dual values. ``buf`` is the solver's
+    ``out`` when it has one.
     """
 
-    def __init__(self, cost, a, b, reg: float):
+    def __init__(self, cost, a, b, reg: float, out=None):
         self.cost, self.a, self.b = _problem(cost, a, b)
         if not (np.isfinite(reg) and reg > 0):
             raise NumericError(f"reg must be positive and finite (got {reg!r})")
@@ -118,7 +142,9 @@ class _LogFrame:
         # The zero-weight mask of ``_violation``, None when there are none.
         self.live = None if live.all() else live
         # The one kernel-sized array of a solve: K~, and at the end the plan.
-        self.buf = np.empty(self.cost.shape)
+        self.buf = _output(out, self.cost.shape)
+        if np.may_share_memory(self.buf, self.cost):  # a rebuild reads the cost
+            raise ValueError("out must not overlap the cost")
         self.ref = [None, None]
 
     def start(self, f) -> np.ndarray:
@@ -406,6 +432,7 @@ def sinkhorn(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
     init=None,
+    out=None,
 ) -> TransportPlan:
     """Stabilized Sinkhorn iterations for entropic OT.
 
@@ -445,10 +472,15 @@ def sinkhorn(
     and finite, ``max_iter`` at least 1 and ``tol`` neither NaN nor
     negative; both solvers raise NumericError otherwise.
 
+    ``out``, an (n, m) array as numpy's out= takes it (see the module
+    docstring) that does not overlap ``cost``, receives the kernel and then
+    the plan: the returned ``plan.plan`` is ``out``. Without it the solve
+    allocates one. The plan is the same either way.
+
     Raises SinkhornConvergenceError (carrying the final violation) if the
     tolerance is not met within ``max_iter`` dual updates.
     """
-    frame = _LogFrame(cost, a, b, reg)
+    frame = _LogFrame(cost, a, b, reg, out)
 
     def full_round(u):
         """One column scaling followed by one row scaling."""
@@ -470,6 +502,7 @@ def sinkhorn_symmetric(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
     init=None,
+    out=None,
 ) -> TransportPlan:
     """Entropic self-transport of a measure (symmetric cost).
 
@@ -478,16 +511,30 @@ def sinkhorn_symmetric(
     alternating scalings and is the workhorse behind debiased divergences.
     A round is one matrix-vector product with the absorbed kernel, rebuilt
     as in ``sinkhorn``. ``init`` warm-starts f (one finite entry per atom);
-    f = g fixes the offset, so it is not centred.
+    f = g fixes the offset, so it is not centred. ``out`` is as in
+    ``sinkhorn``.
+
+    The rounds only meet the row marginals; the columns follow from
+    symmetry. So the assembled plan's column violation is checked too, in
+    one read pass, and a cost whose columns miss ``tol`` by more than
+    rounding (SYMMETRY_SLACK per atom), an asymmetric cost, raises
+    NumericError.
     """
-    frame = _LogFrame(cost, a, a, reg)
+    frame = _LogFrame(cost, a, a, reg, out)
 
     def averaged_round(u):
         t = frame.softmin(u, 1, frame.a)
         return 0.5 * (u + t), u, _violation(frame.a, frame.live, u, t)
 
     u, _, err, it = _fixed_point(averaged_round, frame.start(init), max_iter, tol)
-    return frame.plan(u, u, err, it)
+    plan = frame.plan(u, u, err, it)
+    column_err = float(np.abs(plan.plan.sum(axis=0) - frame.a).sum())
+    if not column_err <= tol + SYMMETRY_SLACK * len(frame.a):
+        raise NumericError(
+            f"cost is not symmetric: column marginal violation {column_err:.3e} "
+            f"exceeds tol {tol:.3e}"
+        )
+    return plan
 
 
 def exact_ot(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> TransportPlan:
@@ -517,14 +564,16 @@ def exact_ot(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> TransportPlan:
     return TransportPlan(res.x.reshape(n, m), duals[:n], duals[n:], lin_cost, 0.0, lin_cost)
 
 
-def _cost_product(x, y, x_extra=None, y_extra=None) -> np.ndarray:
+def _cost_product(x, y, x_extra=None, y_extra=None, out=None) -> np.ndarray:
     """||x_i - y_j||^2 + <x_extra_i, y_extra_j> for every pair, as one GEMM.
 
     The product of the rows [x_i, ||x_i||^2, 1, x_extra_i] and
-    [-2 y_j, 1, ||y_j||^2, y_extra_j], clipped at 0 in place: the result is
-    the only (n, m) array made. Its cancellation error is
-    O(eps * (||x_i||^2 + ||y_j||^2)), as for any expansion of the square.
+    [-2 y_j, 1, ||y_j||^2, y_extra_j], clipped at 0 in place: the result,
+    ``out`` when given, is the only (n, m) array made. Its cancellation
+    error is O(eps * (||x_i||^2 + ||y_j||^2)), as for any expansion of the
+    square.
     """
+    cost = _output(out, (x.shape[0], y.shape[0]))
     n, d = x.shape
     k = 0 if x_extra is None else x_extra.shape[1]
     left = np.empty((n, d + 2 + k))
@@ -538,7 +587,7 @@ def _cost_product(x, y, x_extra=None, y_extra=None) -> np.ndarray:
     if k:
         left[:, d + 2:] = x_extra
         right[:, d + 2:] = y_extra
-    cost = left @ right.T
+    np.matmul(left, right.T, out=cost)
     return np.maximum(cost, 0.0, out=cost)
 
 

@@ -1,5 +1,6 @@
 import importlib
 import sys
+import tracemalloc
 from inspect import signature
 
 import numpy as np
@@ -17,6 +18,7 @@ from otflow.otdd import (
     MODE_FD,
     MODE_JD_FL,
     MODE_JD_VL,
+    MODES,
     DatasetState,
     Divergence,
     FlowGradients,
@@ -203,9 +205,9 @@ class TestGroundCost:
         """k = min(p, q) label columns ride in the product unless k >= min(n, m)."""
         widths = []
 
-        def spy(x, y, x_extra=None, y_extra=None):
+        def spy(x, y, x_extra=None, y_extra=None, out=None):
             widths.append(None if x_extra is None else x_extra.shape[1])
-            return _cost_product(x, y, x_extra, y_extra)
+            return _cost_product(x, y, x_extra, y_extra, out)
 
         monkeypatch.setattr(importlib.import_module("otflow.otdd"), "_cost_product", spy)
         rng = np.random.default_rng(50)
@@ -430,15 +432,16 @@ class TestOneSolvePath:
         term = TargetDistanceTerm(b, reg=0.5)
         term.value_and_grads(a, MODE_JD_FL)
         term.value_and_grads(a, MODE_JD_FL)
-        assert sizes == [a.n, b.n, a.n]
+        # The target self-term comes first, and only in the first solve.
+        assert sizes == [b.n, a.n, a.n]
         term.reset()
         term.value_and_grads(a, MODE_JD_FL)
-        assert sizes == [a.n, b.n, a.n, a.n, b.n]
+        assert sizes == [b.n, a.n, a.n, b.n, a.n]
         # A new target object resets the state built for the old one.
         other = rand_state(np.random.default_rng(20), 10, 2, 2)
         term.target = other
         value = term.value_and_grads(a, MODE_JD_FL)[0]
-        assert sizes == [a.n, b.n, a.n, a.n, b.n, a.n, other.n]
+        assert sizes == [b.n, a.n, a.n, b.n, a.n, other.n, a.n]
         assert value == TargetDistanceTerm(other, reg=0.5).value_and_grads(a, MODE_JD_FL)[0]
 
     def test_new_source_size_drops_the_warm_duals(self):
@@ -497,6 +500,123 @@ class TestOneSolvePath:
             ("pairwise_bures_grads", src.n, len(b.label_dists), False),
             ("pairwise_bures_grads", src.n, src.n, True),
         ]
+
+
+def assert_same_grads(left, right):
+    for block in ("d_features", "d_means", "d_covs"):
+        a, b = getattr(left, block), getattr(right, block)
+        assert (a is None) == (b is None)
+        if a is not None:
+            np.testing.assert_array_equal(a, b)
+
+
+OUT_CALLS = {
+    "_cost_product": lambda a, b, out: _cost_product(a.features, b.features, out=out),
+    "ground_cost_matrix": lambda a, b, out: ground_cost_matrix(a, b, out=out),
+    "sinkhorn": lambda a, b, out: sinkhorn(
+        ground_cost_matrix(a, b), a.weights, b.weights, 0.5, out=out
+    ).plan,
+    "sinkhorn_symmetric": lambda a, b, out: sinkhorn_symmetric(
+        ground_cost_matrix(a, a), a.weights, 0.5, out=out
+    ).plan,
+}
+
+
+class TestOwnedBuffers:
+    @staticmethod
+    def states():
+        rng = np.random.default_rng(31)
+        return rand_state(rng, 20, 2, 2), rand_state(rng, 25, 3, 2), rand_state(rng, 40, 3, 2)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nan_filled_buffers_change_nothing(self, mode):
+        a, b, _ = self.states()
+        src = a.decoupled() if mode == MODE_JD_VL else a
+        filled, clean = Divergence(b), Divergence(b)
+        for divergence in (filled, clean):
+            divergence.value_and_grads(src, mode)
+        for buf in filled._buffers.values():
+            buf.fill(np.nan)
+        value, grads = filled.value_and_grads(src, mode)
+        clean_value, clean_grads = clean.value_and_grads(src, mode)
+        assert value == clean_value
+        assert_same_grads(grads, clean_grads)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_larger_source_in_between_changes_nothing(self, mode):
+        a, b, big = self.states()
+        if mode == MODE_JD_VL:
+            a, big = a.decoupled(), big.decoupled()
+        divergence = Divergence(b, reg=0.5)
+        divergence.value_and_grads(big, mode)
+        value, grads = divergence.value_and_grads(a, mode)
+        fresh_value, fresh_grads = Divergence(b, reg=0.5).value_and_grads(a, mode)
+        assert value == fresh_value
+        assert_same_grads(grads, fresh_grads)
+        assert divergence.solve(a)[0] == Divergence(b, reg=0.5).solve(a)[0]
+
+    def test_returned_plan_is_never_overwritten(self):
+        a, b, big = self.states()
+        divergence = Divergence(b)
+        _, plan = divergence.solve(a)
+        kept = plan.plan.copy()
+        divergence.solve(a)
+        divergence.solve(big)
+        divergence.value_and_grads(a, MODE_JD_FL)
+        np.testing.assert_array_equal(plan.plan, kept)
+
+    @pytest.mark.parametrize("n, m", [(300, 400), (400, 300)])
+    def test_cold_distance_holds_two_kernel_sized_arrays(self, n, m):
+        # The cost and kernel buffers, at 8 * max(n, m)^2 bytes each, plus
+        # small change; a distance that kept every cost and plan alive
+        # peaked near 3.7 of them. With n > m both buffers grow while the
+        # other is held, so a buffer kept alive while it grows shows too.
+        rng = np.random.default_rng(32)
+        src, dst = rand_state(rng, n, 3, 2), rand_state(rng, m, 4, 2)
+        tracemalloc.start()
+        try:
+            otdd(src, dst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 8 * max(n, m) ** 2
+
+    @pytest.mark.parametrize("call", OUT_CALLS.values(), ids=OUT_CALLS.keys())
+    def test_out_receives_the_same_result(self, call):
+        a, b, _ = self.states()
+        expected = call(a, b, None)
+        out = np.full(expected.shape, np.nan)
+        assert call(a, b, out) is out
+        np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("call", OUT_CALLS.values(), ids=OUT_CALLS.keys())
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda shape: np.empty((shape[0] + 1, shape[1])),
+            lambda shape: np.empty((shape[0], shape[1] + 1)),
+            lambda shape: np.empty(shape, dtype=np.float32),
+            lambda shape: np.empty(shape, order="F"),
+            lambda shape: np.empty((shape[0], 2 * shape[1]))[:, ::2],
+            lambda shape: np.empty(shape).tolist(),
+        ],
+        ids=["taller", "wider", "float32", "fortran", "strided", "list"],
+    )
+    def test_out_of_another_shape_dtype_or_layout_is_rejected(self, call, bad):
+        a, b, _ = self.states()
+        shape = (a.n, a.n) if call is OUT_CALLS["sinkhorn_symmetric"] else (a.n, b.n)
+        with pytest.raises(DimensionMismatchError, match="out must be"):
+            call(a, b, bad(shape))
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_out_may_not_overlap_the_cost(self, symmetric):
+        a = self.states()[0]
+        cost = ground_cost_matrix(a, a)
+        with pytest.raises(ValueError, match="overlap"):
+            if symmetric:
+                sinkhorn_symmetric(cost, a.weights, 0.5, out=cost)
+            else:
+                sinkhorn(cost, a.weights, a.weights, 0.5, out=cost)
 
 
 class TestFlowGradients:
