@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericError
+from .transport import _envelope_grad
 
 # Relative eigenvalue floor: floor = PSD_FLOOR_SCALE * trace(S)/dim.
 PSD_FLOOR_SCALE = 1e-6
@@ -171,11 +172,10 @@ def _bures_2d(a: Moments, b: Moments, same: bool, grads: bool):
         value = ||mu_a - mu_b||^2 + tr S_a + tr S_b - 2 t
         T     = (S_b + s S_a^-1) / t,   S_a^-1 = adj(S_a) / det S_a
 
-    Returns the values, and with ``grads`` (values, grad_means, grad_covs
-    = I - T) after the singular check on the first argument. A self-block
-    (``same``) is the same broadcast, T_ji being the formula at (j, i); its
-    values are exactly symmetric, and the diagonal of values and
-    gradients is set to 0.
+    Returns (values, None), or with ``grads`` (values, cov_pullback) after
+    the singular check on the first argument: ``cov_pullback(mass)`` sums
+    mass (I - T) over q through (p, q) arrays only. A self-block (``same``)
+    is the same broadcast, T_ji being the formula at (j, i).
     """
     xa, ya, za, det_a = _entries_2d(a.covs)
     xb, yb, zb, det_b = _entries_2d(b.covs)
@@ -197,27 +197,21 @@ def _bures_2d(a: Moments, b: Moments, same: bool, grads: bool):
     dx = np.subtract.outer(a.means[:, 0], b.means[:, 0])
     dy = np.subtract.outer(a.means[:, 1], b.means[:, 1])
     values = np.maximum(dx * dx + dy * dy + np.add.outer(xa + za, xb + zb) - 2.0 * t, 0.0)
-    diag = np.arange(len(a))
     if same:
-        values[diag, diag] = 0.0
+        np.fill_diagonal(values, 0.0)
     if not grads:
-        return values
+        return values, None
 
-    grad_means = np.stack([2.0 * dx, 2.0 * dy], axis=-1)
-    # t T = S_b + sqrt(det S_b) adj(S_a) / sqrt(det S_a), entries xx, xy
-    # and yy, as one batched product of the rows; T = 0 where t = 0.
-    left = np.ones((3, len(a), 2))
-    left[..., 1] = np.array([za, -ya, xa]) / root_a
-    right = np.empty((3, 2, len(b)))
-    right[:, 0], right[:, 1] = rows_b[:3], root_b
-    tmap = (left @ right) * (1.0 / np.where(t > 0.0, t, np.inf))
-    grad_covs = np.empty(values.shape + (2, 2))
-    grad_covs[..., 0, 0] = 1.0 - tmap[0]
-    grad_covs[..., 0, 1] = grad_covs[..., 1, 0] = -tmap[1]
-    grad_covs[..., 1, 1] = 1.0 - tmap[2]
-    if same:
-        grad_covs[diag, diag] = 0.0
-    return values, grad_means, grad_covs
+    # t T = S_b + sqrt(det S_b) adj(S_a) / sqrt(det S_a), T = 0 where t = 0:
+    # summed against a mass, one product of mass / t with the rows of b.
+    inv_t = 1.0 / np.where(t > 0.0, t, np.inf)
+    adj_a = np.array([za, -ya, -ya, xa]).T / root_a[:, None]
+
+    def cov_pullback(mass):
+        sums = (mass * inv_t) @ rows_b.T
+        tmap = sums[:, [0, 1, 1, 2]] + adj_a * sums[:, 3:]
+        return mass.sum(axis=1)[:, None, None] * np.eye(2) - tmap.reshape(-1, 2, 2)
+    return values, cov_pullback
 
 
 def _bures_eig(a: Moments, b: Moments, same: bool, grads: bool):
@@ -250,20 +244,24 @@ def _bures_eig(a: Moments, b: Moments, same: bool, grads: bool):
     if same:
         values[j, i] = values[i, j]
     if not grads:
-        return values
+        return values, None
 
-    grad_means = 2.0 * (a.means[:, None, :] - b.means[None, :, :])
-    grad_covs = np.zeros((len(a), len(b)) + a.covs.shape[1:])
-    # I - T from T = (outer V) diag(w) (outer V)^T, symmetrized.
+    # I - T from T = (outer V) diag(w) (outer V)^T, symmetrized, per pair.
     maps = [(i, j, _from_eig(va, 1.0 / sq)[i], root)]
     if same:
         if np.any(wm[:, 0] <= 0.0):
             raise NumericError("covariance pair too ill-conditioned to invert its transport map")
         maps.append((j, i, sa, 1.0 / root))
-    for rows, cols, outer, w in maps:
-        t = _from_eig(outer @ vm, w)
-        grad_covs[rows, cols] = np.eye(t.shape[-1]) - 0.5 * (t + t.swapaxes(-1, -2))
-    return values, grad_means, grad_covs
+
+    def cov_pullback(mass):
+        d_covs = np.zeros(a.covs.shape)
+        for rows, cols, outer, w in maps:
+            t = _from_eig(outer @ vm, w)
+            grad = np.eye(t.shape[-1]) - 0.5 * (t + t.swapaxes(-1, -2))
+            rows = np.broadcast_to(rows, grad.shape[:-2])
+            np.add.at(d_covs, rows, mass[rows, cols][..., None, None] * grad)
+        return d_covs
+    return values, cov_pullback
 
 
 def _bures(dists_a, dists_b, grads: bool):
@@ -271,8 +269,18 @@ def _bures(dists_a, dists_b, grads: bool):
     covariances checked symmetric once, then the kernel of their dimension."""
     a, b = _moment_pair(dists_a, dists_b)
     _check_symmetric(a.covs, "first-argument covariance")
+    same = dists_b is dists_a
     kernel = _bures_2d if a.means.shape[1] == 2 else _bures_eig
-    return kernel(a, b, dists_b is dists_a, grads)
+    values, cov_pullback = kernel(a, b, same, grads)
+    if not grads:
+        return values
+
+    def pullback(mass):
+        if mass.shape != values.shape:
+            raise DimensionMismatchError(f"mass of shape {mass.shape} for a {values.shape} block")
+        mass = mass - np.diag(np.diag(mass)) if same else mass
+        return _envelope_grad(mass, a.means, b.means), cov_pullback(mass)
+    return values, pullback
 
 
 def pairwise_bures_sq(dists_a, dists_b) -> np.ndarray:
@@ -288,12 +296,12 @@ def pairwise_bures_sq(dists_a, dists_b) -> np.ndarray:
 
 
 def pairwise_bures_grads(dists_a, dists_b):
-    """All-pairs squared Bures-Wasserstein distances and their analytic
-    gradients w.r.t. the first argument, from one square root of
-    M = S_a^1/2 S_b S_a^1/2 per pair.
+    """All-pairs squared Bures-Wasserstein distances and the pullback of
+    their analytic gradients w.r.t. the first argument, from one square
+    root of M = S_a^1/2 S_b S_a^1/2 per pair.
 
-    Returns (values, grad_means, grad_covs) of shapes (p, q), (p, q, d)
-    and (p, q, d, d):
+    Returns (values, pullback) for the (p, q) block; ``pullback(mass)``
+    sums mass[p, q] (grad_mean, grad_cov) over q into (d_means, d_covs):
 
         value     = ||mu_a - mu_b||^2 + tr(S_a) + tr(S_b) - 2 tr(M^1/2)
         grad_mean = 2 (mu_a - mu_b)
@@ -305,8 +313,8 @@ def pairwise_bures_grads(dists_a, dists_b):
     ``pairwise_bures_sq`` and rejects what it rejects; every
     first-argument covariance must also be positive definite,
     lambda_min > 1e-14 * max(lambda_max, 1) (floor the covariances with
-    ``project_psd`` first), or NumericError is raised. When
-    ``dists_b is dists_a`` the values are exactly symmetric and the
-    diagonal of values and gradients is exactly zero.
+    ``project_psd`` first), or this call raises NumericError; a mass of
+    another shape raises DimensionMismatchError. When ``dists_b is dists_a``
+    the values are exactly symmetric with a zero diagonal, left out of mass.
     """
     return _bures(dists_a, dists_b, grads=True)

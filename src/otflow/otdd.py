@@ -239,10 +239,11 @@ class Divergence:
     src == target; without it, OT(src, target) alone. ``solve(src)``
     returns (value_sq, plan_ab), plan_ab the src -> target coupling.
     ``value_and_grads(src, mode)`` returns value_sq and its FlowGradients;
-    in a mode that moves moments (jd-fl, jd-vl) the label costs come from
-    ``pairwise_bures_grads``, whose gradient blocks ``_assemble_grads``
-    reuses, and in fd from ``pairwise_bures_sq``. An unknown mode raises
-    ValueError, and jd-vl needs the per-particle layout.
+    in a mode that moves moments (jd-fl, jd-vl) the label costs are the
+    values of ``pairwise_bures_grads``, whose pullbacks ``_assemble_grads``
+    applies to the couplings, and in fd those of ``pairwise_bures_sq``. An
+    unknown mode raises ValueError, jd-vl needs the per-particle layout,
+    and a zero-weight source particle raises NumericError before any solve.
     Solves share state, which ``reset()`` drops: a None ``reg`` is frozen
     from the first solve's ground cost, duals warm-start the next solve at
     the same particle count, and the target self-value is solved once, by
@@ -298,6 +299,9 @@ class Divergence:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         require_layout(src, mode)
+        empty = np.flatnonzero(src.weights == 0.0)
+        if empty.size:
+            raise NumericError(f"source particle {empty[0]} has zero weight, so no gradient per unit mass")
         value_sq, *solved = self._solve(src, mode)
         return value_sq, _assemble_grads(src, self.target, *solved)
 
@@ -325,10 +329,10 @@ class Divergence:
         """(value_sq, plan_ab, plan_aa, bures_ab, bures_aa) for
         ``value_and_grads`` in ``mode``; with no mode (``solve``) plan_aa is
         None, its kernel having shared plan_ab's buffer. bures_ab and
-        bures_aa are the Bures gradient blocks the label costs were built
-        from in jd-fl and jd-vl; each part that was not built (fd, no
-        debias) is None. A cost view is dropped before the next cost is
-        built, so a buffer that grows is never held twice."""
+        bures_aa are the ``pairwise_bures_grads`` (values, pullback) pairs
+        the label costs were built from in jd-fl and jd-vl; each part that
+        was not built (fd, no debias) is None. A cost view is dropped before
+        the next cost is built, so a buffer that grows is never held twice."""
         dst = self.target
         if dst is not self._target:
             self.reset()
@@ -336,9 +340,7 @@ class Divergence:
         grads = mode not in (None, MODE_FD)
         bures_ab = pairwise_bures_grads(src.label_dists, dst.label_dists) if grads else None
         # Both builds of the cross cost take this one label block.
-        label_ab = (
-            pairwise_bures_sq(src.label_dists, dst.label_dists) if bures_ab is None else bures_ab[0]
-        )
+        label_ab = bures_ab[0] if grads else pairwise_bures_sq(src.label_dists, dst.label_dists)
         cost_ab = None
         if self._reg is None:
             cost_ab = self._cost(src, dst, label_ab)
@@ -409,29 +411,23 @@ def _assemble_grads(src, dst, plan_ab, plan_aa, bures_ab, bures_aa) -> FlowGradi
 
     ``plan_aa`` is the source self-coupling of the debiased divergence, or
     None for the raw entropic value. ``bures_ab`` and ``bures_aa`` are the
-    ``pairwise_bures_grads`` blocks that ``Divergence`` built the matching
-    costs from; ``bures_ab`` is None in fd, where only features get
-    gradients. All outputs use the per-unit-mass convention of
-    FlowGradients: each moment row is divided by the mass of the particles
-    that share it.
+    ``pairwise_bures_grads`` (values, pullback) pairs that ``Divergence``
+    built the matching costs from; each coupling, summed onto moment-row
+    pairs, goes through its pullback. ``bures_ab`` is None in fd, where
+    only features get gradients. All outputs use the per-unit-mass
+    convention of FlowGradients: each moment row is divided by the mass of
+    the particles that share it.
     """
     d_feat = _feature_grad(plan_ab, src, dst, plan_aa) / src.weights[:, None]
     if bures_ab is None:
         return FlowGradients(d_feat)
 
-    _, g_mean_ab, g_cov_ab = bures_ab
     p, q = len(src.label_dists), len(dst.label_dists)
-
-    mass_ab = _row_masses(plan_ab.plan, src.block, dst.block, p, q)
-    d_mean = np.einsum("pq,pqd->pd", mass_ab, g_mean_ab)
-    d_cov = np.einsum("pq,pqde->pde", mass_ab, g_cov_ab)
-
+    d_mean, d_cov = bures_ab[1](_row_masses(plan_ab.plan, src.block, dst.block, p, q))
     if plan_aa is not None:
-        _, g_mean_aa, g_cov_aa = bures_aa
         mass_aa = _row_masses(plan_aa.plan, src.block, src.block, p, p)
-        mass_aa = 0.5 * (mass_aa + mass_aa.T)
-        d_mean -= np.einsum("pq,pqd->pd", mass_aa, g_mean_aa)
-        d_cov -= np.einsum("pq,pqde->pde", mass_aa, g_cov_aa)
+        self_mean, self_cov = bures_aa[1](0.5 * (mass_aa + mass_aa.T))
+        d_mean, d_cov = d_mean - self_mean, d_cov - self_cov
 
     row_mass = np.bincount(src.block, weights=src.weights, minlength=p)
     return FlowGradients(d_feat, d_mean / row_mass[:, None], d_cov / row_mass[:, None, None])

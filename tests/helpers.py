@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from otflow.gaussian import Moments, pairwise_bures_sq
+from otflow.gaussian import Moments, pairwise_bures_grads, pairwise_bures_sq
 from otflow.otdd import DatasetState
 
 
@@ -59,6 +59,17 @@ def rel_err(approx, exact, floor=1e-8):
     exact = np.asarray(exact, dtype=float)
     scale = max(float(np.abs(exact).max(initial=0.0)), float(np.abs(approx).max(initial=0.0)), floor)
     return float(np.abs(approx - exact).max(initial=0.0)) / scale
+
+
+def bures_grad_blocks(dists_a, dists_b):
+    """``pairwise_bures_grads`` expanded into per-pair gradients: (values,
+    grad_means (p, q, d), grad_covs (p, q, d, d)), column q of each being
+    the pullback of the mass that is 1 on column q and 0 elsewhere."""
+    values, pullback = pairwise_bures_grads(dists_a, dists_b)
+    p, q = values.shape
+    columns = [pullback(np.broadcast_to(np.eye(q)[col], (p, q))) for col in range(q)]
+    grad_means, grad_covs = (np.stack(blocks, axis=1) for blocks in zip(*columns))
+    return values, grad_means, grad_covs
 
 
 def bures_grad_fd(a: Moments, b: Moments, h: float = 1e-5):

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import bures_grad_blocks
 import otflow as of
 from otflow.clustering import dbscan_bures
 from otflow.diagnostics import (
@@ -27,7 +28,7 @@ from otflow.functionals import (
     PotentialTerm,
     TargetDistanceTerm,
 )
-from otflow.gaussian import Moments, pairwise_bures_grads, pairwise_bures_sq
+from otflow.gaussian import Moments, pairwise_bures_sq
 from otflow.optim import OptimizerState
 from otflow.otdd import (
     MODE_FD,
@@ -192,7 +193,7 @@ def test_03_gradient_suite():
     for _ in range(20):
         d = int(rng.integers(1, 4))
         a, b = rand_gaussian_pair(rng, d)
-        _, gms, gcs = pairwise_bures_grads(a, b)
+        _, gms, gcs = bures_grad_blocks(a, b)
         gm, gc = gms[0, 0], gcs[0, 0]
         mean, cov = a.means[0], a.covs[0]
         h = 1e-5

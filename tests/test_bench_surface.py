@@ -17,13 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import bures_grad_blocks
 from otflow.clustering import dbscan_bures
 from otflow.config import build_run
 from otflow.datagen import GeneratorSpec, generate
 from otflow.dynamics import FlowConfig, run_flow
 from otflow.errors import SinkhornConvergenceError
 from otflow.functionals import FunctionalSpec, TargetDistanceTerm
-from otflow.gaussian import Moments, pairwise_bures_grads, pairwise_bures_sq
+from otflow.gaussian import Moments, pairwise_bures_sq
 from otflow.optim import OptimizerState
 from otflow.otdd import MODE_JD_VL, ground_cost_matrix, otdd
 from otflow.transport import default_reg, sinkhorn, sinkhorn_symmetric
@@ -51,9 +52,7 @@ def test_kernels_same_on_moments_and_lists():
     rows_a, rows_b = Moments.of(a), Moments.of(b)
     assert (len(rows_a), len(rows_b)) == (7, 4)
     np.testing.assert_array_equal(pairwise_bures_sq(a, b), pairwise_bures_sq(rows_a, rows_b))
-    for from_list, from_rows in zip(
-        pairwise_bures_grads(a, b), pairwise_bures_grads(rows_a, rows_b)
-    ):
+    for from_list, from_rows in zip(bures_grad_blocks(a, b), bures_grad_blocks(rows_a, rows_b)):
         np.testing.assert_array_equal(from_list, from_rows)
 
 

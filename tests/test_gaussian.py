@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bures_grad_blocks,
     bures_grad_fd,
+    central_diff,
     directional_diff,
     gaussian,
     one_row,
@@ -31,7 +33,7 @@ def _one_pair_sq(a, b):
 
 
 def _one_pair_grads(a, b):
-    _, gm, gc = pairwise_bures_grads(a, b)
+    _, gm, gc = bures_grad_blocks(a, b)
     return gm[0, 0], gc[0, 0]
 
 
@@ -44,7 +46,7 @@ def _pairwise_sq(a, b):
 
 
 def _pairwise_grads(a, b):
-    _, gm, gc = pairwise_bures_grads(_rows(a) * 2, _rows(b) * 3)
+    _, gm, gc = bures_grad_blocks(_rows(a) * 2, _rows(b) * 3)
     return gm[1, 2], gc[1, 2]
 
 
@@ -202,14 +204,14 @@ class TestBuresGrad:
     def test_zero_at_identity(self):
         rng = np.random.default_rng(2)
         g = rand_gaussian(rng, 3)
-        _, gm, gc = pairwise_bures_grads(g, g.copy())
+        _, gm, gc = bures_grad_blocks(g, g.copy())
         np.testing.assert_allclose(gm[0, 0], 0.0, atol=1e-9)
         np.testing.assert_allclose(gc[0, 0], 0.0, atol=1e-9)
 
     def test_1d_mean_gradient(self):
         a = gaussian([0.0], [[1.0]])
         b = gaussian([3.0], [[1.0]])
-        _, gm, _ = pairwise_bures_grads(a, b)
+        _, gm, _ = bures_grad_blocks(a, b)
         assert gm[0, 0, 0] == pytest.approx(-6.0, abs=1e-9)
 
     def test_matches_finite_differences(self):
@@ -217,7 +219,7 @@ class TestBuresGrad:
         for _ in range(50):
             a = rand_gaussian(rng, 3)
             b = rand_gaussian(rng, 3)
-            _, gm, gc = pairwise_bures_grads(a, b)
+            _, gm, gc = bures_grad_blocks(a, b)
             mean, cov = a.means[0], a.covs[0]
 
             fd_mean = np.array([
@@ -257,7 +259,7 @@ class TestBuresGrad:
         rng = np.random.default_rng(37)
         a = rand_gaussian(rng, 2)
         b = rand_gaussian(rng, 2)
-        _, gm, gc = pairwise_bures_grads(a, b)
+        _, gm, gc = bures_grad_blocks(a, b)
         fd_mean, fd_cov = bures_grad_fd(a, b)
         np.testing.assert_allclose(fd_mean, gm[0, 0], rtol=1e-4, atol=1e-6)
         np.testing.assert_allclose(fd_cov, gc[0, 0], rtol=1e-4, atol=1e-6)
@@ -268,7 +270,7 @@ class TestBuresGrad:
         rng = np.random.default_rng(39 + d)
         for _ in range(10):
             a, b = rand_gaussian(rng, d), rand_gaussian(rng, d)
-            _, gm, gc = pairwise_bures_grads(a, b)
+            _, gm, gc = bures_grad_blocks(a, b)
             fd_mean, fd_cov = bures_grad_fd(a, b)
             np.testing.assert_allclose(fd_mean, gm[0, 0], rtol=1e-4, atol=1e-6)
             np.testing.assert_allclose(fd_cov, gc[0, 0], rtol=1e-4, atol=1e-6)
@@ -290,11 +292,11 @@ class TestPairwise:
         rng = np.random.default_rng(43)
         da = [rand_gaussian(rng, 2) for _ in range(3)]
         db = [rand_gaussian(rng, 2) for _ in range(2)]
-        values, gms, gcs = pairwise_bures_grads(stack_rows(da), stack_rows(db))
+        values, gms, gcs = bures_grad_blocks(stack_rows(da), stack_rows(db))
         for i in range(3):
             for j in range(2):
                 assert values[i, j] == pytest.approx(pairwise_bures_sq(da[i], db[j])[0, 0], abs=1e-9)
-                _, gm, gc = pairwise_bures_grads(da[i], db[j])
+                _, gm, gc = bures_grad_blocks(da[i], db[j])
                 np.testing.assert_allclose(gms[i, j], gm[0, 0], atol=1e-9)
                 np.testing.assert_allclose(gcs[i, j], gc[0, 0], atol=1e-8)
 
@@ -303,7 +305,7 @@ class TestPairwise:
         # b is a: only i < j is decomposed; (j, i) is mirrored or inverted.
         rng = np.random.default_rng(47 + d)
         m = _random_moments(rng, 5, d)
-        values, gms, gcs = pairwise_bures_grads(m, m)
+        values, gms, gcs = bures_grad_blocks(m, m)
         sq = pairwise_bures_sq(m, m)
         for block in (values, sq):
             np.testing.assert_array_equal(block, block.T)
@@ -314,7 +316,7 @@ class TestPairwise:
             for j in range(5):
                 if i == j:
                     continue
-                v, gm, gc = pairwise_bures_grads(one_row(m, i), one_row(m, j))
+                v, gm, gc = bures_grad_blocks(one_row(m, i), one_row(m, j))
                 for got in (values[i, j], sq[i, j]):
                     np.testing.assert_allclose(got, v[0, 0], rtol=1e-10, atol=1e-10)
                 np.testing.assert_allclose(gms[i, j], gm[0, 0], rtol=1e-10, atol=1e-10)
@@ -337,7 +339,7 @@ class TestPairwise:
             angle = rng.uniform(0.0, np.pi)
             m = Moments(np.zeros((2, 2)), [thin(angle, 2e-14), thin(angle + 1e-9, 3e-14)])
             try:
-                blocks = pairwise_bures_grads(m, m)
+                blocks = bures_grad_blocks(m, m)
             except NumericError:
                 continue
             assert all(np.isfinite(b).all() for b in blocks)
@@ -358,7 +360,7 @@ class TestBuresOracles:
         # tr((S_a^1/2 S_b S_a^1/2)^1/2) is the nuclear norm of S_a^1/2 S_b^1/2.
         rng = np.random.default_rng(100 + d)
         a, b = _random_moments(rng, 4, d), _random_moments(rng, 3, d)
-        for block in (pairwise_bures_sq(a, b), pairwise_bures_grads(a, b)[0]):
+        for block in (pairwise_bures_sq(a, b), bures_grad_blocks(a, b)[0]):
             assert block.shape == (4, 3)
             for i in range(4):
                 for j in range(3):
@@ -376,7 +378,7 @@ class TestBuresOracles:
         # I - grad_cov is the Gaussian OT map: symmetric PD with T S_a T = S_b.
         rng = np.random.default_rng(200 + d)
         a, b = _random_moments(rng, 3, d), _random_moments(rng, 4, d)
-        values, gms, gcs = pairwise_bures_grads(a, b)
+        values, gms, gcs = bures_grad_blocks(a, b)
         assert values.shape == (3, 4)
         assert gms.shape == (3, 4, d) and gcs.shape == (3, 4, d, d)
         for i in range(3):
@@ -388,6 +390,41 @@ class TestBuresOracles:
                 np.testing.assert_array_equal(t, t.T)
                 assert np.linalg.eigvalsh(t).min() > 0.0
                 assert rel_err(t @ a.covs[i] @ t, b.covs[j]) < 1e-10
+
+
+class TestBuresPullback:
+    """The pullback of a dense mass against central differences of the
+    mass-weighted values, an oracle apart from the kernels' gradient code."""
+
+    @pytest.mark.parametrize("same", [False, True], ids=["cross", "self"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_central_differences(self, d, same):
+        rng = np.random.default_rng(400 + d + 10 * same)
+        a = _random_moments(rng, 4, d)
+        b = a if same else _random_moments(rng, 3, d)
+        mass = rng.uniform(0.1, 1.0, (len(a), len(b)))
+        if same:
+            mass = 0.5 * (mass + mass.T)
+
+        def objective(means, covs):
+            moved = Moments(means, 0.5 * (covs + covs.swapaxes(-1, -2)))
+            return float(np.sum(mass * pairwise_bures_sq(moved, moved if same else b)))
+
+        fd_means = central_diff(lambda x: objective(x.reshape(a.means.shape), a.covs), a.means.ravel())
+        fd_covs = central_diff(lambda x: objective(a.means, x.reshape(a.covs.shape)), a.covs.ravel())
+        d_means, d_covs = pairwise_bures_grads(a, b)[1](mass)
+        # Moving a self-block moves both arguments; the values and the mass
+        # being symmetric, that doubles the first argument's gradient.
+        scale = 2.0 if same else 1.0
+        assert rel_err(scale * d_means, fd_means.reshape(a.means.shape)) < 1e-6
+        assert rel_err(scale * d_covs, fd_covs.reshape(a.covs.shape)) < 1e-6
+
+    def test_mass_of_another_shape_rejected(self):
+        rng = np.random.default_rng(410)
+        a, b = _random_moments(rng, 4, 2), _random_moments(rng, 3, 2)
+        _, pullback = pairwise_bures_grads(a, b)
+        with pytest.raises(DimensionMismatchError):
+            pullback(np.ones((3, 4)))
 
 
 def _rotation(angle):
@@ -437,8 +474,8 @@ class TestBures2D:
         b = a if q is None else _well_conditioned(rng, q)
         a3 = _embed_3d(a)
         b3 = a3 if q is None else _embed_3d(b)
-        values, gms, gcs = pairwise_bures_grads(a, b)
-        values3, gms3, gcs3 = pairwise_bures_grads(a3, b3)
+        values, gms, gcs = bures_grad_blocks(a, b)
+        values3, gms3, gcs3 = bures_grad_blocks(a3, b3)
         for got, want in [
             (values, values3),
             (pairwise_bures_sq(a, b), pairwise_bures_sq(a3, b3)),
@@ -463,7 +500,7 @@ class TestBures2D:
         rng = np.random.default_rng(int(np.log10(cond)))
         a = Moments(rng.standard_normal((4, 2)), _conditioned_covs(rng, 4, cond, cond))
         b = Moments(rng.standard_normal((3, 2)), _conditioned_covs(rng, 3, cond, cond))
-        values, _, gcs = pairwise_bures_grads(a, b)
+        values, _, gcs = bures_grad_blocks(a, b)
         sq = pairwise_bures_sq(a, b)
         for i in range(4):
             for j in range(3):
@@ -480,10 +517,11 @@ class TestBures2D:
 
     def test_singularity_threshold_rotated(self):
         # The threshold of test_singularity_threshold_is_relative on
-        # covariances that are not diagonal, alone and in a self-block.
+        # covariances that are not diagonal, alone and in a self-block. The
+        # kernel call raises, before any pullback.
         r = _rotation(0.3)
         b = Moments(np.ones((1, 2)), [np.eye(2)])
-        pairwise_bures_grads(Moments(np.zeros((1, 2)), [r @ np.diag([2.0, 1e-12]) @ r.T]), b)
+        bures_grad_blocks(Moments(np.zeros((1, 2)), [r @ np.diag([2.0, 1e-12]) @ r.T]), b)
         for bad in (r @ np.diag([2.0, 1e-14]) @ r.T, np.zeros((2, 2)), -np.eye(2)):
             m = Moments(np.zeros((2, 2)), [np.eye(2), bad])
             with pytest.raises(NumericError):
@@ -504,7 +542,7 @@ class TestBures2D:
             covs[0, 0, 1] = 0.5
             first = Moments(np.zeros((2, d)), covs)
             second = Moments(np.ones((1, d)), [np.eye(d)])
-            for kernel in (pairwise_bures_sq, pairwise_bures_grads):
+            for kernel in (pairwise_bures_sq, bures_grad_blocks):
                 for other in (second, first):
                     with pytest.raises(NumericError, match="not symmetric"):
                         kernel(first, other)
@@ -516,12 +554,12 @@ class TestBures2D:
         a = _well_conditioned(np.random.default_rng(61), 3)
         rounded = Moments(np.ones((1, 2)), [[[1.0, y], [y, 1.0]]])
         exact = Moments(np.ones((1, 2)), [np.ones((2, 2))])
-        got, want = pairwise_bures_grads(a, rounded), pairwise_bures_grads(a, exact)
+        got, want = bures_grad_blocks(a, rounded), bures_grad_blocks(a, exact)
         for g, w in zip(got, want):
             assert np.isfinite(g).all()
             assert rel_err(g, w) < 1e-12
         np.testing.assert_array_equal(pairwise_bures_sq(a, rounded), got[0])
         zero = Moments(np.ones((1, 2)), [np.zeros((2, 2))])
-        values, _, gcs = pairwise_bures_grads(a, zero)
+        values, _, gcs = bures_grad_blocks(a, zero)
         np.testing.assert_allclose(values[:, 0], np.sum((a.means - 1.0) ** 2, axis=1) + a.covs.trace(0, 1, 2))
         np.testing.assert_array_equal(gcs[:, 0], np.broadcast_to(np.eye(2), (3, 2, 2)))

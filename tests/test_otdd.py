@@ -369,6 +369,21 @@ class TestOtddGrads:
             analytic = float(np.sum(grads.d_covs[i] * v)) * p_i
             assert abs(fd - analytic) / max(abs(fd), 1e-6) < 1e-3
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_zero_weight_particle_raises_before_any_solve(self, mode):
+        # Its per-unit-mass gradient is 0/0; a distance takes it.
+        rng = np.random.default_rng(17)
+        a, b = rand_state(rng, 8, 2, 2), rand_state(rng, 9, 2, 2)
+        a.weights[3], a.weights[4] = 0.0, a.weights[3] + a.weights[4]
+        src = a.decoupled() if mode == MODE_JD_VL else a
+        divergence = Divergence(b)
+        with pytest.raises(NumericError, match="particle 3 "):
+            divergence.value_and_grads(src, mode)
+        assert not divergence._buffers
+        value, plan = divergence.solve(src)
+        assert np.isfinite(value) and not plan.plan[3].any()
+        assert np.isfinite(otdd(src, b)[0])
+
     def test_grads_finite_for_floored_covs(self):
         state = DatasetState.from_features([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 3, [0] * 3 + [1] * 3)
         other = DatasetState.from_features([[2.0, 0.0]] * 3 + [[3.0, 1.0]] * 3, [0] * 3 + [1] * 3)
@@ -580,6 +595,23 @@ class TestOwnedBuffers:
         finally:
             tracemalloc.stop()
         assert peak <= 2.25 * 8 * max(n, m) ** 2
+
+    def test_warm_jdvl_step_holds_no_per_pair_gradient(self):
+        # The Bures gradients go through pullbacks of the (n, n) and (n, m)
+        # coupling masses; per-pair gradient blocks of both, and their
+        # temporaries, took the peak of this step to about 15 n x n arrays.
+        n = 300
+        rng = np.random.default_rng(33)
+        src, dst = rand_state(rng, n, 3, 2).decoupled(), rand_state(rng, n, 4, 2)
+        divergence = Divergence(dst)
+        divergence.value_and_grads(src, MODE_JD_VL)
+        tracemalloc.start()
+        try:
+            divergence.value_and_grads(src, MODE_JD_VL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 8 * n**2
 
     @pytest.mark.parametrize("call", OUT_CALLS.values(), ids=OUT_CALLS.keys())
     def test_out_receives_the_same_result(self, call):
