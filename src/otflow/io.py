@@ -32,6 +32,10 @@ def load_dataset(
     idx: MNIST-family binary images at ``path`` plus labels at
          ``labels_path``; pixels are flattened, scaled to [0, 1], optionally
          strided down by ``downscale`` and capped per class, each >= 1.
+
+    A file without data (no rows, no images), a row whose field count is
+    not the header's, a field that does not parse and a non-finite feature
+    are each a ParseError, naming the line where there is one.
     """
     if format == "csv":
         if labels_path is not None or downscale != 1 or per_class_cap is not None:
@@ -74,6 +78,8 @@ def _load_csv(path) -> DatasetState:
     for ln, row in enumerate(rows[1:], start=2):
         if not row:
             continue
+        if len(row) != len(header):
+            raise ParseError(path, f"row has {len(row)} fields, header {len(header)}", line=ln)
         try:
             feats.append([float(row[i]) for i in feat_cols])
             labels.append(int(row[label_col]))
@@ -115,6 +121,8 @@ def _load_idx(images_path, labels_path, downscale: int, per_class_cap):
     img_data, lbl_data = _read(images_path, binary=True), _read(labels_path, binary=True)
 
     (n, rows, cols), off = _read_idx_header(img_data, images_path, 2051, 3)
+    if n == 0:
+        raise ParseError(images_path, "no images")
     if len(img_data) - off < n * rows * cols:
         raise ParseError(images_path, f"truncated idx payload (offset {len(img_data)})")
     images = np.frombuffer(img_data, dtype=np.uint8, count=n * rows * cols, offset=off)
@@ -169,16 +177,17 @@ def write_trajectory(trajectory, path):
 
 
 def read_trajectory(path) -> list:
-    """Parse a trajectory file line by line; a truncated trailing line is
-    dropped and every complete record is returned."""
+    """Parse a trajectory file line by line and return every record. A last
+    line that does not parse is a truncated write and is dropped; any other
+    that does not is a ParseError naming its line."""
+    lines = [(k, line) for k, line in enumerate(_read(path).splitlines(), start=1) if line.strip()]
     records = []
-    for line in _read(path).splitlines():
-        if not line.strip():
-            continue
+    for k, line in lines:
         try:
             records.append(json.loads(line))
-        except json.JSONDecodeError:
-            break
+        except json.JSONDecodeError as exc:
+            if k < lines[-1][0]:
+                raise ParseError(path, f"corrupt record: {exc.msg}", line=k) from exc
     return records
 
 

@@ -99,8 +99,8 @@ class DatasetState:
         if not np.all(np.isfinite(self.features)):
             raise NumericError("features contain non-finite entries")
         validate_weights(self.weights)
-        if self.labels.shape != (self.n,) or self.block.shape != (self.n,):
-            raise DimensionMismatchError("labels or block misaligned with features")
+        if any(x.shape != (self.n,) for x in (self.labels, self.weights, self.block)):
+            raise DimensionMismatchError("labels, weights or block misaligned with features")
         if self.block.min() < 0 or self.block.max() >= len(self.label_dists):
             raise DimensionMismatchError("block indexes a missing moment row")
 
@@ -331,8 +331,8 @@ class Divergence:
         None, its kernel having shared plan_ab's buffer. bures_ab and
         bures_aa are the ``pairwise_bures_grads`` (values, pullback) pairs
         the label costs were built from in jd-fl and jd-vl; each part that
-        was not built (fd, no debias) is None. A cost view is dropped before
-        the next cost is built, so a buffer that grows is never held twice."""
+        was not built (fd, no debias) is None. Each cost is built right
+        before its one use, so a buffer that grows is never held twice."""
         dst = self.target
         if dst is not self._target:
             self.reset()
@@ -341,15 +341,12 @@ class Divergence:
         bures_ab = pairwise_bures_grads(src.label_dists, dst.label_dists) if grads else None
         # Both builds of the cross cost take this one label block.
         label_ab = bures_ab[0] if grads else pairwise_bures_sq(src.label_dists, dst.label_dists)
-        cost_ab = None
         if self._reg is None:
-            cost_ab = self._cost(src, dst, label_ab)
-            self._reg = default_reg(cost_ab)
+            self._reg = default_reg(self._cost(src, dst, label_ab))
         if self._warm_ab is not None and self._warm_ab[0].shape[0] != src.n:
             self._warm_ab = self._warm_aa = None
         self_sq, plan_aa, bures_aa = 0.0, None, None
         if self.debias:
-            cost_ab = None  # the self-terms' costs take its buffer
             if self._bb_soft is None:
                 self._bb_soft = self._self_plan(dst, None, None, "kernel").soft_cost
             bures_aa = pairwise_bures_grads(src.label_dists, src.label_dists) if grads else None
@@ -361,8 +358,7 @@ class Divergence:
             self_sq = 0.5 * (plan_aa.soft_cost + self._bb_soft)
             if mode is None:
                 plan_aa = None  # its buffer takes the cross plan
-        if cost_ab is None:
-            cost_ab = self._cost(src, dst, label_ab)
+        cost_ab = self._cost(src, dst, label_ab)
         plan_ab = sinkhorn(
             cost_ab, src.weights, dst.weights, self._reg, self.max_iter, self.tol,
             init=self._warm_ab, out=self._buffer("kernel", cost_ab.shape),
@@ -397,20 +393,12 @@ def _row_masses(plan: np.ndarray, row_idx: np.ndarray, col_idx: np.ndarray, p: i
     return np.bincount(pair, weights=plan.ravel(), minlength=p * q).reshape(p, q)
 
 
-def _feature_grad(plan_ab, src, dst, plan_aa=None):
-    """d(value)/dx from the coupling(s), squared-Euclidean feature metric."""
-    g = _envelope_grad(plan_ab.plan, src.features, dst.features)
-    if plan_aa is not None:
-        sym = 0.5 * (plan_aa.plan + plan_aa.plan.T)
-        g -= _envelope_grad(sym, src.features, src.features)
-    return g
-
-
 def _assemble_grads(src, dst, plan_ab, plan_aa, bures_ab, bures_aa) -> FlowGradients:
     """Chain the coupling through feature and Bures gradients.
 
     ``plan_aa`` is the source self-coupling of the debiased divergence, or
-    None for the raw entropic value. ``bures_ab`` and ``bures_aa`` are the
+    None for the raw entropic value; both gradients read it symmetrized,
+    made once. ``bures_ab`` and ``bures_aa`` are the
     ``pairwise_bures_grads`` (values, pullback) pairs that ``Divergence``
     built the matching costs from; each coupling, summed onto moment-row
     pairs, goes through its pullback. ``bures_ab`` is None in fd, where
@@ -418,15 +406,18 @@ def _assemble_grads(src, dst, plan_ab, plan_aa, bures_ab, bures_aa) -> FlowGradi
     convention of FlowGradients: each moment row is divided by the mass of
     the particles that share it.
     """
-    d_feat = _feature_grad(plan_ab, src, dst, plan_aa) / src.weights[:, None]
+    d_feat = _envelope_grad(plan_ab.plan, src.features, dst.features)
+    if plan_aa is not None:
+        sym_aa = 0.5 * (plan_aa.plan + plan_aa.plan.T)
+        d_feat -= _envelope_grad(sym_aa, src.features, src.features)
+    d_feat /= src.weights[:, None]
     if bures_ab is None:
         return FlowGradients(d_feat)
 
     p, q = len(src.label_dists), len(dst.label_dists)
     d_mean, d_cov = bures_ab[1](_row_masses(plan_ab.plan, src.block, dst.block, p, q))
     if plan_aa is not None:
-        mass_aa = _row_masses(plan_aa.plan, src.block, src.block, p, p)
-        self_mean, self_cov = bures_aa[1](0.5 * (mass_aa + mass_aa.T))
+        self_mean, self_cov = bures_aa[1](_row_masses(sym_aa, src.block, src.block, p, p))
         d_mean, d_cov = d_mean - self_mean, d_cov - self_cov
 
     row_mass = np.bincount(src.block, weights=src.weights, minlength=p)

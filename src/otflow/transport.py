@@ -368,40 +368,24 @@ class _Newton:
         return u + delta
 
 
-def _fixed_point(step, u, max_iter: int, tol: float, accel=None, newton=None):
+def _fixed_point(step, u, max_iter: int, tol: float, candidates=None):
     """Iterate ``step`` from u until the violation it reports is within ``tol``.
 
     ``step(u)`` returns (next u, the matching right potential, violation at
-    u). Each call is one round. With ``accel`` an Anderson candidate is
-    tried between plain rounds and kept only if its true violation is
-    lower. A candidate farther than LOG_BOUND from the plain round, or
-    non-finite, is not tried: out there its violation is no longer a
-    faithful measure. With ``newton``, from round NEWTON_AFTER on, its
-    candidate at (u, right potential) is tried the same way before each
-    Anderson or plain round. A NaN violation never counts as converged.
-    Returns (u, right potential, violation, rounds); raises
-    SinkhornConvergenceError when ``max_iter`` rounds do not reach ``tol``;
-    the cap is checked before every round, so no solve runs more. A
-    ``max_iter`` below 1, or a ``tol`` that is NaN or negative, raises
-    NumericError before the first round.
+    u). Each call is one round. After a round, ``candidates(u, next u,
+    right potential, rounds so far)`` yields the points to try, the plain
+    round ``next u`` last; without it only that one. The cap is checked
+    before each, and the first whose violation is lower is kept, the plain
+    round always. A NaN violation never counts as converged. Returns (u,
+    right potential, violation, rounds); raises SinkhornConvergenceError
+    when ``max_iter`` rounds do not reach ``tol``. A ``max_iter`` below 1,
+    or a ``tol`` that is NaN or negative, raises NumericError before the
+    first round.
     """
     if not max_iter >= 1:
         raise NumericError(f"max_iter must be >= 1 (got {max_iter!r})")
     if not tol >= 0:
         raise NumericError(f"tol must be nonnegative (got {tol!r})")
-
-    def take(cand) -> bool:
-        """Run the round at ``cand``; keep it if its violation is lower."""
-        nonlocal u, nxt, right, err, it
-        c_nxt, c_right, e_cand = step(cand)
-        it += 1
-        if e_cand < err:
-            u, nxt, right, err = cand, c_nxt, c_right, e_cand
-            return True
-        if it >= max_iter:  # no round left for the plain step
-            raise SinkhornConvergenceError(err, it)
-        return False
-
     # One errstate for the whole loop: a violation may overflow or meet
     # 0 * inf on a zero-weight atom, and a zero absorbed sum logs to -inf;
     # each is then caught by a comparison, not by a warning.
@@ -409,18 +393,14 @@ def _fixed_point(step, u, max_iter: int, tol: float, accel=None, newton=None):
         nxt, right, err = step(u)
         it = 1
         while not err <= tol:
-            if it >= max_iter:
-                raise SinkhornConvergenceError(err, it)
-            if newton is not None and it >= NEWTON_AFTER:
-                cand = newton.candidate(u, right)
-                if cand is not None and take(cand):
-                    continue
-            cand = None if accel is None else accel.push(u, nxt)
-            if cand is not None and np.abs(cand - nxt).max() < LOG_BOUND and take(cand):
-                continue
-            u = nxt
-            nxt, right, err = step(u)
-            it += 1
+            for cand in (nxt,) if candidates is None else candidates(u, nxt, right, it):
+                if it >= max_iter:
+                    raise SinkhornConvergenceError(err, it)
+                c_nxt, c_right, c_err = step(cand)
+                it += 1
+                if c_err < err or cand is nxt:
+                    u, nxt, right, err = cand, c_nxt, c_right, c_err
+                    break
     return u, right, err, it
 
 
@@ -439,24 +419,27 @@ def sinkhorn(
     Alternates exact row/column scalings on the dual potentials (f, g) with
     plan(f, g) = exp((f + g - C)/reg) * (a x b). Column marginals are exact
     by construction; convergence is declared when the L1 violation of the
-    row marginals drops below ``tol``. Anderson extrapolation over the dual
-    fixed point (safeguarded by the true violation, so the stopping metric
-    is never fooled) cuts through the slowly decaying tail that plain
-    alternation hits at small reg or on nearly symmetric instances. A
-    candidate farther than LOG_BOUND from the plain round is not tried.
+    row marginals drops below ``tol``.
 
-    A warm-started solve that is still short of ``tol`` after NEWTON_AFTER
-    rounds also tries one Newton step on u, with v eliminated (see
-    ``_Newton``), before each Anderson or plain round. Its candidate costs
-    one round and is kept only if its true violation is lower; near the
-    solution it converges quadratically, where the tail of the alternation
-    takes dozens of rounds. A dense step costs about 10 rounds at 120 x 150
-    but about 65 at 800 x 800, and converges only locally; so cold solves
-    never take it, and short warm solves end before the gate, with the
-    rounds and plan they had without it. ``plan.newton_steps`` counts the
-    Newton candidates tried. ``sinkhorn_symmetric`` has no Newton phase:
-    its round is one matrix-vector product, so a dense step costs 15 or
-    more of its rounds, as many as a whole warm self-solve takes.
+    After each round, ``_fixed_point`` tries up to three candidates in
+    turn, each costing one round, and keeps the first whose true violation
+    is lower, the plain round always, so the stopping metric is never
+    fooled. First, in a warm-started solve still short of ``tol`` after
+    NEWTON_AFTER rounds, one Newton step on u with v eliminated (see
+    ``_Newton``): near the solution it converges quadratically, where the
+    tail of the alternation takes dozens of rounds. A dense step costs
+    about 10 rounds at 120 x 150 but about 65 at 800 x 800, and converges
+    only locally; so cold solves never take it, and short warm solves end
+    before the gate, with the rounds and plan they had without it.
+    ``plan.newton_steps`` counts the Newton candidates tried. Then, unless
+    the Newton step was kept, the round enters Anderson's history, whose
+    extrapolant cuts through the slowly decaying tail that plain
+    alternation hits at small reg or on nearly symmetric instances; one
+    farther than LOG_BOUND from the plain round, or not finite, is not
+    tried, as out there its violation is no longer a faithful measure.
+    Last, the plain round. ``sinkhorn_symmetric`` tries only the plain
+    round: it is one matrix-vector product, so a dense Newton step costs
+    15 or more of them, as many as a whole warm self-solve takes.
 
     A round is two matrix-vector products with the kernel absorbed at
     reference potentials, K~ = exp((ru (+) rv) - C/reg), on the scalings
@@ -491,7 +474,20 @@ def sinkhorn(
     u = frame.start(None if init is None else init[0])
     u -= u.mean()
     newton = None if init is None else _Newton(frame)
-    u, v, err, it = _fixed_point(full_round, u, max_iter, tol, _Anderson(u.shape[0]), newton)
+    accel = _Anderson(u.shape[0])
+
+    def candidates(u, tu, v, it):
+        """Newton's step, Anderson's extrapolant, then the plain round."""
+        if newton is not None and it >= NEWTON_AFTER:
+            cand = newton.candidate(u, v)
+            if cand is not None:
+                yield cand
+        cand = accel.push(u, tu)
+        if cand is not None and np.abs(cand - tu).max() < LOG_BOUND:
+            yield cand
+        yield tu
+
+    u, v, err, it = _fixed_point(full_round, u, max_iter, tol, candidates)
     return frame.plan(u, v, err, it, 0 if newton is None else newton.steps)
 
 

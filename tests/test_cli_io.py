@@ -75,6 +75,16 @@ class TestCsv:
             load_dataset(path)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("row", ["3,4,1,99,100", "3,4,1,", "3,4"], ids=["long", "trailing-comma", "short"])
+    def test_row_of_another_width_exits_4_naming_line(self, tmp_path, capsys, row):
+        save_dataset(generate(GeneratorSpec(n=10, k=2, seed=0)), tmp_path / "a.csv")
+        bad = tmp_path / "b.csv"
+        bad.write_text(f"f0,f1,label\n0.5,1.5,0\n{row}\n1.0,2.0,1\n")
+        with pytest.raises(ParseError) as exc:
+            load_dataset(bad)
+        assert exc.value.line == 3
+        assert main(["distance", str(tmp_path / "a.csv"), str(bad)]) == 4
+        assert f"{bad}:3:" in capsys.readouterr().err
 
     def test_columns_read_by_name_in_any_order(self, tmp_path, capsys):
         state = generate(GeneratorSpec(n=20, k=2, seed=3))
@@ -171,6 +181,17 @@ class TestIdx:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_pair_exits_4(self, tmp_path, capsys):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((0, 4, 4)), np.zeros(0))
+        with pytest.raises(ParseError, match="no images") as info:
+            load_dataset(img, format="idx", labels_path=lbl)
+        assert info.value.path == img
+        entry = {"path": str(img), "format": "idx", "labels_path": str(lbl)}
+        cfg_path, _ = minimal_config(tmp_path, source=entry)
+        assert main(["run", str(cfg_path)]) == 4
+        assert f"{img}: no images" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_magic(self, tmp_path):
         img = tmp_path / "junk.idx"
         img.write_bytes(struct.pack(">iiii", 1234, 1, 2, 2) + b"\x00" * 4)
@@ -209,6 +230,19 @@ class TestTrajectoryFile:
         path.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2])
         records = read_trajectory(path)
         assert len(records) == len(lines) - 1
+
+    def test_corrupt_inner_line_exits_4_naming_it(self, tmp_path, capsys):
+        out = self.run_small(tmp_path, steps=2)
+        path = out / "trajectory.jsonl"
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+        lines[1] = lines[1][: len(lines[1]) // 2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_trajectory(path)
+        assert exc.value.line == 2
+        assert main(["plot", str(path)]) == 4
+        assert f"{path}:2: corrupt record" in capsys.readouterr().err
 
     def test_round_trip_features_exact(self, tmp_path):
         out = self.run_small(tmp_path, steps=3)

@@ -86,6 +86,14 @@ class TestRunFlow:
         assert [s.step for s in traj.snapshots] == [0, 1]
         assert len(traj.objective_trace) == 2
 
+    def test_weights_of_another_length_fail_validation(self):
+        rng = np.random.default_rng(4)
+        state = rand_state(rng, 10, 2, 2)
+        state.weights = np.full(11, 1.0 / 11)
+        config = FlowConfig(functional=quadratic_spec(), optimizer=sgd(0.1), steps=1)
+        with pytest.raises(DimensionMismatchError):
+            run_flow(state, config)
+
     def test_records_first_and_last(self):
         rng = np.random.default_rng(5)
         state = rand_state(rng, 6, 2, 2)

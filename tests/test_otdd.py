@@ -64,6 +64,13 @@ class TestDatasetState:
         assert state.n == 3 and state.dim == 2
         state.validate()
 
+    def test_weights_of_another_length(self):
+        # 11 weights summing to 1 for 10 particles: misaligned, not a matmul error later.
+        x = np.random.default_rng(0).normal(size=(10, 2))
+        state = DatasetState.from_features(x, np.arange(10) % 2, np.full(11, 1.0 / 11))
+        with pytest.raises(DimensionMismatchError, match="weights"):
+            state.validate()
+
     def test_decoupled_aligns_per_particle(self):
         rng = np.random.default_rng(1)
         state = rand_state(rng, 8, 2, 2)
