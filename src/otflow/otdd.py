@@ -331,8 +331,8 @@ class Divergence:
         None, its kernel having shared plan_ab's buffer. bures_ab and
         bures_aa are the ``pairwise_bures_grads`` (values, pullback) pairs
         the label costs were built from in jd-fl and jd-vl; each part that
-        was not built (fd, no debias) is None. Each cost is built right
-        before its one use, so a buffer that grows is never held twice."""
+        was not built (fd, no debias) is None. The self-terms' costs reuse
+        the cross cost's buffer, so a growing buffer is never held twice."""
         dst = self.target
         if dst is not self._target:
             self.reset()
@@ -341,8 +341,9 @@ class Divergence:
         bures_ab = pairwise_bures_grads(src.label_dists, dst.label_dists) if grads else None
         # Both builds of the cross cost take this one label block.
         label_ab = bures_ab[0] if grads else pairwise_bures_sq(src.label_dists, dst.label_dists)
+        cost_ab = None if self.debias else self._cost(src, dst, label_ab)
         if self._reg is None:
-            self._reg = default_reg(self._cost(src, dst, label_ab))
+            self._reg = default_reg(self._cost(src, dst, label_ab) if cost_ab is None else cost_ab)
         if self._warm_ab is not None and self._warm_ab[0].shape[0] != src.n:
             self._warm_ab = self._warm_aa = None
         self_sq, plan_aa, bures_aa = 0.0, None, None
@@ -358,7 +359,7 @@ class Divergence:
             self_sq = 0.5 * (plan_aa.soft_cost + self._bb_soft)
             if mode is None:
                 plan_aa = None  # its buffer takes the cross plan
-        cost_ab = self._cost(src, dst, label_ab)
+        cost_ab = self._cost(src, dst, label_ab) if cost_ab is None else cost_ab
         plan_ab = sinkhorn(
             cost_ab, src.weights, dst.weights, self._reg, self.max_iter, self.tol,
             init=self._warm_ab, out=self._buffer("kernel", cost_ab.shape),

@@ -368,19 +368,17 @@ class _Newton:
         return u + delta
 
 
-def _fixed_point(step, u, max_iter: int, tol: float, candidates=None):
+def _fixed_point(step, u, max_iter: int, tol: float, extras=None):
     """Iterate ``step`` from u until the violation it reports is within ``tol``.
 
     ``step(u)`` returns (next u, the matching right potential, violation at
-    u). Each call is one round. After a round, ``candidates(u, next u,
-    right potential, rounds so far)`` yields the points to try, the plain
-    round ``next u`` last; without it only that one. The cap is checked
-    before each, and the first whose violation is lower is kept, the plain
-    round always. A NaN violation never counts as converged. Returns (u,
-    right potential, violation, rounds); raises SinkhornConvergenceError
-    when ``max_iter`` rounds do not reach ``tol``. A ``max_iter`` below 1,
-    or a ``tol`` that is NaN or negative, raises NumericError before the
-    first round.
+    u). Each call is one round. After a round, the points ``extras(u, next
+    u, right potential, rounds so far)`` yields are tried in turn; the first
+    whose violation is lower is kept, or else the plain round ``next u``.
+    The cap is checked before each try; a NaN violation never converges.
+    Returns (u, right potential, violation, rounds). Raises NumericError for
+    a ``max_iter`` below 1 or a ``tol`` that is NaN or negative, and
+    SinkhornConvergenceError when ``max_iter`` rounds do not reach ``tol``.
     """
     if not max_iter >= 1:
         raise NumericError(f"max_iter must be >= 1 (got {max_iter!r})")
@@ -393,14 +391,20 @@ def _fixed_point(step, u, max_iter: int, tol: float, candidates=None):
         nxt, right, err = step(u)
         it = 1
         while not err <= tol:
-            for cand in (nxt,) if candidates is None else candidates(u, nxt, right, it):
-                if it >= max_iter:
-                    raise SinkhornConvergenceError(err, it)
+            if it >= max_iter:
+                raise SinkhornConvergenceError(err, it)
+            for cand in () if extras is None else extras(u, nxt, right, it):
                 c_nxt, c_right, c_err = step(cand)
                 it += 1
-                if c_err < err or cand is nxt:
+                if c_err < err:
                     u, nxt, right, err = cand, c_nxt, c_right, c_err
                     break
+                if it >= max_iter:
+                    raise SinkhornConvergenceError(err, it)
+            else:
+                u = nxt
+                nxt, right, err = step(u)
+                it += 1
     return u, right, err, it
 
 
@@ -421,25 +425,24 @@ def sinkhorn(
     by construction; convergence is declared when the L1 violation of the
     row marginals drops below ``tol``.
 
-    After each round, ``_fixed_point`` tries up to three candidates in
-    turn, each costing one round, and keeps the first whose true violation
-    is lower, the plain round always, so the stopping metric is never
-    fooled. First, in a warm-started solve still short of ``tol`` after
-    NEWTON_AFTER rounds, one Newton step on u with v eliminated (see
-    ``_Newton``): near the solution it converges quadratically, where the
-    tail of the alternation takes dozens of rounds. A dense step costs
-    about 10 rounds at 120 x 150 but about 65 at 800 x 800, and converges
-    only locally; so cold solves never take it, and short warm solves end
-    before the gate, with the rounds and plan they had without it.
-    ``plan.newton_steps`` counts the Newton candidates tried. Then, unless
-    the Newton step was kept, the round enters Anderson's history, whose
-    extrapolant cuts through the slowly decaying tail that plain
-    alternation hits at small reg or on nearly symmetric instances; one
-    farther than LOG_BOUND from the plain round, or not finite, is not
-    tried, as out there its violation is no longer a faithful measure.
-    Last, the plain round. ``sinkhorn_symmetric`` tries only the plain
-    round: it is one matrix-vector product, so a dense Newton step costs
-    15 or more of them, as many as a whole warm self-solve takes.
+    After each round, ``_fixed_point`` tries up to two extra points, each
+    costing one round, and keeps the first whose true violation is lower,
+    or else the plain round, so the stopping metric is never fooled. First,
+    in a warm-started solve still short of ``tol`` after NEWTON_AFTER
+    rounds, one Newton step on u with v eliminated (see ``_Newton``): near
+    the solution it converges quadratically, where the tail of the
+    alternation takes dozens of rounds. A dense step costs about 10 rounds
+    at 120 x 150 but about 65 at 800 x 800, and converges only locally; so
+    cold solves never take it, and short warm solves end before the gate,
+    with the rounds and plan they had without it. ``plan.newton_steps``
+    counts the Newton candidates tried. Then, unless the Newton step was
+    kept, the round enters Anderson's history, whose extrapolant cuts
+    through the slowly decaying tail that plain alternation hits at small
+    reg or on nearly symmetric instances; one farther than LOG_BOUND from
+    the plain round, or not finite, is not tried, as out there its
+    violation is no longer a faithful measure. ``sinkhorn_symmetric`` has
+    no extra points: its round is one matrix-vector product, so a dense
+    Newton step costs 15 or more of them, a whole warm self-solve.
 
     A round is two matrix-vector products with the kernel absorbed at
     reference potentials, K~ = exp((ru (+) rv) - C/reg), on the scalings
@@ -476,8 +479,8 @@ def sinkhorn(
     newton = None if init is None else _Newton(frame)
     accel = _Anderson(u.shape[0])
 
-    def candidates(u, tu, v, it):
-        """Newton's step, Anderson's extrapolant, then the plain round."""
+    def extras(u, tu, v, it):
+        """Newton's step, then Anderson's extrapolant."""
         if newton is not None and it >= NEWTON_AFTER:
             cand = newton.candidate(u, v)
             if cand is not None:
@@ -485,9 +488,8 @@ def sinkhorn(
         cand = accel.push(u, tu)
         if cand is not None and np.abs(cand - tu).max() < LOG_BOUND:
             yield cand
-        yield tu
 
-    u, v, err, it = _fixed_point(full_round, u, max_iter, tol, candidates)
+    u, v, err, it = _fixed_point(full_round, u, max_iter, tol, extras)
     return frame.plan(u, v, err, it, 0 if newton is None else newton.steps)
 
 

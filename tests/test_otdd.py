@@ -440,6 +440,32 @@ class TestOneSolvePath:
         bb = sinkhorn_symmetric(ground_cost_matrix(b, b), b.weights, *solver).soft_cost
         assert Divergence(b, reg=reg).solve(a)[0] == ab - 0.5 * (aa + bb)
 
+    @pytest.mark.parametrize("reg", [0.5, None])
+    @pytest.mark.parametrize("debias", [True, False])
+    def test_cost_builds_per_solve(self, monkeypatch, debias, reg):
+        # Without self-terms the one cross cost sets a None reg and feeds
+        # the plan. With them the self-costs take its buffer, so a first
+        # None reg costs one more cross build.
+        otdd_module = sys.modules["otflow.otdd"]
+        shapes = []
+        build = otdd_module.ground_cost_matrix
+
+        def counting(src, dst, *args):
+            shapes.append((src.n, dst.n))
+            return build(src, dst, *args)
+
+        monkeypatch.setattr(otdd_module, "ground_cost_matrix", counting)
+        a, b = self.pair()
+        divergence = Divergence(b, reg=reg, debias=debias)
+        for _ in range(2):
+            divergence.solve(a)
+        cross = [(a.n, b.n)]
+        if debias:
+            first = (cross if reg is None else []) + [(b.n, b.n), (a.n, a.n)] + cross
+            assert shapes == first + [(a.n, a.n)] + cross
+        else:
+            assert shapes == cross * 2
+
     def test_target_self_term_solved_once(self, monkeypatch):
         otdd_module = sys.modules["otflow.otdd"]
         sizes = []

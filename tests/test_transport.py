@@ -430,6 +430,37 @@ class TestSinkhorn:
         assert exc.value.iterations == 4
         assert np.isnan(exc.value.marginal_error)
 
+    @pytest.mark.parametrize("max_iter, expected", [(2, [1]), (3, [1, 1]), (4, [1, 1])])
+    def test_no_extra_point_is_drawn_without_a_round_for_it(self, max_iter, expected):
+        # A solve out of rounds raises before it computes another point:
+        # the generator is advanced only when a round is left to try it.
+        # Round 1, two rejected extras (rounds 2 and 3), the plain round 4;
+        # the cap stops the loop before a point it could not try is drawn.
+        drawn = []
+
+        def slow_round(u):
+            return u + 1.0, u, 1.0 / (1.0 + u[0])
+
+        def extras(u, nxt, right, it):
+            for k in range(2):
+                drawn.append(it)
+                yield u  # never better, so every one is rejected
+
+        with pytest.raises(SinkhornConvergenceError) as exc:
+            _fixed_point(slow_round, np.zeros(1), max_iter=max_iter, tol=1e-6, extras=extras)
+        assert exc.value.iterations == max_iter
+        assert drawn == expected
+
+    def test_empty_extras_run_the_plain_round(self):
+        def halving_round(u):
+            return 0.5 * u, u, float(np.abs(u).max())
+
+        u, _, err, it = _fixed_point(
+            halving_round, np.ones(1), max_iter=50, tol=1e-3, extras=lambda *_: iter(())
+        )
+        plain = _fixed_point(halving_round, np.ones(1), max_iter=50, tol=1e-3)
+        assert (u, err, it) == (plain[0], plain[2], plain[3])
+
 
 def warm_instance(seed, n=30, m=40):
     """A source-target problem and the duals of a nearby one, as a flow step
