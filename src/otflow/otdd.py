@@ -253,17 +253,18 @@ class Divergence:
     finite, ``tol`` positive and finite and ``max_iter`` at least 1, else
     construction raises NumericError.
 
-    The kernel-sized (n x m float64) arrays of the solves live in three
-    flat buffers that the Divergence owns, each grown to the largest shape
-    it has held and dropped by ``reset()``: ``cost`` takes every ground
-    cost, ``kernel`` the cross plan (and, in ``solve``, both self-terms'
-    kernels) and ``kernel_aa`` the source self-plan that
-    ``value_and_grads`` reads. So a flow step reuses its arrays, and a cold
-    ``solve`` holds two: it builds the cross cost for a None ``reg``, the
-    target self-term, the source self-term, then the cross cost again, and
-    solves the cross plan last. ``solve`` gives its ``kernel`` up with the
-    plan it returns, so a returned plan is never overwritten; ``plan.plan``
-    may be a view of a buffer sized for the largest square of the call.
+    The kernel-sized (n x m float64) arrays of the solves live in three flat
+    buffers that the Divergence owns, each grown to the largest shape it has
+    held and dropped by ``reset()``: ``cost`` takes every ground cost,
+    ``kernel`` the cross plan and the value-only self-terms' kernels (the
+    target's; the source's in ``solve``), ``kernel_aa`` the source self-plan
+    that ``value_and_grads`` reads. So a flow step reuses its arrays, and a
+    cold ``solve`` holds two: it builds the cross cost for a None ``reg``,
+    the target self-term, the source self-term, then the cross cost again,
+    and solves the cross plan last. ``solve`` gives its ``kernel`` up with
+    the plan it returns, so a returned plan is never overwritten;
+    ``plan.plan`` may be a view of a buffer sized for the largest square of
+    the call.
     """
 
     target: DatasetState
@@ -317,18 +318,19 @@ class Divergence:
     def _cost(self, src: DatasetState, dst: DatasetState, label_block) -> np.ndarray:
         return ground_cost_matrix(src, dst, label_block, self._buffer("cost", (src.n, dst.n)))
 
-    def _self_plan(self, state: DatasetState, label_block, init, kernel: str):
-        """The self-transport of ``state``, its plan in buffer ``kernel``."""
+    def _self_plan(self, state: DatasetState, label_block, init, kernel: str, plan: bool):
+        """The self-transport of ``state``, solved in buffer ``kernel``."""
         cost = self._cost(state, state, label_block)
         return sinkhorn_symmetric(
             cost, state.weights, self._reg, self.max_iter, self.tol,
-            init=init, out=self._buffer(kernel, cost.shape),
+            init=init, out=self._buffer(kernel, cost.shape), plan=plan,
         )
 
     def _solve(self, src: DatasetState, mode: str | None):
         """(value_sq, plan_ab, plan_aa, bures_ab, bures_aa) for
-        ``value_and_grads`` in ``mode``; with no mode (``solve``) plan_aa is
-        None, its kernel having shared plan_ab's buffer. bures_ab and
+        ``value_and_grads`` in ``mode``. Only plans that are read are
+        assembled: the target self-term, and with no mode (``solve``) the
+        source self-term plan_aa, are value-only solves. bures_ab and
         bures_aa are the ``pairwise_bures_grads`` (values, pullback) pairs
         the label costs were built from in jd-fl and jd-vl; each part that
         was not built (fd, no debias) is None. The self-terms' costs reuse
@@ -349,16 +351,14 @@ class Divergence:
         self_sq, plan_aa, bures_aa = 0.0, None, None
         if self.debias:
             if self._bb_soft is None:
-                self._bb_soft = self._self_plan(dst, None, None, "kernel").soft_cost
+                self._bb_soft = self._self_plan(dst, None, None, "kernel", False).soft_cost
             bures_aa = pairwise_bures_grads(src.label_dists, src.label_dists) if grads else None
             plan_aa = self._self_plan(
                 src, None if bures_aa is None else bures_aa[0], self._warm_aa,
-                "kernel" if mode is None else "kernel_aa",
+                "kernel" if mode is None else "kernel_aa", mode is not None,
             )
             self._warm_aa = plan_aa.dual_left
             self_sq = 0.5 * (plan_aa.soft_cost + self._bb_soft)
-            if mode is None:
-                plan_aa = None  # its buffer takes the cross plan
         cost_ab = self._cost(src, dst, label_ab) if cost_ab is None else cost_ab
         plan_ab = sinkhorn(
             cost_ab, src.weights, dst.weights, self._reg, self.max_iter, self.tol,
@@ -418,7 +418,8 @@ def _assemble_grads(src, dst, plan_ab, plan_aa, bures_ab, bures_aa) -> FlowGradi
     p, q = len(src.label_dists), len(dst.label_dists)
     d_mean, d_cov = bures_ab[1](_row_masses(plan_ab.plan, src.block, dst.block, p, q))
     if plan_aa is not None:
-        self_mean, self_cov = bures_aa[1](_row_masses(sym_aa, src.block, src.block, p, p))
+        masses = sym_aa if src.per_particle else _row_masses(sym_aa, src.block, src.block, p, p)
+        self_mean, self_cov = bures_aa[1](masses)
         d_mean, d_cov = d_mean - self_mean, d_cov - self_cov
 
     row_mass = np.bincount(src.block, weights=src.weights, minlength=p)

@@ -40,13 +40,14 @@ class TransportPlan:
     ``cost`` is the linear transport cost <plan, C>. ``soft_cost`` is the
     converged value of the entropic dual objective, whose derivative w.r.t.
     cost entries is exactly the plan (the envelope identity the gradient
-    routines rely on); for reg == 0 the two coincide.
+    routines rely on); for reg == 0 the two coincide. Both ``plan`` and
+    ``cost`` are None after a value-only ``sinkhorn_symmetric``.
     """
 
-    plan: np.ndarray        # (n, m), nonnegative
-    dual_left: np.ndarray   # (n,)
-    dual_right: np.ndarray  # (m,)
-    cost: float
+    plan: np.ndarray | None  # (n, m), nonnegative
+    dual_left: np.ndarray    # (n,)
+    dual_right: np.ndarray   # (m,)
+    cost: float | None
     reg: float
     soft_cost: float = field(default=0.0)
     marginal_error: float = field(default=0.0)
@@ -128,9 +129,9 @@ class _LogFrame:
     matrix-vector product of K~ with weighted scalings exp(u - ru) or
     exp(v - rv), plus O(n + m) exp and log work; ``_softmin`` rebuilds K~
     around the current potentials when the scalings drift too far. ``plan``
-    scales K~ in place into the coupling exp(u (+) v - C/reg) * (a x b)
-    and computes its linear and dual values. ``buf`` is the solver's
-    ``out`` when it has one.
+    takes the dual value from the potentials and, with ``assemble``, scales
+    K~ in place into the coupling exp(u (+) v - C/reg) * (a x b), else
+    leaves ``plan`` and ``cost`` None. ``buf`` is ``out`` if there is one.
     """
 
     def __init__(self, cost, a, b, reg: float, out=None):
@@ -188,17 +189,25 @@ class _LogFrame:
             right = np.exp(np.log(self.b) + v - self.ref[1])
         return left, right
 
-    def plan(self, u, v, err: float, it: int, newton_steps: int = 0) -> TransportPlan:
-        reg = self.reg
-        f = reg * u
-        g = reg * v
-        left, right = self.scalings(u, v)
-        plan = self.buf
-        plan *= left[:, None]
-        plan *= right
-        lin_cost = float(np.vdot(plan, self.cost))
-        soft = float(f @ self.a + g @ self.b - reg * (plan.sum() - 1.0))
-        return TransportPlan(plan, f, g, lin_cost, reg, soft, err, it, newton_steps)
+    def violation(self, u, t) -> float:
+        """``_violation`` at (u, t), keeping t, the row update of u, for ``plan``."""
+        self.t = t
+        return _violation(self.a, self.live, u, t)
+
+    def plan(self, u, v, err: float, it: int, newton_steps=0, assemble=True) -> TransportPlan:
+        f, g = self.reg * u, self.reg * v
+        live = slice(None) if self.live is None else self.live
+        # The plan's mass: its row sums at u, where the last ``violation`` was taken.
+        mass = self.a[live] @ np.exp((u - self.t)[live])
+        soft = float(f @ self.a + g @ self.b - self.reg * (mass - 1.0))
+        result = TransportPlan(None, f, g, None, self.reg, soft, err, it, newton_steps)
+        if assemble:
+            left, right = self.scalings(u, v)
+            plan = self.buf
+            plan *= left[:, None]
+            plan *= right
+            result.plan, result.cost = plan, float(np.vdot(plan, self.cost))
+        return result
 
 
 def _softmin(cost, reg: float, shift, axis: int, buf, w):
@@ -215,11 +224,14 @@ def _softmin(cost, reg: float, shift, axis: int, buf, w):
     so only that atom's own potential becomes approximate.
     """
     np.divide(cost, -reg, out=buf)
-    np.add(buf, shift[:, None] if axis == 0 else shift, out=buf)
+    if shift.any():  # a cold start's zero shift would add nothing
+        np.add(buf, shift[:, None] if axis == 0 else shift, out=buf)
     live = (w > 0)[:, None] if axis == 0 else w > 0
-    mx = buf.max(axis=axis, where=live, initial=-np.inf)
+    masked = not live.all()
+    mx = buf.max(axis=axis, where=live if masked else True, initial=-np.inf)
     np.subtract(buf, mx if axis == 0 else mx[:, None], out=buf)
-    np.minimum(buf, 0.0, out=buf)
+    if masked:  # else no entry exceeds 0 already
+        np.minimum(buf, 0.0, out=buf)
     np.exp(buf, out=buf)
     s = w @ buf if axis == 0 else buf @ w
     return -mx, -mx - np.log(s)
@@ -472,7 +484,7 @@ def sinkhorn(
         """One column scaling followed by one row scaling."""
         v = frame.softmin(u, 0, frame.a)
         tu = frame.softmin(v, 1, frame.b)
-        return tu, v, _violation(frame.a, frame.live, u, tu)
+        return tu, v, frame.violation(u, tu)
 
     u = frame.start(None if init is None else init[0])
     u -= u.mean()
@@ -501,38 +513,40 @@ def sinkhorn_symmetric(
     tol: float = DEFAULT_TOL,
     init=None,
     out=None,
+    *,
+    plan=True,
 ) -> TransportPlan:
     """Entropic self-transport of a measure (symmetric cost).
 
     The optimal potentials satisfy f = g, so the averaged fixed-point update
-    f <- (f + T(f))/2 applies; it converges in far fewer iterations than
-    alternating scalings and is the workhorse behind debiased divergences.
-    A round is one matrix-vector product with the absorbed kernel, rebuilt
-    as in ``sinkhorn``. ``init`` warm-starts f (one finite entry per atom);
-    f = g fixes the offset, so it is not centred. ``out`` is as in
-    ``sinkhorn``.
+    f <- (f + T(f))/2 applies. Meant for the self-cost of a point set, it
+    converges there in far fewer rounds than alternating scalings; on other
+    symmetric costs it can crawl (4 115 rounds for one of 7 atoms). A round
+    is one matrix-vector product with the absorbed kernel, rebuilt as in
+    ``sinkhorn``. ``init`` warm-starts f (one finite entry per atom); f = g
+    fixes the offset, so it is not centred. ``out`` is as in ``sinkhorn``.
 
     The rounds only meet the row marginals; the columns follow from
-    symmetry. So the assembled plan's column violation is checked too, in
-    one read pass, and a cost whose columns miss ``tol`` by more than
-    rounding (SYMMETRY_SLACK per atom), an asymmetric cost, raises
-    NumericError.
+    symmetry, which one column half round checks before any assembly: a cost
+    whose columns miss ``tol`` by more than rounding (SYMMETRY_SLACK per
+    atom), an asymmetric cost, raises NumericError. ``plan=False`` skips the
+    assembly: ``plan`` and ``cost`` are None, all else is bitwise the same.
     """
     frame = _LogFrame(cost, a, a, reg, out)
 
     def averaged_round(u):
         t = frame.softmin(u, 1, frame.a)
-        return 0.5 * (u + t), u, _violation(frame.a, frame.live, u, t)
+        return 0.5 * (u + t), u, frame.violation(u, t)
 
     u, _, err, it = _fixed_point(averaged_round, frame.start(init), max_iter, tol)
-    plan = frame.plan(u, u, err, it)
-    column_err = float(np.abs(plan.plan.sum(axis=0) - frame.a).sum())
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in the rounds
+        column_err = _violation(frame.a, frame.live, u, frame.softmin(u, 0, frame.a))
     if not column_err <= tol + SYMMETRY_SLACK * len(frame.a):
         raise NumericError(
             f"cost is not symmetric: column marginal violation {column_err:.3e} "
             f"exceeds tol {tol:.3e}"
         )
-    return plan
+    return frame.plan(u, u, err, it, assemble=plan)
 
 
 def exact_ot(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> TransportPlan:

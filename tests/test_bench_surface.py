@@ -114,6 +114,19 @@ def test_solves_report_rounds_and_violation():
     assert warm.iterations <= cold.iterations
 
 
+def test_traced_distance_records_every_self_solve():
+    # A distance reads only the values of its two self-terms, yet both run
+    # through the traced ``sinkhorn_symmetric``, so the trace counts them.
+    trace = bench_module("bench_trace")
+    src, tgt, _, _ = _solve_inputs()
+    tracer = trace.Tracer()
+    with tracer.op(0) as root_span:
+        root_span(lambda: otdd(src, tgt))
+    self_solves = [s[6] for s in tracer.spans if s[3] == "transport.sinkhorn_symmetric"]
+    assert len(self_solves) == 2
+    assert all(attrs["rounds"] >= 1 for attrs in self_solves)
+
+
 def test_convergence_error_reports_rounds_and_violation():
     src, tgt, cost, reg = _solve_inputs()
     with pytest.raises(SinkhornConvergenceError) as exc:

@@ -26,6 +26,7 @@ from otflow.otdd import (
     ground_cost_matrix,
     otdd,
 )
+import otflow.transport as transport
 from otflow.transport import (
     _cost_product,
     default_reg,
@@ -411,6 +412,33 @@ class TestRowMasses:
         np.add.at(want, (rows[:, None], cols[None, :]), plan)
         np.testing.assert_allclose(_row_masses(plan, rows, cols, p, q), want, rtol=0, atol=1e-14)
 
+    def test_per_particle_self_block_is_the_plan(self):
+        # With one row per particle each bin receives exactly one entry, so
+        # the gradient assembly may pass the symmetrized self-plan itself.
+        rng = np.random.default_rng(24)
+        n = 11
+        plan = rng.random((n, n)) / n**2
+        plan = 0.5 * (plan + plan.T)
+        rows = np.arange(n)
+        np.testing.assert_array_equal(_row_masses(plan, rows, rows, n, n), plan)
+
+    @pytest.mark.parametrize("mode, blocks", [(MODE_JD_FL, 2), (MODE_JD_VL, 1)])
+    def test_jdvl_self_block_skips_the_aggregation(self, monkeypatch, mode, blocks):
+        otdd_module = sys.modules["otflow.otdd"]
+        calls = []
+        aggregate = otdd_module._row_masses
+
+        def counting(plan, *args):
+            calls.append(plan.shape)
+            return aggregate(plan, *args)
+
+        monkeypatch.setattr(otdd_module, "_row_masses", counting)
+        rng = np.random.default_rng(25)
+        a, b = rand_state(rng, 12, 3, 2), rand_state(rng, 14, 2, 2)
+        src = a.decoupled() if mode == MODE_JD_VL else a
+        Divergence(b, reg=0.5).value_and_grads(src, mode)
+        assert calls == [(a.n, b.n), (a.n, a.n)][:blocks]
+
 
 class TestOneSolvePath:
     """otdd and TargetDistanceTerm solve the divergence through one
@@ -491,6 +519,30 @@ class TestOneSolvePath:
         value = term.value_and_grads(a, MODE_JD_FL)[0]
         assert sizes == [b.n, a.n, a.n, b.n, a.n, other.n, a.n]
         assert value == TargetDistanceTerm(other, reg=0.5).value_and_grads(a, MODE_JD_FL)[0]
+
+    def test_only_the_plans_read_are_assembled(self, monkeypatch):
+        # The self-terms enter a value through their dual values alone; only
+        # value_and_grads reads a self-plan, the source's.
+        assembled = []
+        plan = transport._LogFrame.plan
+
+        def counting(frame, *args, assemble=True, **kwargs):
+            assembled.append(assemble)
+            return plan(frame, *args, assemble=assemble, **kwargs)
+
+        monkeypatch.setattr(transport._LogFrame, "plan", counting)
+        a, b = self.pair()
+        otdd(a, b)
+        assert assembled == [False, False, True]
+        divergence = Divergence(b, reg=0.5)
+        divergence.solve(a)
+        divergence.solve(a)
+        assert assembled[3:] == [False, False, True] + [False, True]
+        for mode in MODES:
+            del assembled[:]
+            src = a.decoupled() if mode == MODE_JD_VL else a
+            TargetDistanceTerm(b, reg=0.5).value_and_grads(src, mode)
+            assert assembled == [False, True, True]
 
     def test_new_source_size_drops_the_warm_duals(self):
         rng = np.random.default_rng(21)

@@ -627,6 +627,157 @@ class TestSinkhornSymmetric:
             sinkhorn_symmetric(cost, uniform(6), reg=0.1)
 
 
+def self_instance(seed, n=25, zero_weight=False):
+    """The self-cost of a point set, its weights, reg, and the duals of the
+    set moved by 0.05, as a warm start."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2))
+    a = rng.dirichlet(np.ones(n))
+    if zero_weight:
+        a[0] = 0.0
+        a /= a.sum()
+    cost = squared_euclidean_cost(x, x)
+    reg = 0.05 * cost.mean()
+    moved = x + 0.05 * rng.normal(size=x.shape)
+    nearby = sinkhorn_symmetric(squared_euclidean_cost(moved, moved), a, reg)
+    return cost, a, reg, nearby.dual_left
+
+
+class TestValueOnlySelfSolve:
+    """``sinkhorn_symmetric(..., plan=False)``: the value of the solve
+    without its plan."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("zero_weight", [False, True])
+    def test_fields_are_those_of_the_assembled_solve(self, warm, zero_weight):
+        cost, a, reg, init = self_instance(50, zero_weight=zero_weight)
+        init = init if warm else None
+        full = sinkhorn_symmetric(cost, a, reg, init=init)
+        value = sinkhorn_symmetric(cost, a, reg, init=init, plan=False)
+        assert value.plan is None and value.cost is None
+        assert value.soft_cost == full.soft_cost
+        np.testing.assert_array_equal(value.dual_left, full.dual_left)
+        np.testing.assert_array_equal(value.dual_right, full.dual_right)
+        assert value.iterations == full.iterations
+        assert value.marginal_error == full.marginal_error
+        assert value.reg == full.reg
+
+    def test_zero_weight_atom_far_above_the_rest(self):
+        # The instance of TestSinkhorn's test of that name: the column check
+        # must stay finite and warning-free on it as the rounds do.
+        rng = np.random.default_rng(24)
+        cost = symmetric_cost(rng, 7) * 0.6 + 0.4
+        cost[0, :] = cost[:, 0] = 0.01
+        a = np.append(0.0, uniform(6))
+        solve = dict(reg=1e-3 * cost.mean(), max_iter=100_000, tol=1e-4)
+        full = sinkhorn_symmetric(cost, a, **solve)
+        value = sinkhorn_symmetric(cost, a, **solve, plan=False)
+        assert np.isfinite(value.soft_cost) and value.soft_cost == full.soft_cost
+
+    @pytest.mark.parametrize("plan", [True, False])
+    def test_rejects_an_asymmetric_cost_either_way(self, plan):
+        cost = np.random.default_rng(0).uniform(size=(6, 6))
+        with pytest.raises(NumericError, match="not symmetric"):
+            sinkhorn_symmetric(cost, uniform(6), reg=0.1, plan=plan)
+
+    def test_plan_is_keyword_only(self):
+        cost, a, reg, _ = self_instance(51, n=5)
+        with pytest.raises(TypeError):
+            sinkhorn_symmetric(cost, a, reg, 100, 1e-6, None, None, False)
+
+
+def assembled_dual_value(plan, a, b):
+    """The entropic dual value at the plan's potentials, its mass summed
+    from the assembled plan."""
+    return plan.dual_left @ a + plan.dual_right @ b - plan.reg * (plan.plan.sum() - 1.0)
+
+
+class TestDualValueFromPotentials:
+    """``soft_cost`` takes the plan's mass from the potentials and the last
+    round's row update; it must match the mass of the assembled plan."""
+
+    @staticmethod
+    def assert_matches(plan, a, b):
+        expected = assembled_dual_value(plan, a, b)
+        assert abs(plan.soft_cost - expected) <= 1e-13 * abs(expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cold_sinkhorn(self, seed):
+        rng = np.random.default_rng(60 + seed)
+        n, m = rng.integers(5, 40, size=2)
+        cost = rng.uniform(size=(n, m))
+        a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        self.assert_matches(sinkhorn(cost, a, b, 0.05 * cost.mean()), a, b)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_warm_sinkhorn_with_newton_steps(self, seed):
+        cost, a, b, reg, init = warm_instance(seed)
+        plan = sinkhorn(cost, a, b, reg, init=init)
+        assert plan.newton_steps > 0
+        self.assert_matches(plan, a, b)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_sinkhorn_symmetric(self, warm):
+        cost, a, reg, init = self_instance(52)
+        self.assert_matches(sinkhorn_symmetric(cost, a, reg, init=init if warm else None), a, a)
+
+    @pytest.mark.parametrize("solver", ["sinkhorn", "sinkhorn_symmetric"])
+    def test_zero_weight_atoms(self, solver):
+        cost, a, reg, init = self_instance(53, zero_weight=True)
+        if solver == "sinkhorn":
+            b = np.append(a[1:], 0.0)
+            plan = sinkhorn(cost, a, b, reg)
+        else:
+            b = a
+            plan = sinkhorn_symmetric(cost, a, reg, init=init)
+        self.assert_matches(plan, a, b)
+
+    @pytest.mark.parametrize("excess", [5e-10, -5e-10])
+    @pytest.mark.parametrize("solver", ["sinkhorn", "sinkhorn_symmetric"])
+    def test_weights_off_one_within_the_check(self, solver, excess):
+        cost, a, reg, _ = self_instance(54)
+        a = a * (1.0 + excess)
+        assert abs(a.sum() - 1.0) > 1e-10
+        if solver == "sinkhorn":
+            self.assert_matches(sinkhorn(cost, a, a, reg), a, a)
+        else:
+            self.assert_matches(sinkhorn_symmetric(cost, a, reg), a, a)
+
+
+def masked_rebuild(cost, reg, shift, axis, w):
+    """The rebuild with the zero-weight mask, the cap at 1 and the shift
+    always applied: (K~, the other reference, the half round)."""
+    k = cost / -reg + (shift[:, None] if axis == 0 else shift)
+    live = (w > 0)[:, None] if axis == 0 else w > 0
+    mx = k.max(axis=axis, where=live, initial=-np.inf)
+    k = np.exp(np.minimum(k - (mx if axis == 0 else mx[:, None]), 0.0))
+    s = w @ k if axis == 0 else k @ w
+    return k, -mx, -mx - np.log(s)
+
+
+class TestRebuildShortcuts:
+    """Without zero weights the rebuild takes neither mask nor cap, and it
+    adds no all-zero shift; each leaves every output bitwise the same."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("zero_shift", [False, True])
+    @pytest.mark.parametrize("zero_weight", [False, True])
+    def test_bitwise_the_masked_rebuild(self, axis, zero_shift, zero_weight):
+        rng = np.random.default_rng(70)
+        x = rng.normal(size=(9, 2))
+        cost = squared_euclidean_cost(x, x)  # a zero diagonal: -0.0 entries
+        w = rng.dirichlet(np.ones(9))
+        if zero_weight:
+            w[3] = 0.0
+        shift = np.zeros(9) if zero_shift else rng.normal(size=9)
+        buf = np.empty_like(cost)
+        ref, half = transport._softmin(cost, 0.3, shift, axis, buf, w)
+        k, want_ref, want_half = masked_rebuild(cost, 0.3, shift, axis, w)
+        np.testing.assert_array_equal(buf, k)
+        np.testing.assert_array_equal(ref, want_ref)
+        np.testing.assert_array_equal(half, want_half)
+
+
 def lstsq_extrapolant(maps, residuals):
     """Anderson's extrapolant by ``lstsq``, newest entry last."""
     r, tu = residuals[-1], maps[-1]
