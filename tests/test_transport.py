@@ -9,6 +9,8 @@ from otflow.errors import (
     SinkhornConvergenceError,
     SizeLimitError,
 )
+from helpers import rand_state
+from otflow.otdd import otdd
 import otflow.transport as transport
 from otflow.transport import (
     ANDERSON_MEMORY,
@@ -105,6 +107,22 @@ class TestInputChecks:
     def test_empty_cost_fails_the_weight_check(self, solver):
         with pytest.raises(NumericError, match="sum to 1"):
             solver(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+
+
+    def test_shared_weights_are_checked_once(self, monkeypatch):
+        cost, a, reg, _ = self_instance(55, n=6)
+        checked = []
+        check = transport.validate_weights
+
+        def counting(w):
+            checked.append(w)
+            check(w)
+
+        monkeypatch.setattr(transport, "validate_weights", counting)
+        sinkhorn_symmetric(cost, a, reg)
+        assert len(checked) == 1
+        sinkhorn(cost, a, a.copy(), reg)
+        assert len(checked) == 3
 
 
 class TestSquaredEuclideanCost:
@@ -756,8 +774,8 @@ def masked_rebuild(cost, reg, shift, axis, w):
 
 
 class TestRebuildShortcuts:
-    """Without zero weights the rebuild takes neither mask nor cap, and it
-    adds no all-zero shift; each leaves every output bitwise the same."""
+    """Without zero weights the rebuild takes neither mask nor cap, which
+    leaves every output bitwise the same."""
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("zero_shift", [False, True])
@@ -776,6 +794,63 @@ class TestRebuildShortcuts:
         np.testing.assert_array_equal(buf, k)
         np.testing.assert_array_equal(ref, want_ref)
         np.testing.assert_array_equal(half, want_half)
+
+
+class TestColdKernel:
+    """A cold solve fills K~ with exp(-C/reg), at reference zero, and
+    rebuilds only where a row underflows there."""
+
+    @pytest.mark.parametrize("solver", ["sinkhorn", "sinkhorn_symmetric", "otdd"])
+    def test_no_rebuild_on_a_well_scaled_problem(self, solver, monkeypatch):
+        cost, a, reg, _ = self_instance(56)
+        calls = count_rebuilds(monkeypatch)
+        if solver == "sinkhorn":
+            sinkhorn(cost, a, a, reg)
+        elif solver == "sinkhorn_symmetric":
+            sinkhorn_symmetric(cost, a, reg)
+        else:
+            rng = np.random.default_rng(56)
+            otdd(rand_state(rng, 30, 2, 2), rand_state(rng, 40, 3, 2))
+        assert calls == []
+
+    def test_an_underflowing_start_takes_one_rebuild(self, monkeypatch):
+        # Shifted by 800 reg, every entry of exp(-C/reg) underflows; a
+        # constant shift of the cost leaves the plan as it is.
+        rng = np.random.default_rng(57)
+        cost = squared_euclidean_cost(rng.normal(size=(25, 2)), rng.normal(size=(30, 2)))
+        a, b = rng.dirichlet(np.ones(25)), rng.dirichlet(np.ones(30))
+        reg = 0.05 * cost.mean()
+        calls = count_rebuilds(monkeypatch)
+        plain = sinkhorn(cost, a, b, reg)
+        assert calls == []
+        shifted = sinkhorn(cost + 800 * reg, a, b, reg)
+        assert len(calls) == 1
+        np.testing.assert_allclose(shifted.plan, plain.plan, rtol=0, atol=1e-12 * plain.plan.max())
+
+
+class TestHeavyBall:
+    """A cold ``sinkhorn_symmetric`` takes heavy-ball steps; a warm start,
+    here ``init`` zero from the same point, keeps the averaged update."""
+
+    def test_fewer_rounds_on_a_symmetric_cost_that_is_not_a_self_cost(self):
+        # The instance on which the averaged update crawls.
+        c = np.random.default_rng(31).uniform(size=(7, 7))
+        cost = 0.5 * (c + c.T)
+        solve = dict(reg=0.05 * cost.mean(), max_iter=10_000, tol=1e-6)
+        cold = sinkhorn_symmetric(cost, uniform(7), **solve)
+        averaged = sinkhorn_symmetric(cost, uniform(7), **solve, init=np.zeros(7))
+        assert (cold.iterations, averaged.iterations) == (2908, 4115)
+
+    @pytest.mark.parametrize("n", [50, 200, 600])
+    def test_same_value_on_point_set_self_costs(self, n):
+        rng = np.random.default_rng(58)
+        x = rng.normal(size=(n, 2))
+        cost = squared_euclidean_cost(x, x)
+        reg = 0.05 * cost.mean()
+        cold = sinkhorn_symmetric(cost, uniform(n), reg, plan=False)
+        averaged = sinkhorn_symmetric(cost, uniform(n), reg, init=np.zeros(n), plan=False)
+        assert abs(cold.soft_cost - averaged.soft_cost) <= 1e-11 * abs(averaged.soft_cost)
+        assert cold.iterations < averaged.iterations
 
 
 def lstsq_extrapolant(maps, residuals):
